@@ -32,6 +32,7 @@ from .montecarlo import (
     default_workers,
     default_z_tuples,
     fdd_brownian_check,
+    field_run,
     independence_report,
     independence_rhs,
     run_experiment,
@@ -161,21 +162,29 @@ def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -
     )
 
 
-def _reference_bt(raw: dict, cfg: ExperimentConfig) -> tuple[float, str]:
-    """Exact limiting covariance where available, else a dedicated estimate."""
-    sigma = cfg.sigma
-    if sigma.is_constant and all(g.kind == "identity" for g in cfg.g_list):
-        c0 = float(sigma(np.array(1.0)))
-        return exact_Bt_constant_sigma(c0, cfg.t, cfg.covariance), "exact"
-    grid = cfg.grid_for(cfg.n_ladder[0])
-    from .montecarlo import field_run
+def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float, str]]:
+    """(B_t, source) for each observable in ``g_list``.
 
-    fields = field_run(
-        cfg.covariance, sigma, cfg.t, grid, int(raw.get("bt_replicas", 400)),
-        cfg.seed, domain=20_000,
-    )
-    est = estimate_Bt(fields, grid, cfg.g_list[0], t=cfg.t, f=cfg.covariance)
-    return est.value, "mc"
+    Exact for constant sigma with the identity observable; every other
+    observable gets its own estimate from one shared dedicated field run.
+    """
+    sigma = cfg.sigma
+    fields = None
+    out = []
+    for g in g_list:
+        if sigma.is_constant and g.kind == "identity":
+            c0 = float(sigma(np.array(1.0)))
+            out.append((exact_Bt_constant_sigma(c0, cfg.t, cfg.covariance), "exact"))
+            continue
+        if fields is None:
+            grid = cfg.grid_for(cfg.n_ladder[0])
+            fields = field_run(
+                cfg.covariance, sigma, cfg.t, grid, int(raw.get("bt_replicas", 400)),
+                cfg.seed, domain=20_000,
+            )
+        est = estimate_Bt(fields, grid, g, t=cfg.t, f=cfg.covariance)
+        out.append((est.value, "mc"))
+    return out
 
 
 # -- subcommands --
@@ -285,7 +294,8 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
     manifest = RunManifest("clt", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
-    b_t, b_src = _reference_bt(raw, cfg)
+    bts = _reference_bt(raw, cfg, cfg.g_list)
+    b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
     var_tol = float(raw.get("variance_tolerance", 0.10))
     cov_tol = float(raw.get("covariance_tolerance", 0.15))
     flags = {}
@@ -297,9 +307,9 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
             (p.label, q.label): p.l2_inner(q) for p in cfg.psi_list for q in cfg.psi_list
         }
         for psi in cfg.psi_list:
-            for g in cfg.g_list:
+            for g, (g_bt, _) in zip(cfg.g_list, bts):
                 ens = result.get(N, psi, g)
-                rep = clt_report(ens.values, psi.l2_inner(psi), b_t, joint=joint, gram=gram)
+                rep = clt_report(ens.values, psi.l2_inner(psi), g_bt)
                 key = f"N={N:g}|{psi.label}|{g.label}"
                 rows.append((N, psi.label, g.label, rep.mean, rep.variance,
                              rep.predicted_variance, rep.ks_distance, rep.ks_critical))
@@ -328,7 +338,10 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
          ("N", "psi", "g", "mean", "variance", "predicted_variance", "ks", "ks_critical"),
          rows)
     _csv(out_dir, manifest, "clt-samples", ("replica", "N", "psi", "g", "value"), sample_rows)
-    ok = _write_summary(out_dir, manifest, flags, extra={"b_t": b_t, "b_t_source": b_src})
+    ok = _write_summary(out_dir, manifest, flags, extra={
+        "b_t": {g.label: v for g, (v, _) in zip(cfg.g_list, bts)},
+        "b_t_source": {g.label: src for g, (_, src) in zip(cfg.g_list, bts)},
+    })
     manifest.write(out_dir)
     return 0 if ok else 1
 
@@ -411,7 +424,7 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     result = run_experiment(cfg)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
-    b_t, b_src = _reference_bt(raw, cfg)
+    ((b_t, b_src),) = _reference_bt(raw, cfg, [g])
     samples = {r: result.get(N, boxes[r], g).values for r in r_grid}
     inc_cols = np.stack([result.get(N, b, g).values for b in inc_boxes], axis=1)
     vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])

@@ -6,7 +6,9 @@ F_grid and whose slices at distinct steps are independent (white in time).
 
 Synthesis is circulant: the periodized covariance sampled on the grid has a
 nonnegative discrete Fourier transform, so filtering i.i.d. cell noise by
-the square root of that spectrum produces the exact target covariance.  The
+the square root of that spectrum produces the exact target covariance.
+The spectrum is symmetric under m <-> -m, so the filter runs as a real FFT
+(``rfftn``/``irfftn``) over half the modes.  The
 per-mode weights equal the alias-folded spectral density f_hat(2 pi m / L)
 summed over Brillouin copies, divided by L^d; the folding is evaluated in
 physical space where every kind periodizes in closed form (Poisson
@@ -14,8 +16,9 @@ summation makes the two routes identical).  The Dirac kind is cell-averaged:
 F_grid(0) = mass / dx^d with no off-cell correlation, i.e. a flat spectrum.
 
 Randomness is counter-based: every (seed, domain, replica, step) maps to an
-independent Philox key, so any execution order, chunking, or process count
-reproduces bit-identical fields.
+independent Philox key, and each replica is filtered on its own, so any
+execution order, chunking, or process count reproduces bit-identical
+fields.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class RngStream:
         return [k0, k1]
 
     def generator(self, step: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.philox_key(step)))
+        # uint64 explicitly: a list of Python ints above 2**63 becomes float64
+        key = np.asarray(self.philox_key(step), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -220,7 +225,9 @@ def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
 
 
 def _filter_scale(grid: Grid, weights: SpectralWeights, dt: float) -> np.ndarray:
-    return np.sqrt(dt * grid.n**grid.d * weights.weights)
+    """sqrt(dt n^d w_m) on the real-FFT half spectrum (last axis m <= n/2)."""
+    half = weights.weights[..., : grid.n // 2 + 1]
+    return np.sqrt(dt * grid.n**grid.d * half)
 
 
 class _KeyedPhilox:
@@ -250,25 +257,29 @@ class _KeyedPhilox:
 
 
 def sample_noise_batch(
-    grid: Grid, weights: SpectralWeights, dt: float, streams: list[RngStream], step: int
+    grid: Grid, weights: SpectralWeights, dt: float, streams: list[RngStream], step: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise increments for several replicas at one step, shape (B, *grid).
 
     Each replica's white noise comes from its own (replica, step) key, so
-    output bits do not depend on batching.
+    output bits do not depend on batching.  ``out``, a C-contiguous float64
+    array of that shape, receives the draws and the result.
     """
-    xi = np.empty((len(streams),) + grid.shape)
+    xi = np.empty((len(streams),) + grid.shape) if out is None else out
+    if dt == 0.0:
+        xi.fill(0.0)
+        return xi
     keyed = _KeyedPhilox()
     for i, stream in enumerate(streams):
-        gen = keyed.rekey(stream.philox_key(step))
-        xi[i] = gen.standard_normal(grid.shape)
-    if dt == 0.0:
-        return np.zeros_like(xi)
+        keyed.rekey(stream.philox_key(step)).standard_normal(out=xi[i])
     if weights.flat:
-        return math.sqrt(dt * grid.n**grid.d * weights.flat_value) * xi
-    scale = _filter_scale(grid, weights, dt)
+        xi *= math.sqrt(dt * grid.n**grid.d * weights.flat_value)
+        return xi
     axes = tuple(range(1, grid.d + 1))
-    return np.fft.ifftn(scale[np.newaxis] * np.fft.fftn(xi, axes=axes), axes=axes).real
+    spectrum = np.fft.rfftn(xi, axes=axes)
+    spectrum *= _filter_scale(grid, weights, dt)
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=xi)
 
 
 def sample_noise_slice(

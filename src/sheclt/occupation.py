@@ -323,8 +323,9 @@ class PreparedTestFunction:
         lead = fields.shape[: fields.ndim - self.grid.d]
         out = np.zeros(lead)
         for amp, slices, weight in self.pieces:
-            view = fields[(Ellipsis,) + slices]
-            out += amp * np.tensordot(view, weight, axes=self.grid.d)
+            # a per-row reduction: each replica's sum is independent of the batch
+            weighted = fields[(Ellipsis,) + slices] * weight
+            out += amp * weighted.reshape(lead + (-1,)).sum(axis=-1)
         return out
 
 
@@ -454,6 +455,8 @@ class BtAccumulator:
         self.g, self.G = g, G
         self.cutoff = cutoff
         self.cutoff_cells = max(int(round(cutoff / grid.dx)), 1)
+        self._window = self._lag_window()
+        self._window_cells = int(np.sum(self._window))
         self._sum_cross = np.zeros(grid.shape)
         self._sum_g = 0.0
         self._sum_G = 0.0
@@ -461,41 +464,36 @@ class BtAccumulator:
         self.n = 0
 
     def update(self, fields: np.ndarray) -> None:
-        self.update_pair(np.asarray(self.g(fields)), np.asarray(self.G(fields)))
+        gu = np.asarray(self.g(fields))
+        self.update_pair(gu, gu if self.G is self.g else np.asarray(self.G(fields)))
 
     def update_pair(self, gu: np.ndarray, GU: np.ndarray) -> None:
+        """Add a replica batch of g(u) and G(u) fields; pass the same array
+        twice for an autocovariance (one transform instead of two)."""
         axes = tuple(range(1, gu.ndim))
-        cross = np.fft.ifftn(
-            np.fft.fftn(gu, axes=axes) * np.conj(np.fft.fftn(GU, axes=axes)), axes=axes
-        ).real / gu[0].size
+        spec = np.fft.rfftn(gu, axes=axes)
+        spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
+        cross = np.fft.irfftn(spec, s=gu.shape[1:], axes=axes) / gu[0].size
         self._sum_cross += cross.sum(axis=0)
         self._sum_g += float(gu.mean(axis=axes).sum())
         self._sum_G += float(GU.mean(axis=axes).sum())
-        lag_sum = self._lag_window_sum(cross)
+        lag_sum = cross[:, self._window].sum(axis=1)
         self._per_rep.extend(
-            (lag_sum - self._lag_window_cells() * gu.mean(axes) * GU.mean(axes))
+            (lag_sum - self._window_cells * gu.mean(axes) * GU.mean(axes))
             * self.grid.cell_volume
         )
         self.n += gu.shape[0]
 
-    def _lag_window(self):
+    def _lag_window(self) -> np.ndarray:
+        """Boolean mask of the lags within cutoff_cells along every axis."""
         c = self.cutoff_cells
-        idx = np.zeros(self.grid.shape, dtype=bool)
         ax_sel = np.zeros(self.grid.n, dtype=bool)
         ax_sel[: c + 1] = True
         ax_sel[self.grid.n - c :] = True
         sel = ax_sel
         for _ in range(self.grid.d - 1):
             sel = np.multiply.outer(sel, ax_sel)
-        idx |= sel
-        return idx
-
-    def _lag_window_cells(self) -> int:
-        return int(np.sum(self._lag_window()))
-
-    def _lag_window_sum(self, cross: np.ndarray) -> np.ndarray:
-        sel = self._lag_window()
-        return cross[:, sel].sum(axis=1) if cross.ndim > self.grid.d else cross[sel].sum()
+        return sel
 
     def finalize(self) -> BtEstimate:
         if self.n < 2:
@@ -503,8 +501,7 @@ class BtAccumulator:
         mean_g = self._sum_g / self.n
         mean_G = self._sum_G / self.n
         cov = self._sum_cross / self.n - mean_g * mean_G
-        sel = self._lag_window()
-        value = float(np.sum(cov[sel])) * self.grid.cell_volume
+        value = float(np.sum(cov[self._window])) * self.grid.cell_volume
         per = np.asarray(self._per_rep)
         se = float(np.std(per)) / math.sqrt(self.n)
         c = self.cutoff_cells
@@ -552,9 +549,10 @@ def estimate_Bt(
             raise ConfigError("estimate_Bt: pass cutoff or (t, f) for the default")
         cutoff = min(default_bt_cutoff(t, f), grid.length / 4.0)
     acc = BtAccumulator(grid, g, G, cutoff)
-    acc.update_pair(
-        np.asarray(g(fields)), np.asarray(G(fields_T if fields_T is not None else fields))
-    )
+    if fields_T is None:
+        acc.update(fields)
+    else:
+        acc.update_pair(np.asarray(g(fields)), np.asarray(G(fields_T)))
     return acc.finalize()
 
 

@@ -84,15 +84,20 @@ class SigmaFunction:
         idx = np.clip(np.searchsorted(xs, u) - 1, 0, xs.size - 2)
         return ys[idx] + slopes[idx] * (u - xs[idx])
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """sigma(u) as a float array; ``out``, if given, receives it."""
         u = np.asarray(u)
+        out = np.empty(u.shape) if out is None else out
         if self.kind == "constant":
-            return np.full_like(u, self.params[0], dtype=float)
-        if self.kind == "linear":
-            return self.params[0] * u
-        if self.kind == "affine":
-            return self.params[0] + self.params[1] * u
-        return self._eval_tab(u)
+            out.fill(self.params[0])
+        elif self.kind == "linear":
+            np.multiply(u, self.params[0], out=out)
+        elif self.kind == "affine":
+            np.multiply(u, self.params[1], out=out)
+            out += self.params[0]
+        else:
+            out[...] = self._eval_tab(u)
+        return out
 
     @property
     def is_constant(self) -> bool:
@@ -141,19 +146,52 @@ class SolutionField:
     domain: int = 0
 
 
-def discrete_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Periodic 2d+1-point Laplacian over the trailing grid axes."""
-    lead = values.ndim - grid.d
-    out = -2.0 * grid.d * values
-    for ax in range(lead, values.ndim):
-        out += np.roll(values, 1, axis=ax) + np.roll(values, -1, axis=ax)
-    return out / (grid.dx * grid.dx)
+def discrete_laplacian(
+    values: np.ndarray, grid: Grid, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Periodic 2d+1-point Laplacian over the trailing grid axes.
+
+    ``out`` receives the result and ``work`` holds each axis's neighbour
+    pair; both must be float arrays of the shape of ``values`` and default
+    to new ones.  Per cell the arithmetic is -2d u, plus each axis's
+    (left + right) pair in axis order, then / dx^2.
+    """
+    out = np.empty(values.shape) if out is None else out
+    work = np.empty(values.shape) if work is None else work
+    np.multiply(values, -2.0 * grid.d, out=out)
+    for ax in range(values.ndim - grid.d, values.ndim):
+        v, w = np.moveaxis(values, ax, 0), np.moveaxis(work, ax, 0)
+        np.add(v[:-2], v[2:], out=w[1:-1])
+        np.add(v[-1:], v[1:2], out=w[:1])
+        np.add(v[-2:-1], v[:1], out=w[-1:])
+        out += work
+    out /= grid.dx * grid.dx
+    return out
 
 
-def step_euler(values: np.ndarray, grid: Grid, sigma: SigmaFunction, slice_values: np.ndarray) -> np.ndarray:
-    """One explicit Euler step; raises SolverBlowup past the 1e12 guard."""
-    out = values + (grid.dt / 2.0) * discrete_laplacian(values, grid) + sigma(values) * slice_values
-    if not np.all(np.abs(out) <= BLOWUP_GUARD):
+def step_euler(
+    values: np.ndarray,
+    grid: Grid,
+    sigma: SigmaFunction,
+    slice_values: np.ndarray,
+    out: np.ndarray | None = None,
+    lap: np.ndarray | None = None,
+) -> np.ndarray:
+    """One explicit Euler step; raises SolverBlowup past the 1e12 guard.
+
+    ``out`` receives the new field and ``lap`` is scratch for the Laplacian;
+    both default to new arrays, and neither may alias ``values``.  Per cell:
+    (u + (dt/2) Lap u) + sigma(u) dW.
+    """
+    out = np.empty(values.shape) if out is None else out
+    lap = discrete_laplacian(values, grid, out=lap, work=out)
+    lap *= grid.dt / 2.0
+    lap += values
+    sigma(values, out=out)
+    out *= slice_values
+    out += lap
+    # NaN fails both comparisons
+    if not (out.max() <= BLOWUP_GUARD and out.min() >= -BLOWUP_GUARD):
         raise SolverBlowup("field magnitude exceeded 1e12")
     return out
 
@@ -196,17 +234,19 @@ def solve_batch(
         snap_steps[_steps_for(grid, t_snap)] = t_snap
 
     u = np.ones((len(replicas),) + grid.shape)
+    nxt, lap, dW = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     snapshots = {}
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = u.copy()
     for step in range(n_steps):
-        dW = sample_noise_batch(grid, weights, grid.dt, streams, step)
+        sample_noise_batch(grid, weights, grid.dt, streams, step, out=dW)
         try:
-            u = step_euler(u, grid, sigma, dW)
+            step_euler(u, grid, sigma, dW, out=nxt, lap=lap)
         except SolverBlowup as exc:
             raise SolverBlowup(
                 f"blow-up at step {step + 1} of {n_steps}", step=step + 1
             ) from exc
+        u, nxt = nxt, u
         if step + 1 in snap_steps:
             snapshots[snap_steps[step + 1]] = u.copy()
     return u, snapshots

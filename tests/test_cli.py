@@ -115,6 +115,36 @@ class TestDispatch:
         out_bad = tmp_path / "out-bad"
         assert dispatch(["--out-dir", str(out_bad), "--seed", "7", "clt", "--config", str(cfg_bad)]) == 1
 
+    def test_clt_compares_each_observable_with_its_own_bt(self, tmp_path):
+        from sheclt.montecarlo import ExperimentConfig, field_run
+        from sheclt.occupation import LipFunction, TestFunction, estimate_Bt
+        from sheclt.solver import SigmaFunction
+        from sheclt.spectral import CovarianceMeasure
+
+        cfg = tiny_clt_config(
+            tmp_path, sigma={"kind": "affine", "params": [1.0, 0.5]},
+            g=[{"kind": "sin"}, {"kind": "identity"}], replicas=50,
+            baseline_replicas=20, bt_replicas=100,
+        )
+        out = tmp_path / "out"
+        code = dispatch(["--out-dir", str(out), "--seed", "7", "--workers", "1",
+                         "clt", "--config", str(cfg)])
+        assert code in (0, 1)
+        header, rows = read_rows(out_files(out, "clt-report", ".csv")[0])
+        predicted = {r[header.index("g")]: float(r[header.index("predicted_variance")]) for r in rows}
+        # the reference B_t solve: bt_replicas fields in domain 20000 on the first rung's grid
+        white, sigma = CovarianceMeasure("dirac", 1, 1.0), SigmaFunction.affine(1.0, 0.5)
+        unit = TestFunction.box(0.0, 1.0)
+        grid = ExperimentConfig(
+            covariance=white, sigma=sigma, g_list=[LipFunction.identity()], psi_list=[unit],
+            t=0.25, n_ladder=[4.0], dx=0.25, replicas=50, seed=7,
+        ).grid_for(4.0)
+        fields = field_run(white, sigma, 0.25, grid, 100, 7, domain=20_000)
+        for g in (LipFunction.sin(), LipFunction.identity()):
+            bt = estimate_Bt(fields, grid, g, t=0.25, f=white).value
+            assert predicted[g.label] == unit.l2_inner(unit) * bt
+        assert predicted["sin"] != predicted["identity"]
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt"]) == 2
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", "/nope.json"]) == 2

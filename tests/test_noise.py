@@ -141,6 +141,29 @@ class TestSampling:
         full = np.fft.ifft(scale * np.fft.fft(xi))
         assert np.max(np.abs(full.imag)) < 1e-12 * max(np.max(np.abs(full.real)), 1e-30)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind, param", [("gaussian", 0.8), ("exponential", 1.3), ("uniform", 1.2)])
+    def test_real_fft_filter_matches_complex_filter(self, kind, param, d):
+        # reference: the full complex filter, real part of the inverse
+        g = small_grid(n=16, L=4.0, d=d)
+        w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
+        streams = [RngStream(seed=11, replica=r) for r in range(3)]
+        batch = sample_noise_batch(g, w, g.dt, streams, step=2)
+        xi = np.stack([s.generator(2).standard_normal(g.shape) for s in streams])
+        scale = np.sqrt(g.dt * g.n**g.d * w.weights)
+        axes = tuple(range(1, d + 1))
+        ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
+        assert np.max(np.abs(batch - ref)) <= 1e-14
+
+    def test_flat_path_is_scaled_draw(self):
+        g = small_grid()
+        w = spectral_weights(g, CovarianceMeasure("dirac", 1, 1.0))
+        stream = RngStream(seed=3, replica=2)
+        out = np.empty((1,) + g.shape)
+        batch = sample_noise_batch(g, w, g.dt, [stream], step=5, out=out)
+        ref = math.sqrt(g.dt * g.n * w.flat_value) * stream.generator(5).standard_normal(g.shape)
+        assert batch is out and np.array_equal(batch[0], ref)
+
     @pytest.mark.slow
     def test_dirac_cell_variance(self):
         # white-noise cell variance dt * mass / dx over many draws
@@ -229,7 +252,7 @@ class TestRegression:
         from sheclt.io import load_array, save_array
 
         g = small_grid(n=64, L=8.0)
-        expected = {"dirac": "9324a342e09b297e", "gaussian": "f38b756f876c6bf4"}
+        expected = {"dirac": "9324a342e09b297e", "gaussian": "541fb02401d1506c"}
         for kind, param in (("dirac", 1.0), ("gaussian", 0.8)):
             f = CovarianceMeasure(kind, 1, 1.0, param)
             w = spectral_weights(g, f)

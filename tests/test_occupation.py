@@ -204,6 +204,19 @@ class TestOccupationSample:
         )
 
 
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 128)])
+    def test_integrate_independent_of_batch(self, d, n):
+        # each replica's sample must not depend on the batch it is evaluated in
+        grid = Grid(d=d, length=n / 8.0, n=n, dt=1.0 / (128.0 * d))
+        lo2, hi2 = (1.0,) + (0.0,) * (d - 1), (2.5,) + (1.0,) * (d - 1)
+        psi = TestFunction([(1.0, (0.0,) * d, (1.0,) * d), (-0.5, lo2, hi2)])
+        prep = PreparedTestFunction(grid, psi.scaled(4.0))
+        fields = np.random.default_rng(3).normal(size=(64,) + grid.shape)
+        full = prep.integrate(fields)[[0, 63]]
+        assert np.array_equal(prep.integrate(fields[[0, 63]]), full)
+        assert np.array_equal([prep.integrate(fields[r : r + 1])[0] for r in (0, 63)], full)
+
+
 class TestBrownianSheetField:
     def test_zero_corner(self):
         grid = grid_1d()
@@ -271,6 +284,21 @@ class TestBtEstimate:
         est = estimate_Bt(fields, grid, LipFunction.identity(), t=1.0, f=WHITE)
         target = exact_Bt_constant_sigma(1.0, 1.0, WHITE)
         assert abs(est.value - target) < 0.1 * target
+
+    def test_matches_lag_sum_reference(self):
+        grid = grid_1d(dx=0.25, L=16.0)
+        fields, _ = solve_batch(grid, SigmaFunction.affine(1.0, 0.5), WHITE, 0.5, 46, range(120))
+        g, G = LipFunction.sin(), LipFunction.identity()
+        cutoff = 2.0
+        est = estimate_Bt(fields, grid, g, G, cutoff=cutoff)
+        gu, GU = np.sin(fields), fields
+        c = int(round(cutoff / grid.dx))
+        cov = [np.mean(np.roll(gu, -h, axis=1) * GU) - gu.mean() * GU.mean() for h in range(-c, c + 1)]
+        assert est.value == pytest.approx(float(np.sum(cov)) * grid.dx, rel=1e-10)
+        # the autocovariance shortcut (one g evaluation, one transform) is exact
+        auto = estimate_Bt(fields, grid, g, cutoff=cutoff)
+        twice = estimate_Bt(fields, grid, g, LipFunction.sin(), cutoff=cutoff)
+        assert (auto.value, auto.se) == (twice.value, twice.se)
 
     @pytest.mark.slow
     def test_streaming_accumulator_matches_batch(self):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from sheclt.errors import ConfigError, SolverBlowup
-from sheclt.noise import Grid
+from sheclt.noise import Grid, RngStream, spectral_weights
 from sheclt.solver import (
     MarginalStats,
     SigmaFunction,
+    discrete_laplacian,
     marginal_stats,
     picard_solve,
     solve,
@@ -42,7 +43,39 @@ def exact_discrete_variance_white(grid, n_steps, mass):
     return grid.dt * mass / grid.dx * float(np.mean(terms))
 
 
+def laplacian_reference(values, grid):
+    """Out-of-place np.roll form of the periodic 2d+1-point Laplacian."""
+    out = -2.0 * grid.d * values
+    for ax in range(values.ndim - grid.d, values.ndim):
+        out += np.roll(values, 1, axis=ax) + np.roll(values, -1, axis=ax)
+    return out / (grid.dx * grid.dx)
+
+
+def step_reference(values, grid, sigma, dW):
+    return values + (grid.dt / 2.0) * laplacian_reference(values, grid) + sigma(values) * dW
+
+
+SIGMAS = {
+    "constant": SigmaFunction.constant(1.3),
+    "affine": SigmaFunction.affine(1.0, 0.5),
+    "tabulated": SigmaFunction.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2]),
+}
+
+
 class TestSigmaFunction:
+    def test_out_buffer_matches_formula(self):
+        u = np.random.default_rng(1).normal(size=(2, 5))
+        expected = {
+            "constant": np.full(u.shape, 1.3),
+            "affine": 1.0 + 0.5 * u,
+            "tabulated": SIGMAS["tabulated"]._eval_tab(u),
+        }
+        for kind, sigma in SIGMAS.items():
+            out = np.empty_like(u)
+            assert sigma(u, out=out) is out
+            assert np.array_equal(out, expected[kind]) and np.array_equal(sigma(u), out)
+        assert np.array_equal(SigmaFunction.linear(3.0)(u, out=np.empty_like(u)), 3.0 * u)
+
     def test_constants(self):
         s = SigmaFunction.affine(2.0, -0.5)
         assert (s.sigma0, s.lip, s.sigma1) == (2.0, 0.5, 1.5)
@@ -86,6 +119,63 @@ class TestEuler:
         dW = sample_noise_batch(g, w, g.dt, [RngStream(seed=2)], 0)[0]
         out = step_euler(np.ones(g.shape), g, SigmaFunction.constant(1.0), dW)
         assert np.array_equal(out, 1.0 + dW)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_laplacian_matches_roll_reference(self, d, n):
+        g = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2 * d))
+        v = np.random.default_rng(d * n).normal(size=(3,) + g.shape)
+        ref = laplacian_reference(v, g)
+        assert np.array_equal(discrete_laplacian(v, g), ref)
+        out, work = np.empty_like(v), np.empty_like(v)
+        assert discrete_laplacian(v, g, out=out, work=work) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(discrete_laplacian(v[0], g), laplacian_reference(v[0], g))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("kind", sorted(SIGMAS))
+    def test_step_matches_roll_reference(self, d, n, kind):
+        g = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2 * d))
+        rng = np.random.default_rng(d * n)
+        v = 1.0 + rng.normal(size=(3,) + g.shape)
+        dW = rng.normal(size=v.shape)
+        sigma = SIGMAS[kind]
+        ref = step_reference(v, g, sigma, dW)
+        assert np.array_equal(step_euler(v, g, sigma, dW), ref)
+        out, lap = np.empty_like(v), np.empty_like(v)
+        assert step_euler(v, g, sigma, dW, out=out, lap=lap) is out
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("kind", ["constant", "affine"])
+    def test_flat_path_matches_reference_loop(self, kind):
+        g = grid_1d(dx=0.25, L=4.0)
+        sigma = SIGMAS[kind]
+        seed, domain, replicas, t_final = 12, 3, [0, 5, 6], 1.0
+        scale = math.sqrt(g.dt * g.n * spectral_weights(g, WHITE).flat_value)
+        u = np.ones((len(replicas),) + g.shape)
+        ref_snap = None
+        for step in range(round(t_final / g.dt)):
+            dW = np.stack([
+                scale * RngStream(seed, domain, r).generator(step).standard_normal(g.shape)
+                for r in replicas
+            ])
+            u = step_reference(u, g, sigma, dW)
+            if (step + 1) * g.dt == 0.5:
+                ref_snap = u.copy()
+        fields, snaps = solve_batch(
+            g, sigma, WHITE, t_final, seed, replicas, domain=domain, snapshot_times=(0.5,)
+        )
+        assert np.array_equal(fields, u)
+        assert np.array_equal(snaps[0.5], ref_snap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_guard_trips_on_nonfinite(self, bad):
+        g = grid_1d()
+        dW = np.zeros((2,) + g.shape)
+        dW[1, 5] = bad
+        with pytest.raises(SolverBlowup):
+            step_euler(np.ones_like(dW), g, SigmaFunction.constant(1.0), dW)
 
     def test_time_zero_returns_initial_condition(self):
         g = grid_1d()
