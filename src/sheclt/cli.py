@@ -55,27 +55,44 @@ from .spectral import (
 SEED_ENV = "SHECLT_SEED"
 
 
+# parameter count of each sigma kind, named after its SigmaFunction constructor
+_SIGMA_ARITY = {"constant": 1, "linear": 1, "affine": 2, "tabulated": 2}
+
+
 def sigma_from_config(record) -> SigmaFunction:
     try:
         kind = record["kind"]
         params = record.get("params", [])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"sigma: malformed record ({exc})") from exc
-    if kind == "constant":
-        return SigmaFunction.constant(params[0])
-    if kind == "linear":
-        return SigmaFunction.linear(params[0])
-    if kind == "affine":
-        return SigmaFunction.affine(params[0], params[1])
-    if kind == "tabulated":
-        return SigmaFunction.tabulated(params[0], params[1])
-    raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SIGMA_ARITY:
+        raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+    arity = _SIGMA_ARITY[kind]
+    if not isinstance(params, (list, tuple)) or len(params) != arity:
+        raise ConfigError(f"sigma.params: {kind} takes {arity} parameter(s), got {params!r}")
+    try:
+        return getattr(SigmaFunction, kind)(*params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sigma.params: invalid {kind} parameters ({exc})") from exc
 
 
 def parse_sigma_flag(text: str) -> SigmaFunction:
     kind, _, rest = text.partition(":")
-    params = [float(v) for v in rest.split(",") if v] if rest else []
+    try:
+        params = [float(v) for v in rest.split(",") if v] if rest else []
+    except ValueError as exc:
+        raise ConfigError(f"--sigma: parameters must be numbers ({exc})") from exc
     return sigma_from_config({"kind": kind, "params": params})
+
+
+def _positive_int(raw: dict, key: str, default: int) -> int:
+    try:
+        value = int(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{key}: must be a positive integer ({exc})") from exc
+    if value < 1:
+        raise ConfigError(f"config.{key}: must be a positive integer, got {value}")
+    return value
 
 
 def _canonical(obj) -> str:
@@ -351,9 +368,9 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
     if len(cfg.psi_list) < 2:
         raise ConfigError("independence: need at least two test functions")
+    n_perm = _positive_int(raw, "n_perm", 200)
     manifest = RunManifest("independence", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
-    n_perm = int(raw.get("n_perm", 200))
     g = cfg.g_list[0]
     rows = []
     flags = {}
@@ -400,6 +417,7 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
 
 def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
+    n_perm = _positive_int(raw, "n_perm", 200)
     r_grid = [float(r) for r in raw.get("r_grid", [0.25, 0.5, 1.0])]
     base = raw.get("base_box", {"lo": [0.0], "hi": [1.0]})
     lo = [float(v) for v in base["lo"]]
@@ -430,7 +448,7 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])
     rep = fdd_brownian_check(
         samples, inc_cols, b_t=b_t, base_volume=vol,
-        n_perm=int(raw.get("n_perm", 200)), seed=seed,
+        n_perm=n_perm, seed=seed,
     )
     rows = []
     for i, r in enumerate(rep.r_grid):
@@ -543,7 +561,10 @@ def cmd_entropy(args, out_dir: Path, seed: int) -> int:
         for name in chosen:
             cls, r_grid, expected = classes[name]
             if args.r_grid:
-                r_grid = np.array([float(v) for v in args.r_grid.split(",")])
+                try:
+                    r_grid = np.array([float(v) for v in args.r_grid.split(",")])
+                except ValueError as exc:
+                    raise ConfigError(f"--r-grid: radii must be numbers ({exc})") from exc
             fit = covering_exponent(cls, r_grid)
             for r, c in zip(fit.radii, fit.counts):
                 rows.append((name, r, c, fit.slope))

@@ -13,6 +13,12 @@ normal, empirical characteristic-function gaps with a permutation null
 quadrature evaluation of the asymptotic-independence bound, Brownian
 finite-dimensional covariance comparisons, and Wilson-interval tail checks
 against the analytic tail bound.
+
+The ECF gaps of all z vectors come from one kernel: each column gets a
+table exp(i v x_j) over the distinct values v its z entries take, the joint
+term of every z is a row mean of a product of table rows, and the product
+of the marginal ECFs, which shuffling a column leaves unchanged, is
+computed once rather than once per permutation.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ from scipy.special import ndtr
 from .errors import ConfigError, DegenerateVariance
 from .noise import Grid, spectral_weights
 from .occupation import (
+    HALO_FACTOR,
     BaselineValue,
     PreparedTestFunction,
+    TestFunction,
     exact_baseline,
     estimate_baseline,
     occupation_values,
@@ -38,7 +46,6 @@ from .occupation import (
 from .solver import SigmaFunction, solve_batch
 from .spectral import CovarianceMeasure, DalangProfile, moment_constants, tail_bound
 
-HALO_FACTOR = 8.0
 BASELINE_DOMAIN_OFFSET = 10_000
 DEFAULT_CHUNK = 64
 
@@ -273,31 +280,75 @@ def ks_critical(n: int, level: float = 0.01) -> float:
     return coeff / math.sqrt(n)
 
 
+class _EcfKernel:
+    """ECF gaps of paired columns for every z in ``z_list`` at once.
+
+    The joint term factors, exp(i sum_j z_j x_j) = prod_j exp(i z_j x_j), so
+    each column j gets one table exp(i v x_j) over the distinct values v of
+    z_j, and the joint ECF of every z is a row mean of a product of table
+    rows.  A shuffled column keeps its marginal ECF, so the product of the
+    marginals is computed once here and reused for every permutation.
+    """
+
+    def __init__(self, columns, z_list):
+        columns = np.asarray(columns, dtype=float)
+        zs = [np.asarray(z, dtype=float).ravel() for z in z_list]
+        m = columns.shape[1] if columns.ndim == 2 else 0
+        if m < 2 or any(z.size != m for z in zs):
+            raise ConfigError("ecf: need paired columns matching z, at least 2")
+        if not zs:
+            raise ConfigError("ecf: z_list must be nonempty")
+        Z = np.stack(zs)
+        self.n, self.m = columns.shape
+        self.tables, self.index = [], []
+        self.marginal = np.ones(len(zs), dtype=complex)
+        for j in range(m):
+            vals, idx = np.unique(Z[:, j], return_inverse=True)
+            table = np.exp(1j * vals[:, None] * columns[:, j])  # (values, n)
+            self.marginal *= table.mean(axis=1)[idx]
+            self.tables.append(table)
+            self.index.append(idx)
+        self.lead = self.tables[0][self.index[0]]  # column 0 is never shuffled
+        self._joint = np.empty_like(self.lead)
+        self._row = np.empty_like(self.lead)
+
+    def gaps(self, perms=None) -> np.ndarray:
+        """|joint ECF - product of marginal ECFs| for each z.
+
+        ``perms`` holds one replica permutation for each column 1..m-1.
+        """
+        joint, row = self._joint, self._row
+        for j in range(1, self.m):
+            table = self.tables[j] if perms is None else self.tables[j][:, perms[j - 1]]
+            # mode="clip" writes straight into out; np.unique's indices are in range
+            np.take(table, self.index[j], axis=0, out=row, mode="clip")
+            np.multiply(self.lead if j == 1 else joint, row, out=joint)
+        return np.abs(joint.mean(axis=1) - self.marginal)
+
+
 def ecf_gap(columns: np.ndarray, z) -> float:
     """|E exp(i sum z_j X_j) - prod_j E exp(i z_j X_j)| from paired samples."""
-    columns = np.asarray(columns, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if columns.ndim != 2 or columns.shape[1] != z.size or columns.shape[1] < 2:
-        raise ConfigError("ecf_gap: need paired columns matching z, at least 2")
-    joint = np.mean(np.exp(1j * columns @ z))
-    marg = np.prod([np.mean(np.exp(1j * z[j] * columns[:, j])) for j in range(z.size)])
-    return float(abs(joint - marg))
+    return float(_EcfKernel(columns, [z]).gaps()[0])
 
 
 def max_ecf_gap(columns: np.ndarray, z_list) -> float:
-    return max(ecf_gap(columns, z) for z in z_list)
+    return float(_EcfKernel(columns, z_list).gaps().max())
 
 
 def ecf_permutation_null(columns: np.ndarray, z_list, n_perm: int, seed: int) -> np.ndarray:
-    """Null distribution of the max ECF gap under shuffled replica pairing."""
-    columns = np.asarray(columns, dtype=float)
+    """Null distribution of the max ECF gap under shuffled replica pairing.
+
+    Column 0 stays in place; each permutation draws ``rng.permutation(n)``
+    for columns 1..m-1 in order from ``default_rng(seed)``.
+    """
+    if not isinstance(n_perm, (int, np.integer)) or n_perm < 1:
+        raise ConfigError("ecf_permutation_null: n_perm must be a positive integer")
+    kernel = _EcfKernel(columns, z_list)
     rng = np.random.default_rng(seed)
     out = np.empty(n_perm)
-    shuffled = columns.copy()
     for p in range(n_perm):
-        for j in range(1, columns.shape[1]):
-            shuffled[:, j] = columns[rng.permutation(columns.shape[0]), j]
-        out[p] = max_ecf_gap(shuffled, z_list)
+        perms = [rng.permutation(kernel.n) for _ in range(1, kernel.m)]
+        out[p] = kernel.gaps(perms).max()
     return out
 
 
@@ -311,14 +362,15 @@ class IndependenceReport:
 
 
 def independence_report(columns, z_list, n_perm=200, seed=0) -> IndependenceReport:
-    observed = max_ecf_gap(columns, z_list)
+    gaps = _EcfKernel(columns, z_list).gaps()
+    observed = float(gaps.max())
     null = ecf_permutation_null(columns, z_list, n_perm, seed)
     q99 = float(np.quantile(null, 0.99))
     return IndependenceReport(
         observed=observed,
         null_q99=q99,
         null_se=float(np.std(null)),
-        gaps={tuple(z): ecf_gap(columns, z) for z in z_list},
+        gaps={tuple(z): float(g) for z, g in zip(z_list, gaps)},
         passed=observed < q99,
     )
 

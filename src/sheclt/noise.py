@@ -51,8 +51,8 @@ class Grid:
             raise ConfigError("grid.n: cells per axis must be a power of two")
         if self.length <= 0.0:
             raise ConfigError("grid.length: must be positive")
-        if self.dt < 0.0:
-            raise ConfigError("grid.dt: must be nonnegative")
+        if not self.dt > 0.0:
+            raise ConfigError("grid.dt: must be positive")
         if self.dt > self.dx * self.dx / (2.0 * self.d) * (1.0 + 1e-12):
             raise ConfigError("grid.dt: explicit-scheme stability needs dt <= dx^2/(2d)")
 

@@ -149,6 +149,29 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt"]) == 2
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", "/nope.json"]) == 2
 
+    def test_malformed_sigma_flag_is_usage_error(self, tmp_path):
+        for sigma in ("constant", "affine:1", "affine:1,abc"):
+            assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
+                             "--sigma", sigma, "--replicas", "2"]) == 2
+
+    def test_zero_dt_is_usage_error(self, tmp_path):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
+                         "--dt", "0", "--replicas", "2"]) == 2
+
+    def test_non_numeric_r_grid_is_usage_error(self, tmp_path):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "entropy", "--check", "exponent",
+                         "--r-grid", "0.1,abc"]) == 2
+
+    def test_bad_n_perm_is_usage_error(self, tmp_path, capsys):
+        psi = [{"label": "a", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]},
+               {"label": "b", "boxes": [{"amp": 1.0, "lo": [2.0], "hi": [3.0]}]}]
+        for n_perm in (0, -1, "abc"):
+            cfg = tiny_clt_config(tmp_path, psi=psi, n_perm=n_perm, replicas=4)
+            for cmd in ("independence", "fdd"):
+                capsys.readouterr()
+                assert dispatch(["--out-dir", str(tmp_path / "o"), cmd, "--config", str(cfg)]) == 2
+                assert "config.n_perm" in capsys.readouterr().err
+
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
         cfg = tiny_clt_config(tmp_path, replicas=150)
         outs = []

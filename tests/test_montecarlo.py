@@ -20,6 +20,7 @@ from sheclt.montecarlo import (
     ks_critical,
     ks_normal,
     marginal_variance_run,
+    max_ecf_gap,
     run_experiment,
     tail_check,
     wilson_interval,
@@ -156,6 +157,87 @@ class TestEcf:
         cols = np.stack([x, 0.9 * x + 0.1 * rng.standard_normal(2000)], axis=1)
         rep = independence_report(cols, [np.array([1.0, -1.0])], n_perm=60, seed=8)
         assert not rep.passed
+
+    @staticmethod
+    def cos_sin_gap(columns, z):
+        # |joint - product of marginals| through real cos/sin means
+        phase = columns @ z
+        joint = complex(np.cos(phase).mean(), np.sin(phase).mean())
+        prod = 1.0 + 0.0j
+        for j in range(z.size):
+            prod *= complex(np.cos(z[j] * columns[:, j]).mean(), np.sin(z[j] * columns[:, j]).mean())
+        return abs(joint - prod)
+
+    @staticmethod
+    def loop_null(columns, z_list, n_perm, seed):
+        # reference: shuffle columns 1..m-1, then the max over z of the direct ECF gap
+        def gap(cols, z):
+            joint = np.mean(np.exp(1j * cols @ z))
+            marg = np.prod([np.mean(np.exp(1j * z[j] * cols[:, j])) for j in range(z.size)])
+            return float(abs(joint - marg))
+
+        rng = np.random.default_rng(seed)
+        out = np.empty(n_perm)
+        shuffled = columns.copy()
+        for p in range(n_perm):
+            for j in range(1, columns.shape[1]):
+                shuffled[:, j] = columns[rng.permutation(columns.shape[0]), j]
+            out[p] = max(gap(shuffled, z) for z in z_list)
+        return out
+
+    @staticmethod
+    def coupled_columns(n, m, seed):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((n, m))
+        cols[:, 1] += 0.5 * cols[:, 0]
+        return cols
+
+    def test_gaps_match_cos_sin_reference(self):
+        irregular = [np.array(z) for z in
+                     ([0.5, -1.25, 0.0], [0.5, -1.25, 0.0], [0.0, 0.0, 0.0],
+                      [3.0, 0.5, -0.75], [-0.1, 0.5, 3.0])]
+        cases = [(m, default_z_tuples(m)) for m in (2, 3, 4)] + [(3, irregular)]
+        for m, z_list in cases:
+            cols = self.coupled_columns(300, m, seed=10 + m)
+            ref = [self.cos_sin_gap(cols, z) for z in z_list]
+            for z, r in zip(z_list, ref):
+                assert abs(ecf_gap(cols, z) - r) <= 1e-12
+            assert abs(max_ecf_gap(cols, z_list) - max(ref)) <= 1e-12
+
+    def test_permutation_null_matches_loop(self):
+        irregular = [np.array([0.5, 0.0, -2.0]), np.array([0.5, 0.0, -2.0]), np.array([1.5, 1.0, 0.25])]
+        for m, z_list in ((2, default_z_tuples(2)), (3, default_z_tuples(3)), (3, irregular)):
+            cols = self.coupled_columns(200, m, seed=20 + m)
+            null = ecf_permutation_null(cols, z_list, n_perm=25, seed=31)
+            ref = self.loop_null(cols, z_list, n_perm=25, seed=31)
+            assert null.shape == ref.shape
+            assert np.max(np.abs(null - ref)) <= 1e-12
+
+    def test_report_gaps_keyed_by_z(self):
+        cols = self.coupled_columns(400, 3, seed=40)
+        z_list = default_z_tuples(3)
+        rep = independence_report(cols, z_list, n_perm=20, seed=3)
+        assert list(rep.gaps) == [tuple(z) for z in z_list]
+        for z in z_list:
+            assert abs(rep.gaps[tuple(z)] - ecf_gap(cols, z)) <= 1e-12
+        assert rep.observed == max(rep.gaps.values())
+
+    def test_bad_n_perm_and_z_list_are_config_errors(self):
+        cols = self.coupled_columns(100, 2, seed=50)
+        z_list = default_z_tuples(2)
+        for n_perm in (0, -3, 2.5, "abc"):
+            with pytest.raises(ConfigError):
+                ecf_permutation_null(cols, z_list, n_perm=n_perm, seed=0)
+        with pytest.raises(ConfigError):
+            independence_report(cols, z_list, n_perm=0, seed=0)
+        with pytest.raises(ConfigError):
+            independence_report(cols, [], n_perm=10, seed=0)
+        with pytest.raises(ConfigError):
+            ecf_permutation_null(cols, [], n_perm=10, seed=0)
+        with pytest.raises(ConfigError):
+            ecf_gap(cols, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ConfigError):
+            max_ecf_gap(cols[:, :1], [np.array([1.0])])
 
     def test_default_z_tuples_cover_pm_1_2(self):
         zs = default_z_tuples(2)
