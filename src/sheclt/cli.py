@@ -95,6 +95,12 @@ def _positive_int(raw: dict, key: str, default: int) -> int:
     return value
 
 
+def _cells_per_axis(length: float, dx: float) -> int:
+    if not dx > 0.0:
+        raise ConfigError(f"--dx: cell width must be positive, got {dx}")
+    return int(round(length / dx))
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -156,16 +162,12 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config: cannot read {path} ({exc})") from exc
 
 
-def _covariance(record) -> CovarianceMeasure:
-    return CovarianceMeasure.from_config(record)
-
-
 def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -> ExperimentConfig:
     for key in ("covariance", "sigma", "psi", "t", "n_ladder", "dx", "replicas"):
         if key not in raw:
             raise ConfigError(f"config: missing key {key!r}")
     return ExperimentConfig(
-        covariance=_covariance(raw["covariance"]),
+        covariance=CovarianceMeasure.from_config(raw["covariance"]),
         sigma=sigma_from_config(raw["sigma"]),
         g_list=[LipFunction.from_config(g) for g in raw.get("g", [{"kind": "identity"}])],
         psi_list=[TestFunction.from_config(p) for p in raw["psi"]],
@@ -247,7 +249,7 @@ def cmd_bounds(args, out_dir: Path) -> int:
 
 def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
-    n = int(round(args.length / args.dx))
+    n = _cells_per_axis(args.length, args.dx)
     grid = Grid(d=args.d, length=n * args.dx, n=n, dt=args.dx**2 / (2 * args.d))
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
               "dx": args.dx, "length": args.length, "slices": args.slices,
@@ -280,7 +282,7 @@ def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
 def cmd_solve(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
     sigma = parse_sigma_flag(args.sigma)
-    n = int(round(args.length / args.dx))
+    n = _cells_per_axis(args.length, args.dx)
     dt = args.dt if args.dt is not None else args.dx**2 / (2 * args.d)
     grid = Grid(d=args.d, length=n * args.dx, n=n, dt=dt)
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
@@ -596,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mass", type=float, default=1.0)
         p.add_argument("--param", type=float, default=1.0)
 
-    p = sub.add_parser("bounds", help="closed-form and quadrature bound evaluations")
+    p = sub.add_parser("bounds", help="upsilon (closed form; quadrature for the product kinds "
+                       "in d >= 2), lambda_of and the moment/tail bounds")
     common_measure(p)
     p.add_argument("--lambda", dest="lam", type=float, action="append", default=[])
     p.add_argument("--a", type=float, action="append", default=[])

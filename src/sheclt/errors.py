@@ -5,10 +5,6 @@ class ShecltError(Exception):
     """Base class for all package errors."""
 
 
-class DalangViolation(ShecltError):
-    """The spectral integral diverges for the given covariance kind and dimension."""
-
-
 class SolverBlowup(ShecltError):
     """A field value exceeded the blow-up guard during time stepping."""
 
@@ -44,6 +40,10 @@ class ResolutionTooCoarse(ShecltError):
 
 class ConfigError(ShecltError):
     """Invalid configuration value; the message names the offending key."""
+
+
+class DalangViolation(ConfigError):
+    """The spectral integral diverges for the given covariance kind and dimension."""
 
 
 class SynthesisWarning(UserWarning):

@@ -166,10 +166,6 @@ class TestFunction:
         return cls(terms, label=record.get("label"))
 
 
-def scale_psi(psi: TestFunction, N: float) -> TestFunction:
-    return psi.scaled(N)
-
-
 # -- Lipschitz observables --
 
 

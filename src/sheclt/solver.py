@@ -224,9 +224,11 @@ def solve_batch(
     time to the batch of fields there.  Output bits depend only on
     (seed, domain, replica, step), never on the batch composition.
     """
+    replicas = list(replicas)
+    if not replicas:
+        raise ConfigError("replicas: need at least one replica")
     if weights is None:
         weights = spectral_weights(grid, f)
-    replicas = list(replicas)
     streams = [RngStream(seed=seed, domain=domain, replica=r) for r in replicas]
     n_steps = _steps_for(grid, t_final)
     snap_steps = {}

@@ -19,19 +19,24 @@ On top of the measure this module evaluates the spectral integral
 
     upsilon(lam) = (2/(2 pi)^d) * int f_hat(z) / (2 lam + |z|^2) dz,
 
-its inverse ``lambda_of``, the heat kernel/resolvent identity, and the
-explicit moment, tail, and Malliavin-derivative bounds whose constants feed
-the Monte Carlo non-violation checks.
+in closed form for every kind in d = 1 and the Gaussian in d = 2, 3, by
+quadrature for the product kinds (exponential, uniform) in d >= 2; its
+inverse ``lambda_of``, closed form for dirac and the d = 1 exponential kind,
+a root find otherwise; the heat kernel/resolvent identity; and the explicit
+moment, tail, and Malliavin-derivative bounds whose constants feed the Monte
+Carlo non-violation checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfcx, gammaln, ndtr, sici
+from scipy.optimize import brentq
+from scipy.special import erfcx, exp1, ndtr
 
 from .errors import ConfigError, DalangViolation
 
@@ -182,12 +187,6 @@ def _exp_gauss_halfline(r, s, x):
     return out
 
 
-def fourier_transform(f: CovarianceMeasure, z):
-    """Closed-form f_hat(z); thin named wrapper around ``CovarianceMeasure.fourier``."""
-    out = f.fourier(z)
-    return float(out) if out.size == 1 else out
-
-
 def heat_kernel(t: float, x, d: int | None = None) -> float:
     """Gaussian heat kernel p_t(x) = (2 pi t)^{-d/2} exp(-|x|^2 / 2t)."""
     if t <= 0.0:
@@ -207,274 +206,171 @@ def dalang_check(f: CovarianceMeasure) -> None:
     """
     if f.kind == "dirac" and f.dimension >= 2:
         raise DalangViolation(
-            "dirac covariance violates the spectral integrability condition for d >= 2"
+            f"covariance.kind: dirac violates Dalang's spectral integrability condition "
+            f"for covariance.dimension = {f.dimension}; use d = 1 or a density kind"
         )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-    cutoff_growth: float = 2.0  # cutoff doubling factor for oscillatory tails
+# adaptive-quadrature tolerances (product kinds in d >= 2, resolvent check)
+_REL_TOL = 1e-11
+_MAX_SUBDIVISIONS = 200
+# lambda_of brackets log lam inside [-_LOG_LAM_EDGE, _LOG_LAM_EDGE] (lam in [1e-12, 1e12])
+_LOG_LAM_EDGE = math.log(1e12)
 
 
 @dataclass(frozen=True)
 class DalangProfile:
     measure: CovarianceMeasure
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
+def _uniform_shape(x: float) -> float:
+    """(x - 1 + e^{-x}) / x^2, the d = 1 uniform kind's spectral integral shape.
+
+    Below x = 1 the direct form loses about log10(2/x) digits to cancellation,
+    so the Taylor series 1/2 - x/6 + x^2/24 - ... is summed in Horner form
+    (truncated after x^18/20!, under 1e-18 relative).
+    """
+    if x >= 1.0:
+        return (x + math.expm1(-x)) / (x * x)
+    t = 1.0
+    for k in range(20, 2, -1):
+        t = 1.0 - x * t / k
+    return 0.5 * t
+
+
+def _exp_e1(x: float) -> float:
+    """e^x E1(x); from x = 200 on, short of where e^x overflows (x ~ 709),
+    the asymptotic series (1/x) sum_k (-1)^k k!/x^k (12 terms, under 1e-19
+    relative)."""
+    if x < 200.0:
+        return math.exp(x) * float(exp1(x))
+    total, term = 0.0, 1.0 / x
+    for k in range(1, 13):
+        total += term
+        term *= -k / x
+    return total
+
+
+def _one_minus_y_erfcx(y: float) -> float:
+    """1 - sqrt(pi) y erfcx(y).  From y = 2.5 on, where the two terms cancel
+    to about 2 y^2 ulps, it is K / (y + K) with K = (1/2)/(y + (2/2)/(y +
+    (3/2)/(y + ...))) from Laplace's continued fraction of erfcx, cut at 40
+    levels (under 1e-15 relative)."""
+    if y < 2.5:
+        return 1.0 - math.sqrt(math.pi) * y * float(erfcx(y))
+    k_frac = 0.0
+    for k in range(40, 0, -1):
+        k_frac = 0.5 * k / (y + k_frac)
+    return k_frac / (y + k_frac)
 
 
 def upsilon(profile: DalangProfile, lam: float) -> float:
-    """Evaluate the spectral integral at lam > 0 by adaptive quadrature.
+    """Evaluate the spectral integral at lam > 0.
 
-    d = 1 integrates the spectrum directly; the oscillatory sinc^2 spectrum
-    of the uniform kind is cut off at a radius grown until the analytic tail
-    estimate is negligible.  For d >= 2 the Gaussian (radial) kind reduces to
-    a radial integral, while the product-form kinds use the equivalent
-    time-domain representation int_0^inf e^{-lam s} (p_s * f)(0) ds, which
-    their closed-form smoothed covariances make cheap and robust.
+    Closed forms, with a = sqrt(2 lam), M the mass and s, h, r the shape
+    parameter:
+
+        d = 1 dirac          M / a
+        d = 1 exponential    M r / (a (r + a))
+        d = 1 gaussian       M erfcx(a s / sqrt 2) / a
+        d = 1 uniform        (2M / (h^2 a^2)) (h - (1 - e^{-h a}) / a)
+        d = 2 gaussian       M e^x E1(x) / (2 pi),  x = lam s^2
+        d = 3 gaussian       (M / pi^2) (sqrt(pi/2) / s - (pi a / 2) erfcx(a s / sqrt 2))
+
+    each evaluated free of cancellation and overflow.  The product-form
+    kinds (exponential, uniform) in d >= 2 have no elementary form; they use
+    quadrature of the equivalent time-domain representation, cheap and
+    robust through their closed-form smoothed covariances.
     """
     if lam <= 0.0:
         raise ConfigError("upsilon: lam must be positive")
     f = profile.measure
     dalang_check(f)
-    spec = profile.quadrature
-    d = f.dimension
-    M, two_lam = f.mass, 2.0 * lam
-    sq = math.sqrt(two_lam)
+    M, p, d = f.mass, f.param, f.dimension
+    a = math.sqrt(2.0 * lam)
 
     if d == 1:
-        if f.kind == "uniform":
-            return _upsilon_uniform_1d(f, lam, spec)
-        return _upsilon_d1_generic(f, lam, spec)
+        if f.kind == "dirac":
+            return M / a
+        if f.kind == "exponential":
+            return M * p / (a * (p + a))
+        if f.kind == "gaussian":
+            return M * float(erfcx(p * math.sqrt(lam))) / a
+        return 2.0 * M * _uniform_shape(p * a) / a
 
     if f.kind == "gaussian":
-        s = f.param
-        coeff = (2.0 / (2.0 * math.pi) ** d) * _sphere_area(d) * M
-        breaks = sorted(set(_resolvent_breaks(sq)) | {1.0 / s, 4.0 / s, 13.0 / s})
-        val = _piecewise_quad(
-            lambda rho: rho ** (d - 1)
-            * math.exp(-0.5 * (s * rho) ** 2)
-            / (two_lam + rho * rho),
-            breaks,
-            spec,
-        )
-        return coeff * val
+        if d == 2:
+            return M * _exp_e1(lam * p * p) / (2.0 * math.pi)
+        return M * _one_minus_y_erfcx(p * math.sqrt(lam)) / (math.pi**1.5 * math.sqrt(2.0) * p)
 
-    # product-form spectra in d >= 2: resolvent time representation,
-    # substituted s = w^2 so the integrand is smooth at the origin
     wscale = 1.0 / math.sqrt(lam)
-    val = _piecewise_quad(
-        lambda w: 2.0 * w * math.exp(-lam * w * w) * f.smoothed_at(w * w),
-        sorted({min(1.0, wscale), wscale, 4.0 * wscale}),
-        spec,
+    return _time_domain_integral(f, lam, sorted({min(1.0, wscale), wscale, 4.0 * wscale}))
+
+
+def _time_domain_integral(f: CovarianceMeasure, lam: float, breaks=()) -> float:
+    """int_0^inf e^{-lam s} (p_s * f)(0) ds by adaptive quadrature, split at
+    ``breaks`` in w, with s = w^2 so the integrand is smooth at the origin."""
+    edges = [0.0, *breaks, np.inf]
+    return sum(
+        integrate.quad(
+            lambda w: 2.0 * w * math.exp(-lam * w * w) * f.smoothed_at(w * w),
+            lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
+        )[0]
+        for lo, hi in zip(edges, edges[1:])
     )
-    return val
-
-
-def _resolvent_breaks(sq: float) -> list[float]:
-    """Breakpoints resolving the 1/(2 lam + z^2) knee at z = sqrt(2 lam)."""
-    return sorted({sq, 10.0 * sq, max(1.0, 20.0 * sq)})
-
-
-def _upsilon_d1_generic(f: CovarianceMeasure, lam: float, spec: QuadratureSpec) -> float:
-    """d=1 spectral quadrature on [0, Z] plus a closed-form tail per kind."""
-    M, two_lam = f.mass, 2.0 * lam
-    sq = math.sqrt(two_lam)
-
-    def arctail(a: float, z: float) -> float:
-        # int_z^inf dz' / (a^2 + z'^2), cancellation-free form
-        return math.atan(a / z) / a
-
-    if f.kind == "dirac":
-        cutoff = 20.0 * sq
-        breaks = [sq, 4.0 * sq]
-        tail = arctail(sq, cutoff)
-    elif f.kind == "gaussian":
-        s = f.param
-        cutoff = max(13.0 / s, 10.0 * sq)
-        breaks = sorted({sq, 4.0 * sq, 1.0 / s, 4.0 / s, 13.0 / s, 40.0 / s})
-        tail = math.exp(-0.5 * (s * cutoff) ** 2) * arctail(sq, cutoff)  # upper bound
-    else:  # exponential
-        r = f.param
-        cutoff = max(16.0 * r, 10.0 * sq)
-        breaks = sorted({sq, 4.0 * sq, r, 4.0 * r})
-        denom = two_lam - r * r
-        if abs(denom) >= 1e-6 * r * r:
-            tail = (r * r / denom) * (arctail(r, cutoff) - arctail(sq, cutoff))
-        else:  # near-coincident poles: the partial-fraction form cancels badly
-            tail, _ = integrate.quad(
-                lambda z: r * r / ((r * r + z * z) * (two_lam + z * z)),
-                cutoff,
-                np.inf,
-                epsabs=0.0,
-                epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
-            )
-
-    head = _piecewise_quad(
-        lambda z: float(f.fourier_axis(np.array([z]))[0]) / (two_lam + z * z),
-        [b for b in breaks if b < cutoff],
-        spec,
-        upper=cutoff,
-    )
-    return (2.0 / math.pi) * M * (head + tail)
-
-
-def _piecewise_quad(fn, breaks, spec: QuadratureSpec, upper=np.inf) -> float:
-    total = 0.0
-    prev = 0.0
-    for b in list(breaks) + [upper]:
-        if b <= prev:
-            continue
-        if b > upper:
-            b = upper
-        piece, _ = integrate.quad(
-            fn, prev, b, epsabs=0.0, epsrel=spec.rel_tol, limit=spec.max_subdivisions
-        )
-        total += piece
-        prev = b
-        if prev >= upper:
-            break
-    if prev < upper:
-        piece, _ = integrate.quad(
-            fn, prev, upper, epsabs=0.0, epsrel=spec.rel_tol, limit=spec.max_subdivisions
-        )
-        total += piece
-    return total
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _composite_gl(fn, edges) -> float:
-    """Fixed-order Gauss-Legendre over consecutive panels, one vectorized call."""
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
-
-
-def _upsilon_uniform_1d(f: CovarianceMeasure, lam: float, spec: QuadratureSpec) -> float:
-    """Spectral integral for the box-autocorrelation kind in one dimension.
-
-    Partial fractions reduce the sinc^2 spectrum to
-        (2M / (pi h^2 2 lam)) [pi h / 2 - J],
-    J = int_0^inf (1 - cos hz) / (2 lam + z^2) dz.  The head of J is a
-    composite Gauss-Legendre sum on half-period panels (with extra panels
-    resolving the knee at sqrt(2 lam)); beyond the cutoff the monotone part
-    integrates exactly and the cosine part gets a two-term integration-by-
-    parts expansion whose remainder decays like the inverse cube of the
-    cutoff.  The cutoff grows until that remainder is negligible.
-    """
-    h, M, two_lam = f.param, f.mass, 2.0 * lam
-    sq = math.sqrt(two_lam)
-    half_period = math.pi / h
-
-    def integrand(z):
-        return 2.0 * np.sin(0.5 * h * z) ** 2 / (two_lam + z * z)
-
-    coeff = 4.0 * M / (math.pi * h * h * two_lam)
-    cutoff = max(64.0 * half_period, (20.0 / (3.0 * h * h * spec.rel_tol)) ** (1.0 / 3.0))
-    for _ in range(60):
-        n_half = int(math.ceil(cutoff / half_period))
-        edges = np.arange(n_half + 1) * half_period
-        edges[-1] = cutoff
-        # geometric ladder through the knee at sqrt(2 lam) up to the first panel
-        knees = []
-        k = sq
-        while 0.0 < k < min(half_period, cutoff):
-            knees.append(k)
-            k *= 4.0
-        if knees:
-            edges = np.unique(np.concatenate([edges, knees]))
-        head = _composite_gl(integrand, edges)
-
-        if two_lam <= cutoff * cutoff / 100.0:
-            # exact split 1/(2lam+z^2) = 1/z^2 - 2lam/(z^2(2lam+z^2)); the
-            # first tail piece is closed-form through the sine integral and
-            # the dropped piece is nonnegative with an explicit bound
-            si, _ = sici(h * cutoff)
-            tail = (
-                (1.0 - math.cos(h * cutoff)) / cutoff
-                + h * (math.pi / 2.0 - si)
-            )
-            remainder_bound = 4.0 * lam / (3.0 * cutoff**3)
-        else:
-            # integration by parts twice against the bounded kernel
-            q = 1.0 / (two_lam + cutoff * cutoff)
-            dq = -2.0 * cutoff * q * q
-            tail_main = math.atan(sq / cutoff) / sq
-            tail_cos = (
-                -math.sin(h * cutoff) * q / h - math.cos(h * cutoff) * dq / (h * h)
-            )
-            tail = tail_main - tail_cos
-            remainder_bound = 10.0 / (3.0 * h * h * cutoff**3)
-
-        j_val = head + tail
-        value = coeff * (math.pi * h / 2.0 - j_val)
-        if coeff * remainder_bound < max(spec.rel_tol * abs(value), 1e-300):
-            return value
-        cutoff *= spec.cutoff_growth
-    return value
 
 
 def lambda_of(profile: DalangProfile, a: float) -> float:
     """Invert the spectral integral: the lam > 0 with upsilon(lam) = a.
 
-    Bracketing on [1e-12, 1e12] followed by bisection in log-lambda to a
-    relative tolerance of 1e-10 (upsilon is strictly decreasing).  Returns
-    0.0 when a is at least the supremum of upsilon near 0 and inf when a is
-    below the infimum at the upper bracket; neither occurs for the
-    implemented kinds at sensible arguments.
+    Closed form for the dirac kind, lam = M^2 / (2 a^2), and for the d = 1
+    exponential kind, lam = alpha^2 / 2 with alpha the positive root of
+    a alpha^2 + a r alpha - M r = 0.  Every other kind and dimension solves
+    log upsilon(lam) = log a with ``brentq`` in log lam (upsilon is strictly
+    decreasing), to 1e-12 in log lam, after growing a bracket from lam = 1
+    in doubling log-steps up to lam in [1e-12, 1e12].  The root find returns
+    0.0 when upsilon(1e-12) < a (a is at least the supremum of upsilon near
+    0, which is finite for d = 3) and inf when upsilon(1e12) > a.
     """
     if a <= 0.0:
         raise ConfigError("lambda_of: a must be positive")
-    lo, hi = 1e-12, 1e12
-    if upsilon(profile, lo) < a:
-        return 0.0
-    if upsilon(profile, hi) > a:
-        return math.inf
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (llo + lhi)
-        if upsilon(profile, math.exp(mid)) > a:
-            llo = mid
-        else:
-            lhi = mid
-        if (lhi - llo) < 1e-10:
-            break
-    return math.exp(0.5 * (llo + lhi))
+    f = profile.measure
+    dalang_check(f)
+    M, r = f.mass, f.param
+    if f.kind == "dirac":
+        return M * M / (2.0 * a * a)
+    if f.kind == "exponential" and f.dimension == 1:
+        alpha = 2.0 * M / (a + math.sqrt(a * a + 4.0 * a * M / r))
+        return 0.5 * alpha * alpha
+
+    log_a = math.log(a)
+
+    @functools.cache
+    def gap(t):  # strictly decreasing in t = log lam; cached for brentq's end points
+        return math.log(upsilon(profile, math.exp(t))) - log_a
+
+    sign = 1.0 if gap(0.0) > 0.0 else -1.0  # the root lies on this side of lam = 1
+    t0, t1 = 0.0, sign
+    while (gap(t1) > 0.0) == (sign > 0.0):  # no sign change in [t0, t1] yet
+        if abs(t1) >= _LOG_LAM_EDGE:
+            return math.inf if sign > 0.0 else 0.0
+        t0, t1 = t1, sign * min(2.0 * abs(t1), _LOG_LAM_EDGE)
+    return math.exp(brentq(gap, min(t0, t1), max(t0, t1), xtol=1e-12))
 
 
 def resolvent_identity_check(profile: DalangProfile, lam: float) -> tuple[float, float]:
     """Return ((v_lam * f)(0), upsilon(lam)) computed along independent routes.
 
     The left side is the Laplace transform in time of the heat-smoothed
-    covariance at the origin, evaluated with the substitution s = w^2 so the
-    integrand is smooth for every kind; the right side comes from the
-    spectral quadrature.  The two agree analytically.
+    covariance at the origin, one adaptive quadrature over the whole
+    half-line; the right side is ``upsilon``, closed form where one exists.
+    The two agree analytically.
     """
     if lam <= 0.0:
         raise ConfigError("resolvent_identity_check: lam must be positive")
     f = profile.measure
     dalang_check(f)
-    lhs, _ = integrate.quad(
-        lambda w: 2.0 * w * math.exp(-lam * w * w) * f.smoothed_at(w * w),
-        0.0,
-        np.inf,
-        epsabs=0.0,
-        epsrel=profile.quadrature.rel_tol,
-        limit=profile.quadrature.max_subdivisions,
-    )
-    return lhs, upsilon(profile, lam)
+    return _time_domain_integral(f, lam), upsilon(profile, lam)
 
 
 def upsilon_upper_d1(f: CovarianceMeasure, lam: float) -> float:

@@ -158,6 +158,27 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
                          "--dt", "0", "--replicas", "2"]) == 2
 
+    def test_zero_dx_solve_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
+                         "--dx", "0", "--replicas", "2"]) == 2
+        assert "--dx" in capsys.readouterr().err
+
+    def test_zero_dx_noise_check_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "noise-check", "--kind", "dirac",
+                         "--dx", "0"]) == 2
+        assert "--dx" in capsys.readouterr().err
+
+    def test_zero_replicas_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
+                         "--replicas", "0", "--L", "4", "--dx", "0.25", "--t", "0.25"]) == 2
+        assert "replicas" in capsys.readouterr().err
+
+    def test_dalang_violation_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "bounds", "--kind", "dirac",
+                         "--d", "2", "--lambda", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert "covariance.kind" in err and "covariance.dimension" in err
+
     def test_non_numeric_r_grid_is_usage_error(self, tmp_path):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "entropy", "--check", "exponent",
                          "--r-grid", "0.1,abc"]) == 2

@@ -25,7 +25,6 @@ from sheclt.occupation import (
     nondegeneracy_check,
     occupation_sample,
     occupation_values,
-    scale_psi,
 )
 from sheclt.solver import SigmaFunction, SolutionField, solve_batch
 from sheclt.spectral import CovarianceMeasure
@@ -49,12 +48,12 @@ def random_box_combo(rng, m=3, lo=-3.0, hi=3.0):
 class TestTestFunction:
     def test_scale_identity(self):
         psi = TestFunction.box(0.0, 1.0)
-        assert scale_psi(psi, 1.0).terms[0][0] == 1.0
-        assert scale_psi(psi, 1.0).terms[0][1].hi == (1.0,)
+        assert psi.scaled(1.0).terms[0][0] == 1.0
+        assert psi.scaled(1.0).terms[0][1].hi == (1.0,)
 
     def test_scale_example(self):
         psi = TestFunction.box(0.0, 1.0)
-        s = scale_psi(psi, 4.0)
+        s = psi.scaled(4.0)
         amp, box = s.terms[0]
         assert amp == pytest.approx(0.25)
         assert box.lo == (0.0,) and box.hi == (4.0,)

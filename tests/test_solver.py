@@ -189,6 +189,10 @@ class TestEuler:
             solve_batch(g, sigma, WHITE, 1.0, seed=8, replicas=[0])
         assert err.value.step is not None
 
+    def test_empty_replica_set_rejected(self):
+        with pytest.raises(ConfigError, match="replicas"):
+            solve_batch(grid_1d(), SigmaFunction.constant(1.0), WHITE, 0.25, seed=1, replicas=[])
+
     def test_batch_matches_single(self):
         g = grid_1d()
         sigma = SigmaFunction.linear(1.0)

@@ -1,28 +1,25 @@
 """Spectral-side checks: Fourier transforms, the Dalang integral, bounds.
 
-Quadrature-free closed forms for the spectral integral of each kind act as
-independent oracles for the adaptive-quadrature evaluator:
-
-    dirac        M / sqrt(2 lam)
-    gaussian     M erfcx(s sqrt(lam)) / sqrt(2 lam)
-    uniform      (M / (lam h^2)) [h - (1 - e^{-sqrt(2 lam) h}) / sqrt(2 lam)]
-    exponential  M r / (sqrt(2 lam) (sqrt(2 lam) + r))
+``upsilon`` is closed form for every d = 1 kind and the radial Gaussian in
+d = 2, 3.  The oracle for those closed forms is adaptive quadrature of the
+defining integral (2/(2 pi)^d) int f_hat(z) / (2 lam + |z|^2) dz itself: over
+the line in d = 1, over the radius for the Gaussian in d = 2, 3.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfcx, exp1
 
+from sheclt import spectral
 from sheclt.errors import ConfigError, DalangViolation
 from sheclt.spectral import (
     CovarianceMeasure,
     DalangProfile,
     MomentBoundParams,
     dalang_check,
-    fourier_transform,
     heat_kernel,
     lambda_of,
     log_malliavin_bound,
@@ -45,38 +42,78 @@ ALL_KINDS_1D = [
 ]
 
 
-def upsilon_closed_1d(f, lam):
-    sq = math.sqrt(2.0 * lam)
-    if f.kind == "dirac":
-        return f.mass / sq
-    if f.kind == "gaussian":
-        return f.mass * erfcx(f.param * math.sqrt(lam)) / sq
-    if f.kind == "uniform":
-        h = f.param
-        return (f.mass / (lam * h * h)) * (h - (1.0 - math.exp(-sq * h)) / sq)
-    r = f.param
-    return f.mass * r / (sq * (sq + r))
+# lam over 1e-6 .. 1e8 and three shape parameters around 1
+ORACLE_LAMS = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.7, 25.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8]
+ORACLE_PARAMS = [0.3, 1.0, 4.0]
+
+
+def _quad(fn, lo, hi, **kw):
+    kw.setdefault("epsabs", 0.0)
+    return integrate.quad(fn, lo, hi, epsrel=1e-13, limit=400, **kw)[0]
+
+
+def upsilon_by_quadrature(f, lam):
+    """Adaptive quadrature of the defining spectral integral, no closed form.
+
+    The line (d = 1) or the radius (Gaussian, d = 2, 3) is cut at geometric
+    edges through the knee at z = sqrt(2 lam) and the spectral scale
+    1/param.  The oscillating sinc^2(hz/2) = 2 (1 - cos hz) / (h z)^2 of
+    the uniform kind is integrated directly over its first period only;
+    beyond it the smooth part gets plain quadrature and the cosine part
+    QUADPACK's Fourier-weight rules.
+    """
+    a2 = 2.0 * lam
+    p = 1.0 if f.kind == "dirac" else f.param
+    lo, hi = min(math.sqrt(a2), 1.0 / p) / 8.0, 8.0 * max(math.sqrt(a2), 1.0 / p)
+    n_edges = int(math.ceil(math.log(hi / lo) / math.log(4.0))) + 1
+    edges = [0.0, *np.geomspace(lo, hi, n_edges), np.inf]
+    pieces = list(zip(edges, edges[1:]))
+    d = f.dimension
+    if d > 1:  # |S^{d-1}| 2/(2 pi)^d = 1/pi^{d-1} for d = 2, 3
+        def radial(r):
+            return r ** (d - 1) * math.exp(-0.5 * (p * r) ** 2) / (a2 + r * r)
+
+        return f.mass / math.pi ** (d - 1) * sum(_quad(radial, x, y) for x, y in pieces)
+
+    def line(z):
+        return f.fourier_axis(z).item() / (a2 + z * z)
+
+    if f.kind != "uniform":
+        return (2.0 / math.pi) * f.mass * sum(_quad(line, x, y) for x, y in pieces)
+    period = 2.0 * math.pi / p
+    head = _quad(line, 0.0, period)
+    tail = [period, *[e for e in edges[1:-1] if e > period], np.inf]
+
+    def smooth(z):
+        return 2.0 / (p * p * z * z * (a2 + z * z))
+
+    body = head + sum(_quad(smooth, x, y) for x, y in zip(tail, tail[1:]))
+    cos_part = sum(
+        _quad(smooth, x, y, weight="cos", wvar=p, epsabs=1e-14 * body)
+        for x, y in zip(tail, tail[1:])
+    )
+    return (2.0 / math.pi) * f.mass * (body - cos_part)
 
 
 class TestCovarianceMeasure:
     def test_dirac_transform_is_constant(self):
         f = CovarianceMeasure("dirac", 1, 1.0)
-        assert fourier_transform(f, 7.3) == 1.0
+        assert f.fourier(7.3).item() == 1.0
 
     def test_transform_at_zero_is_total_mass(self):
         for f in ALL_KINDS_1D:
-            assert fourier_transform(f, 0.0) == pytest.approx(f.mass, abs=0.0)
+            assert f.fourier(0.0).item() == pytest.approx(f.mass, abs=0.0)
 
     def test_gaussian_transform_value(self):
         f = CovarianceMeasure("gaussian", 1, 1.0, 1.0)
-        assert fourier_transform(f, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert f.fourier(1.0).item() == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_transform_even_bounded_nonnegative(self):
         rng = np.random.default_rng(7)
         z = rng.normal(scale=5.0, size=200)
         for f in ALL_KINDS_1D:
-            vals = np.array([fourier_transform(f, zz) for zz in z])
-            flipped = np.array([fourier_transform(f, -zz) for zz in z])
+            vals = f.fourier(z)
+            flipped = f.fourier(-z)
             assert np.allclose(vals, flipped)
             assert np.all(vals >= 0.0)
             assert np.all(vals <= f.mass + 1e-15)
@@ -94,7 +131,7 @@ class TestCovarianceMeasure:
                     np.inf,
                     limit=400,
                 )
-                assert fourier_transform(f, z) == pytest.approx(
+                assert f.fourier(z).item() == pytest.approx(
                     f.mass * val, abs=1e-6
                 )
 
@@ -148,13 +185,25 @@ class TestUpsilon:
         assert upsilon(prof, 0.5) == pytest.approx(1.0, abs=1e-9)
         assert upsilon(prof, 2.0) == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 3.7, 25.0])
+    @pytest.mark.parametrize("lam", ORACLE_LAMS)
     def test_matches_closed_forms_d1(self, lam):
-        for f in ALL_KINDS_1D:
-            prof = DalangProfile(f)
-            assert upsilon(prof, lam) == pytest.approx(
-                upsilon_closed_1d(f, lam), rel=1e-9
-            )
+        # the d = 1 closed forms against quadrature of the defining integral
+        for kind in ("dirac", "exponential", "gaussian", "uniform"):
+            for param in ORACLE_PARAMS:
+                f = CovarianceMeasure(kind, 1, 1.3, param)
+                got = upsilon(DalangProfile(f), lam)
+                assert math.isfinite(got)
+                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_radial_gaussian_matches_quadrature(self, d):
+        # e^x E1(x) in d = 2 and the erfcx form in d = 3 against the radial integral
+        for param in ORACLE_PARAMS:
+            f = CovarianceMeasure("gaussian", d, 1.3, param)
+            for lam in ORACLE_LAMS:
+                got = upsilon(DalangProfile(f), lam)
+                assert math.isfinite(got)
+                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10)
 
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(11)
@@ -183,15 +232,6 @@ class TestUpsilon:
             upsilon(DalangProfile(CovarianceMeasure("dirac", 2, 1.0)), 1.0)
         dalang_check(CovarianceMeasure("gaussian", 2, 1.0, 1.0))
 
-    def test_gaussian_d2_exponential_integral_oracle(self):
-        # upsilon = M e^{s^2 lam} E1(s^2 lam) / (2 pi) in two dimensions
-        f = CovarianceMeasure("gaussian", 2, 1.3, 0.8)
-        prof = DalangProfile(f)
-        for lam in (0.2, 1.0, 5.0):
-            a = f.param**2 * lam
-            oracle = f.mass * math.exp(a) * exp1(a) / (2.0 * math.pi)
-            assert upsilon(prof, lam) == pytest.approx(oracle, rel=1e-9)
-
     def test_product_kind_d2_brute_force_oracle(self):
         # tensor quadrature of the defining integral over the plane
         f = CovarianceMeasure("exponential", 2, 1.0, 1.0)
@@ -216,11 +256,65 @@ class TestUpsilon:
 
 class TestLambdaOf:
     def test_inverse_pair(self):
-        for f in ALL_KINDS_1D:
+        for f in ALL_KINDS_1D + [
+            CovarianceMeasure("gaussian", 2, 1.3, 0.8),
+            CovarianceMeasure("gaussian", 3, 1.3, 0.8),
+            CovarianceMeasure("exponential", 2, 1.0, 1.0),
+            CovarianceMeasure("uniform", 2, 1.0, 1.0),
+        ]:
             prof = DalangProfile(f)
             for lam in (1e-3, 0.1, 3.7, 40.0, 1e3):
                 back = lambda_of(prof, upsilon(prof, lam))
-                assert abs(back - lam) / lam < 1e-8
+                assert abs(back - lam) / lam < 1e-10
+
+    def test_exponential_d1_closed_form_inverse(self):
+        # the positive root alpha = sqrt(2 lam) of a alpha^2 + a r alpha - M r = 0
+        for mass, r in ((1.0, 1.0), (1.3, 0.3), (0.7, 4.0)):
+            prof = DalangProfile(CovarianceMeasure("exponential", 1, mass, r))
+            for a in (1e-4, 0.05, 1.0, 30.0, 1e5):
+                alpha = math.sqrt(2.0 * lambda_of(prof, a))
+                residual = a * alpha * alpha + a * r * alpha - mass * r
+                assert abs(residual) <= 1e-14 * mass * r
+
+    def test_upsilon_calls_per_inversion(self, monkeypatch):
+        calls = []
+        real = spectral.upsilon
+
+        def counting(profile, lam):
+            calls.append(lam)
+            return real(profile, lam)
+
+        monkeypatch.setattr(spectral, "upsilon", counting)
+        for f in ALL_KINDS_1D + [
+            CovarianceMeasure("gaussian", 2, 1.3, 0.8),
+            CovarianceMeasure("gaussian", 3, 1.3, 0.8),
+            CovarianceMeasure("exponential", 2, 1.0, 1.0),
+        ]:
+            prof = DalangProfile(f)
+            for lam in (1e-6, 1e-3, 0.1, 3.7, 40.0, 1e3, 1e6):
+                a = real(prof, lam)
+                calls.clear()
+                lambda_of(prof, a)
+                if f.kind == "dirac" or (f.kind == "exponential" and f.dimension == 1):
+                    assert calls == []
+                else:
+                    assert 0 < len(calls) <= 20
+
+    def test_no_integration_warning(self):
+        # the bracket grows from lam = 1, so no far-off lam is probed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            for kind in ("exponential", "uniform"):
+                prof = DalangProfile(CovarianceMeasure(kind, 2, 1.0, 1.0))
+                for a in (0.01, 0.05, 0.2, 0.5):
+                    assert 0.0 < lambda_of(prof, a) < math.inf
+
+    def test_out_of_range_returns(self):
+        # upsilon is bounded by M sqrt(pi/2) / (pi^2 s) as lam -> 0 in d = 3
+        f = CovarianceMeasure("gaussian", 3, 1.0, 1.0)
+        sup = f.mass * math.sqrt(math.pi / 2.0) / (math.pi**2 * f.param)
+        assert lambda_of(DalangProfile(f), 1.01 * sup) == 0.0
+        assert lambda_of(DalangProfile(CovarianceMeasure("gaussian", 2, 1.0, 1.0)), 1e-16) == math.inf
 
     def test_dirac_values(self):
         prof = DalangProfile(CovarianceMeasure("dirac", 1, 1.0))
