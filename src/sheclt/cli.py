@@ -55,41 +55,26 @@ from .spectral import (
 SEED_ENV = "SHECLT_SEED"
 
 
-# parameter count of each sigma kind, named after its SigmaFunction constructor
-_SIGMA_ARITY = {"constant": 1, "linear": 1, "affine": 2, "tabulated": 2}
-
-
-def sigma_from_config(record) -> SigmaFunction:
-    try:
-        kind = record["kind"]
-        params = record.get("params", [])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"sigma: malformed record ({exc})") from exc
-    if not isinstance(kind, str) or kind not in _SIGMA_ARITY:
-        raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
-    arity = _SIGMA_ARITY[kind]
-    if not isinstance(params, (list, tuple)) or len(params) != arity:
-        raise ConfigError(f"sigma.params: {kind} takes {arity} parameter(s), got {params!r}")
-    try:
-        return getattr(SigmaFunction, kind)(*params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sigma.params: invalid {kind} parameters ({exc})") from exc
-
-
 def parse_sigma_flag(text: str) -> SigmaFunction:
     kind, _, rest = text.partition(":")
     try:
         params = [float(v) for v in rest.split(",") if v] if rest else []
     except ValueError as exc:
         raise ConfigError(f"--sigma: parameters must be numbers ({exc})") from exc
-    return sigma_from_config({"kind": kind, "params": params})
+    return SigmaFunction.from_config({"kind": kind, "params": params})
+
+
+def _config_value(raw: dict, key: str, cast, default=None):
+    """``cast(raw[key])`` (or of ``default`` when given and the key is
+    absent); a value ``cast`` rejects is a ConfigError naming the key."""
+    try:
+        return cast(raw[key] if default is None else raw.get(key, default))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{key}: invalid value {raw.get(key)!r} ({exc})") from exc
 
 
 def _positive_int(raw: dict, key: str, default: int) -> int:
-    try:
-        value = int(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.{key}: must be a positive integer ({exc})") from exc
+    value = _config_value(raw, key, int, default)
     if value < 1:
         raise ConfigError(f"config.{key}: must be a positive integer, got {value}")
     return value
@@ -98,6 +83,8 @@ def _positive_int(raw: dict, key: str, default: int) -> int:
 def _cells_per_axis(length: float, dx: float) -> int:
     if not dx > 0.0:
         raise ConfigError(f"--dx: cell width must be positive, got {dx}")
+    if not 0.0 < length < math.inf:
+        raise ConfigError(f"--L/--length: must be positive and finite, got {length}")
     return int(round(length / dx))
 
 
@@ -133,7 +120,8 @@ class RunManifest:
         return path
 
 
-def _write_summary(out_dir: Path, manifest: RunManifest, flags: dict, extra=None) -> bool:
+def _finish(out_dir: Path, manifest: RunManifest, flags: dict, extra=None) -> int:
+    """Write the summary and the manifest; exit code 0 if every flag holds, else 1."""
     summary = {
         "manifest_hash": manifest.hash,
         "flags": {k: bool(v) for k, v in flags.items()},
@@ -144,7 +132,8 @@ def _write_summary(out_dir: Path, manifest: RunManifest, flags: dict, extra=None
     name = f"{manifest.subcommand}-summary-{manifest.hash}.json"
     (out_dir / name).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.outputs.append(name)
-    return summary["pass"]
+    manifest.write(out_dir)
+    return 0 if summary["pass"] else 1
 
 
 def _csv(out_dir: Path, manifest: RunManifest, name: str, header, rows) -> None:
@@ -168,15 +157,16 @@ def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -
             raise ConfigError(f"config: missing key {key!r}")
     return ExperimentConfig(
         covariance=CovarianceMeasure.from_config(raw["covariance"]),
-        sigma=sigma_from_config(raw["sigma"]),
-        g_list=[LipFunction.from_config(g) for g in raw.get("g", [{"kind": "identity"}])],
-        psi_list=[TestFunction.from_config(p) for p in raw["psi"]],
-        t=float(raw["t"]),
-        n_ladder=[float(n) for n in raw["n_ladder"]],
-        dx=float(raw["dx"]),
-        replicas=int(replicas if replicas is not None else raw["replicas"]),
+        sigma=SigmaFunction.from_config(raw["sigma"]),
+        g_list=_config_value(raw, "g", lambda gs: [LipFunction.from_config(g) for g in gs],
+                             [{"kind": "identity"}]),
+        psi_list=_config_value(raw, "psi", lambda ps: [TestFunction.from_config(p) for p in ps]),
+        t=_config_value(raw, "t", float),
+        n_ladder=_config_value(raw, "n_ladder", lambda ns: [float(n) for n in ns]),
+        dx=_config_value(raw, "dx", float),
+        replicas=replicas if replicas is not None else _config_value(raw, "replicas", int),
         seed=seed,
-        baseline_replicas=int(raw.get("baseline_replicas", 400)),
+        baseline_replicas=_config_value(raw, "baseline_replicas", int, 400),
         workers=workers,
     )
 
@@ -198,8 +188,8 @@ def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float,
         if fields is None:
             grid = cfg.grid_for(cfg.n_ladder[0])
             fields = field_run(
-                cfg.covariance, sigma, cfg.t, grid, int(raw.get("bt_replicas", 400)),
-                cfg.seed, domain=20_000,
+                cfg.covariance, sigma, cfg.t, grid, _config_value(raw, "bt_replicas", int, 400),
+                cfg.seed, domain=20_000, workers=cfg.workers,
             )
         est = estimate_Bt(fields, grid, g, t=cfg.t, f=cfg.covariance)
         out.append((est.value, "mc"))
@@ -242,9 +232,7 @@ def cmd_bounds(args, out_dir: Path) -> int:
              tail_bound(ell, args.eps, args.delta, args.big_t, B, profile, sigma_scale))
         )
     _csv(out_dir, manifest, "bounds", ("quantity", "input", "value"), rows)
-    ok = _write_summary(out_dir, manifest, {"evaluated": True})
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, {"evaluated": True})
 
 
 def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
@@ -274,9 +262,7 @@ def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
         "white_in_time": bool(np.all(np.abs(rep.cross_time_cov) < 5 * se_cov)),
         "not_degenerate": not rep.degenerate,
     }
-    ok = _write_summary(out_dir, manifest, flags)
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, flags)
 
 
 def cmd_solve(args, out_dir: Path, seed: int) -> int:
@@ -303,9 +289,7 @@ def cmd_solve(args, out_dir: Path, seed: int) -> int:
     mean = float(fields.mean(axis=axes).mean())
     se = float(fields.mean(axis=axes).std()) / math.sqrt(args.replicas)
     flags = {"mean_one": abs(mean - 1.0) < 4 * se + 1e-12}
-    ok = _write_summary(out_dir, manifest, flags, extra={"mean": mean, "mean_se": se})
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, flags, extra={"mean": mean, "mean_se": se})
 
 
 def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
@@ -315,8 +299,8 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     result = run_experiment(cfg)
     bts = _reference_bt(raw, cfg, cfg.g_list)
     b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
-    var_tol = float(raw.get("variance_tolerance", 0.10))
-    cov_tol = float(raw.get("covariance_tolerance", 0.15))
+    var_tol = _config_value(raw, "variance_tolerance", float, 0.10)
+    cov_tol = _config_value(raw, "covariance_tolerance", float, 0.15)
     flags = {}
     rows = []
     sample_rows = []
@@ -357,12 +341,10 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
          ("N", "psi", "g", "mean", "variance", "predicted_variance", "ks", "ks_critical"),
          rows)
     _csv(out_dir, manifest, "clt-samples", ("replica", "N", "psi", "g", "value"), sample_rows)
-    ok = _write_summary(out_dir, manifest, flags, extra={
+    return _finish(out_dir, manifest, flags, extra={
         "b_t": {g.label: v for g, (v, _) in zip(cfg.g_list, bts)},
         "b_t_source": {g.label: src for g, (_, src) in zip(cfg.g_list, bts)},
     })
-    manifest.write(out_dir)
-    return 0 if ok else 1
 
 
 def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
@@ -412,19 +394,17 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
         flags["monotone_along_ladder"] = monotone
     _csv(out_dir, manifest, "independence",
          ("N", "pair", "max_ecf_gap", "null_q99", "rhs_bound"), rows)
-    ok = _write_summary(out_dir, manifest, flags)
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, flags)
 
 
 def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
     n_perm = _positive_int(raw, "n_perm", 200)
-    r_grid = [float(r) for r in raw.get("r_grid", [0.25, 0.5, 1.0])]
-    base = raw.get("base_box", {"lo": [0.0], "hi": [1.0]})
-    lo = [float(v) for v in base["lo"]]
-    hi = [float(v) for v in base["hi"]]
-    d = len(lo)
+    r_grid = _config_value(raw, "r_grid", lambda rs: [float(r) for r in rs], [0.25, 0.5, 1.0])
+    lo, hi = _config_value(
+        raw, "base_box", lambda b: [[float(v) for v in b[k]] for k in ("lo", "hi")],
+        {"lo": [0.0], "hi": [1.0]},
+    )
     boxes = {}
     for r in r_grid:
         hi_r = [lo[0] + r * (hi[0] - lo[0])] + hi[1:]
@@ -457,17 +437,15 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
         for j, s in enumerate(rep.r_grid):
             rows.append((r, s, rep.cov_emp[i, j], rep.cov_pred[i, j]))
     _csv(out_dir, manifest, "fdd-cov", ("r", "r_prime", "cov_emp", "cov_pred"), rows)
-    tol = float(raw.get("covariance_tolerance", 0.15))
+    tol = _config_value(raw, "covariance_tolerance", float, 0.15)
     flags = {
         "cov_matrix_ok": rep.max_rel_dev <= tol,
         "increments_independent": rep.increments.passed,
     }
-    ok = _write_summary(
+    return _finish(
         out_dir, manifest, flags,
         extra={"max_rel_dev": rep.max_rel_dev, "b_t": b_t, "b_t_source": b_src},
     )
-    manifest.write(out_dir)
-    return 0 if ok else 1
 
 
 def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
@@ -478,13 +456,13 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     psi, g = cfg.psi_list[0], cfg.g_list[0]
     N = cfg.n_ladder[-1]
     values = result.get(N, psi, g).values
-    eps = float(raw.get("tail_eps", 0.5))
-    delta = float(raw.get("tail_delta", 0.5))
+    eps = _config_value(raw, "tail_eps", float, 0.5)
+    delta = _config_value(raw, "tail_delta", float, 0.5)
     profile = DalangProfile(cfg.covariance)
     sigma_scale = max(cfg.sigma.sigma0, cfg.sigma.lip)
     big, _ = moment_constants(eps, sigma_scale, sigma_scale, cfg.covariance)
     B = big * g.lip * psi.l2_norm() * math.sqrt(cfg.t)
-    n_ell = int(raw.get("ell_points", 20))
+    n_ell = _config_value(raw, "ell_points", int, 20)
     sd = float(np.std(values))
     ell_grid = np.geomspace(0.25 * sd, 100.0 * B, n_ell)
     rows = tail_check(
@@ -495,9 +473,7 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
          ("ell", "empirical", "ci_low", "ci_high", "bound", "violated"),
          [(r.ell, r.empirical, r.ci_low, r.ci_high, r.bound, r.violated) for r in rows])
     flags = {"no_violations": not any(r.violated for r in rows)}
-    ok = _write_summary(out_dir, manifest, flags, extra={"B": B, "n_ell": n_ell})
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, flags, extra={"B": B, "n_ell": n_ell})
 
 
 def cmd_entropy(args, out_dir: Path, seed: int) -> int:
@@ -574,9 +550,7 @@ def cmd_entropy(args, out_dir: Path, seed: int) -> int:
         _csv(out_dir, manifest, "exponent", ("class", "r", "covering_number", "slope"), rows)
     else:
         raise ConfigError(f"entropy: unknown check {args.check!r}")
-    ok = _write_summary(out_dir, manifest, flags)
-    manifest.write(out_dir)
-    return 0 if ok else 1
+    return _finish(out_dir, manifest, flags)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,9 @@ every requested (test function, observable) pair on that realization, so
 joint statistics across test functions are measured on coupled samples.
 Replicas are independent tasks keyed by counter-based streams; chunking and
 process count never change the output bits, and per-N seed domains keep the
-ladder runs independent.
+ladder runs independent.  Every replicated solve (experiment, Monte Carlo
+baseline, B_t fields, marginal variance) runs through ``_map_chunks``, which
+solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool.
 
 Statistics: one-sample Kolmogorov-Smirnov distance against a reference
 normal, empirical characteristic-function gaps with a permutation null
@@ -27,6 +29,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import integrate
@@ -40,7 +43,6 @@ from .occupation import (
     PreparedTestFunction,
     TestFunction,
     exact_baseline,
-    estimate_baseline,
     occupation_values,
 )
 from .solver import SigmaFunction, solve_batch
@@ -124,6 +126,38 @@ class ExperimentResult:
         return np.stack(cols, axis=1)
 
 
+def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
+    """``task(*args, replicas)`` for each ``DEFAULT_CHUNK`` block of
+    ``range(n_replicas)`` in order, in this process or on one process pool."""
+    if n_replicas < 1:
+        raise ConfigError("replicas: need at least one replica")
+    starts = range(0, n_replicas, DEFAULT_CHUNK)
+    chunks = [range(s, min(s + DEFAULT_CHUNK, n_replicas)) for s in starts]
+    call = partial(task, *args)
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(call, chunks))
+    return [call(chunk) for chunk in chunks]
+
+
+def _solve_chunk(grid, sigma, f, t, seed, domain, observables, replicas):
+    """One chunk's fields or, given ``observables``, each replica's grid
+    mean of each observable, shape (len(observables), len(replicas))."""
+    fields, _ = solve_batch(grid, sigma, f, t, seed, replicas, domain=domain)
+    if observables is None:
+        return fields
+    axes = tuple(range(1, fields.ndim))
+    return np.stack([np.asarray(obs(fields)).mean(axis=axes) for obs in observables])
+
+
+def estimate_baseline(grid, sigma, f, t, g, n_replicas, seed, domain, workers=1):
+    """Frozen Monte Carlo baseline E g(u(t,0)) from a dedicated, disjoint
+    replica set: the mean of the replicas' grid means of g(u)."""
+    parts = _map_chunks(_solve_chunk, n_replicas, workers, grid, sigma, f, t, seed, domain, (g,))
+    value = float(np.mean(np.concatenate(parts, axis=1)))
+    return BaselineValue(value=value, provenance="mc", n_replicas=n_replicas)
+
+
 def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dict:
     out = {}
     for g in config.g_list:
@@ -131,14 +165,13 @@ def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dic
         if base is None:
             base = estimate_baseline(
                 grid, config.sigma, config.covariance, config.t, g,
-                config.baseline_replicas, config.seed, domain,
+                config.baseline_replicas, config.seed, domain, workers=config.workers,
             )
         out[g.label] = base
     return out
 
 
-def _chunk_task(args):
-    (config, N, grid, baselines, replicas) = args
+def _chunk_task(config, N, grid, baselines, replicas):
     weights = spectral_weights(grid, config.covariance)
     halo = HALO_FACTOR * math.sqrt(max(config.t, 0.0))
     prepared = {
@@ -157,7 +190,7 @@ def _chunk_task(args):
             out[(psi.label, g.label)] = occupation_values(
                 prepared[psi.label], gu, baselines[g.label].value, N
             )
-    return replicas[0], out
+    return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -173,23 +206,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         grids[N] = grid
         domain = config.n_ladder.index(N)
         baselines = _resolve_baselines(config, grid, BASELINE_DOMAIN_OFFSET + domain)
-        chunks = [
-            list(range(start, min(start + DEFAULT_CHUNK, config.replicas)))
-            for start in range(0, config.replicas, DEFAULT_CHUNK)
-        ]
-        tasks = [(config, N, grid, baselines, chunk) for chunk in chunks]
-        results = {}
-        if config.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                for start, chunk_out in pool.map(_chunk_task, tasks):
-                    results[start] = chunk_out
-        else:
-            for task in tasks:
-                start, chunk_out = _chunk_task(task)
-                results[start] = chunk_out
+        results = _map_chunks(
+            _chunk_task, config.replicas, config.workers, config, N, grid, baselines
+        )
         for g in config.g_list:
             for psi in config.psi_list:
-                parts = [results[c[0]][(psi.label, g.label)] for c in chunks]
+                parts = [chunk_out[(psi.label, g.label)] for chunk_out in results]
                 ensembles[(N, psi.label, g.label)] = SampleEnsemble(
                     values=np.concatenate(parts),
                     N=N,
@@ -198,13 +220,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     baseline=baselines[g.label],
                 )
     return ExperimentResult(ensembles=ensembles, config=config, grids=grids)
-
-
-def _moment_task(args):
-    (covariance, sigma, t, grid, seed, replicas) = args
-    fields, _ = solve_batch(grid, sigma, covariance, t, seed, replicas)
-    axes = tuple(range(1, fields.ndim))
-    return replicas[0], fields.mean(axis=axes), (fields**2).mean(axis=axes)
 
 
 @dataclass
@@ -223,21 +238,11 @@ def marginal_variance_run(
     d = covariance.dimension
     n = int(round(length / dx))
     grid = Grid(d=d, length=n * dx, n=n, dt=dx * dx / (2.0 * d))
-    chunks = [
-        list(range(start, min(start + DEFAULT_CHUNK, replicas)))
-        for start in range(0, replicas, DEFAULT_CHUNK)
-    ]
-    tasks = [(covariance, sigma, t, grid, seed, chunk) for chunk in chunks]
-    s1 = np.empty(replicas)
-    s2 = np.empty(replicas)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_moment_task, tasks))
-    else:
-        outs = [_moment_task(task) for task in tasks]
-    for start, m1, m2 in outs:
-        s1[start : start + len(m1)] = m1
-        s2[start : start + len(m2)] = m2
+    moments = (np.asarray, np.square)  # each replica's grid means of u and u^2
+    parts = _map_chunks(
+        _solve_chunk, replicas, workers, grid, sigma, covariance, t, seed, 0, moments
+    )
+    s1, s2 = np.concatenate(parts, axis=1)
     mu = float(np.mean(s1))
     per_rep_var = s2 - 2.0 * mu * s1 + mu * mu
     return MarginalVarianceResult(
@@ -249,10 +254,11 @@ def marginal_variance_run(
     )
 
 
-def field_run(covariance, sigma, t, grid, replicas, seed, domain=0) -> np.ndarray:
+def field_run(covariance, sigma, t, grid, replicas, seed, domain=0, workers=1) -> np.ndarray:
     """Stacked replica fields for covariance estimation at moderate R."""
-    fields, _ = solve_batch(grid, sigma, covariance, t, seed, range(replicas), domain=domain)
-    return fields
+    return np.concatenate(
+        _map_chunks(_solve_chunk, replicas, workers, grid, sigma, covariance, t, seed, domain, None)
+    )
 
 
 # -- statistics --

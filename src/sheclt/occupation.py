@@ -31,7 +31,7 @@ from .errors import (
     SupportOverflow,
 )
 from .noise import Grid
-from .solver import SigmaFunction, SolutionField
+from .solver import PiecewiseLinear, SigmaFunction, SolutionField
 from .spectral import CovarianceMeasure
 
 HALO_FACTOR = 8.0
@@ -188,14 +188,8 @@ class LipFunction:
                 raise ConfigError("lip.scaled: scale a must be positive")
             self.lip, self.g0 = abs(b) * base.lip / a, b * float(base(np.array(0.0)))
         elif kind == "tabulated":
-            xs, ys = params
-            xs = np.asarray(xs, dtype=float)
-            ys = np.asarray(ys, dtype=float)
-            if xs.size < 2 or np.any(np.diff(xs) <= 0):
-                raise ConfigError("lip.tabulated: knots must be strictly increasing")
-            self._xs, self._ys = xs, ys
-            self._slopes = np.diff(ys) / np.diff(xs)
-            self.lip = float(np.max(np.abs(self._slopes)))
+            self._eval_tab = PiecewiseLinear(*params, "lip.tabulated")
+            self.lip = self._eval_tab.lip
             self.g0 = float(self(np.array(0.0)))
         else:
             raise ConfigError(f"lip.kind: unknown kind {kind!r}")
@@ -229,9 +223,7 @@ class LipFunction:
         if self.kind == "scaled":
             base, a, b = self.params
             return b * base(u / a)
-        xs, ys, slopes = self._xs, self._ys, self._slopes
-        idx = np.clip(np.searchsorted(xs, u) - 1, 0, xs.size - 2)
-        return ys[idx] + slopes[idx] * (u - xs[idx])
+        return self._eval_tab(u)
 
     def to_config(self) -> dict:
         rec = {"kind": self.kind, "label": self.label}
@@ -248,15 +240,21 @@ class LipFunction:
 
     @classmethod
     def from_config(cls, record: dict) -> "LipFunction":
-        kind = record.get("kind")
-        if kind in ("identity", "sin"):
-            return cls(kind, label=record.get("label"))
-        if kind == "shifted":
-            return cls.shifted(cls.from_config(record["base"]), record["a"])
-        if kind == "scaled":
-            return cls.scaled(cls.from_config(record["base"]), record["a"], record["b"])
-        if kind == "tabulated":
-            return cls.tabulated(record["xs"], record["ys"], label=record.get("label"))
+        kind = None
+        try:
+            kind = record.get("kind")
+            if kind in ("identity", "sin"):
+                return cls(kind, label=record.get("label"))
+            if kind == "shifted":
+                return cls.shifted(cls.from_config(record["base"]), record["a"])
+            if kind == "scaled":
+                return cls.scaled(cls.from_config(record["base"]), record["a"], record["b"])
+            if kind == "tabulated":
+                return cls.tabulated(record["xs"], record["ys"], label=record.get("label"))
+        except KeyError as exc:
+            raise ConfigError(f"g.{exc.args[0]}: missing from the {kind} record") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"g: malformed {kind} record ({exc})") from exc
         raise ConfigError(f"lip function: malformed record (kind {kind!r})")
 
 
@@ -344,16 +342,6 @@ def exact_baseline(g: LipFunction, sigma: SigmaFunction) -> BaselineValue | None
     if sigma.sigma1 == 0.0 and sigma.kind == "constant":
         return BaselineValue(value=float(g(np.array(1.0))), provenance="exact-flat-field")
     return None
-
-
-def estimate_baseline(grid, sigma, f, t, g, n_replicas, seed, domain):
-    """Frozen Monte Carlo baseline from a dedicated, disjoint replica set."""
-    from .solver import solve_batch
-
-    fields, _ = solve_batch(grid, sigma, f, t, seed, range(n_replicas), domain=domain)
-    return BaselineValue(
-        value=float(np.mean(np.asarray(g(fields)))), provenance="mc", n_replicas=n_replicas
-    )
 
 
 @dataclass

@@ -25,12 +25,34 @@ from .spectral import CovarianceMeasure
 BLOWUP_GUARD = 1e12
 
 
+class PiecewiseLinear:
+    """Interpolant through strictly increasing knots, end-segment slopes
+    extended, so the function is globally Lipschitz with constant ``lip``."""
+
+    def __init__(self, xs, ys, what):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ys = np.asarray(ys, dtype=float)
+        if self.xs.ndim != 1 or self.ys.shape != self.xs.shape:
+            raise ConfigError(f"{what}: xs and ys must be flat lists of one length")
+        if self.xs.size < 2 or np.any(np.diff(self.xs) <= 0):
+            raise ConfigError(f"{what}: knots must be strictly increasing")
+        self.slopes = np.diff(self.ys) / np.diff(self.xs)
+        self.lip = float(np.max(np.abs(self.slopes)))
+
+    def __call__(self, u):
+        idx = np.clip(np.searchsorted(self.xs, u) - 1, 0, self.xs.size - 2)
+        return self.ys[idx] + self.slopes[idx] * (u - self.xs[idx])
+
+
+# parameter count of each sigma kind, named after its SigmaFunction constructor
+_SIGMA_ARITY = {"constant": 1, "linear": 1, "affine": 2, "tabulated": 2}
+
+
 class SigmaFunction:
     """Lipschitz diffusion coefficient with its structural constants.
 
     Kinds: constant c, linear c*u, affine a + b*u, and tabulated
-    piecewise-linear (end-segment slopes extended, so the function is
-    globally Lipschitz).  sigma(1) != 0 is required unless
+    (:class:`PiecewiseLinear`).  sigma(1) != 0 is required unless
     ``allow_degenerate`` is set; the identically-zero coefficient makes the
     equation deterministic and is admitted only for flat-state checks.
     """
@@ -48,14 +70,8 @@ class SigmaFunction:
             a, b = params
             self.sigma0, self.lip, self.sigma1 = abs(a), abs(b), a + b
         elif kind == "tabulated":
-            xs, ys = params
-            xs = np.asarray(xs, dtype=float)
-            ys = np.asarray(ys, dtype=float)
-            if xs.size < 2 or np.any(np.diff(xs) <= 0):
-                raise ConfigError("sigma.tabulated: knots must be strictly increasing")
-            slopes = np.diff(ys) / np.diff(xs)
-            self._xs, self._ys, self._slopes = xs, ys, slopes
-            self.lip = float(np.max(np.abs(slopes)))
+            self._eval_tab = PiecewiseLinear(*params, "sigma.tabulated")
+            self.lip = self._eval_tab.lip
             self.sigma0 = abs(float(self._eval_tab(np.array(0.0))))
             self.sigma1 = float(self._eval_tab(np.array(1.0)))
         else:
@@ -79,10 +95,23 @@ class SigmaFunction:
     def tabulated(cls, xs, ys, allow_degenerate=False):
         return cls("tabulated", (xs, ys), allow_degenerate)
 
-    def _eval_tab(self, u):
-        xs, ys, slopes = self._xs, self._ys, self._slopes
-        idx = np.clip(np.searchsorted(xs, u) - 1, 0, xs.size - 2)
-        return ys[idx] + slopes[idx] * (u - xs[idx])
+    @classmethod
+    def from_config(cls, record) -> "SigmaFunction":
+        """``{"kind": ..., "params": [...]}``; a bad record is a ConfigError."""
+        try:
+            kind = record["kind"]
+            params = record.get("params", [])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"sigma: malformed record ({exc})") from exc
+        if not isinstance(kind, str) or kind not in _SIGMA_ARITY:
+            raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+        arity = _SIGMA_ARITY[kind]
+        if not isinstance(params, (list, tuple)) or len(params) != arity:
+            raise ConfigError(f"sigma.params: {kind} takes {arity} parameter(s), got {params!r}")
+        try:
+            return getattr(cls, kind)(*params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sigma.params: invalid {kind} parameters ({exc})") from exc
 
     def __call__(self, u, out=None):
         """sigma(u) as a float array; ``out``, if given, receives it."""
@@ -130,7 +159,7 @@ class SigmaFunction:
             return f"{self.kind}({self.params[0]:g})"
         if self.kind == "affine":
             return f"affine({self.params[0]:g},{self.params[1]:g})"
-        return f"tabulated({len(self._xs)} knots)"
+        return f"tabulated({self._eval_tab.xs.size} knots)"
 
 
 @dataclass

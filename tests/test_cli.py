@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sheclt.cli import dispatch
 from sheclt.io import load_array, save_array, write_csv
@@ -192,6 +193,30 @@ class TestDispatch:
                 capsys.readouterr()
                 assert dispatch(["--out-dir", str(tmp_path / "o"), cmd, "--config", str(cfg)]) == 2
                 assert "config.n_perm" in capsys.readouterr().err
+
+    def test_nan_length_solve_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
+                         "--L", "nan", "--replicas", "1"]) == 2
+        assert "--L" in capsys.readouterr().err
+
+    def test_infinite_length_noise_check_is_usage_error(self, tmp_path, capsys):
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "noise-check", "--kind", "dirac",
+                         "--length", "inf"]) == 2
+        assert "--length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ({"t": "abc"}, "config.t"),
+        ({"n_ladder": 5}, "config.n_ladder"),
+        ({"replicas": "x"}, "config.replicas"),
+        ({"dx": None}, "config.dx"),
+        ({"baseline_replicas": "q"}, "config.baseline_replicas"),
+        ({"g": [{"kind": "tabulated", "xs": [0.0, 1.0]}]}, "g.ys"),
+        ({"g": [{"kind": "tabulated", "xs": [0.0, 1.0], "ys": [0.0, 1.0, 5.0]}]}, "lip.tabulated"),
+    ])
+    def test_bad_clt_config_value_is_usage_error(self, tmp_path, capsys, override, key):
+        cfg = tiny_clt_config(tmp_path, **override)
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
         cfg = tiny_clt_config(tmp_path, replicas=150)

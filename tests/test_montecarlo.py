@@ -9,12 +9,16 @@ from scipy.special import ndtri
 
 from sheclt.errors import ConfigError, DegenerateVariance
 from sheclt.montecarlo import (
+    DEFAULT_CHUNK,
     ExperimentConfig,
+    _map_chunks,
     clt_report,
     default_z_tuples,
     ecf_gap,
     ecf_permutation_null,
+    estimate_baseline,
     fdd_brownian_check,
+    field_run,
     independence_report,
     independence_rhs,
     ks_critical,
@@ -26,7 +30,8 @@ from sheclt.montecarlo import (
     wilson_interval,
 )
 from sheclt.occupation import LipFunction, TestFunction
-from sheclt.solver import SigmaFunction
+from sheclt.noise import Grid
+from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure, DalangProfile
 
 WHITE = CovarianceMeasure("dirac", 1, 1.0)
@@ -105,6 +110,63 @@ class TestMarginalVarianceRun:
         )
         assert out.variance == par.variance  # bit-identical under workers
         assert abs(out.mean - 1.0) < 4 * out.mean_se
+
+
+class TestChunkedSolves:
+    """Every replicated solve goes through ``_map_chunks``: blocks of
+    DEFAULT_CHUNK replicas, serial or pooled, with the same output bits."""
+
+    AFFINE = SigmaFunction.affine(1.0, 0.5)
+    REPLICAS = 2 * DEFAULT_CHUNK + 3  # three chunks, the last one short
+    CASES = {
+        "white-1d": (WHITE, Grid(d=1, length=8.0, n=32, dt=1.0 / 128.0)),
+        "gaussian-2d": (CovarianceMeasure("gaussian", 2, 1.0, 1.0),
+                        Grid(d=2, length=8.0, n=16, dt=1.0 / 16.0)),
+    }
+
+    def test_chunks_in_order_and_empty_rejected(self):
+        out = _map_chunks(lambda *a: (a[0], list(a[1])), 130, 1, "x")
+        assert [o[0] for o in out] == ["x"] * 3
+        assert [r for o in out for r in o[1]] == list(range(130))
+        assert [len(o[1]) for o in out] == [DEFAULT_CHUNK, DEFAULT_CHUNK, 2]
+        with pytest.raises(ConfigError):
+            _map_chunks(lambda *a: None, 0, 1)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_field_run_matches_one_solve_batch(self, case):
+        f, grid = self.CASES[case]
+        whole, _ = solve_batch(grid, self.AFFINE, f, 0.25, 7, range(self.REPLICAS), domain=20_000)
+        for workers in (1, 2):
+            fields = field_run(f, self.AFFINE, 0.25, grid, self.REPLICAS, 7, domain=20_000,
+                               workers=workers)
+            assert fields.shape == whole.shape and np.array_equal(fields, whole)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_baseline_worker_invariant(self, case):
+        f, grid = self.CASES[case]
+        serial, pooled = (
+            estimate_baseline(grid, self.AFFINE, f, 0.25, LipFunction.sin(), self.REPLICAS,
+                              5, 10_000, workers=workers)
+            for workers in (1, 2)
+        )
+        assert serial.value == pooled.value
+        assert serial.provenance == "mc" and serial.n_replicas == self.REPLICAS
+        # the mean of the replicas' grid means of g(u) on the same fields
+        fields, _ = solve_batch(grid, self.AFFINE, f, 0.25, 5, range(self.REPLICAS), domain=10_000)
+        axes = tuple(range(1, fields.ndim))
+        assert serial.value == float(np.mean(np.sin(fields).mean(axis=axes)))
+
+    def test_experiment_with_mc_baseline_worker_invariant(self):
+        runs = [
+            run_experiment(tiny_config(sigma=self.AFFINE, g_list=[LipFunction.sin()],
+                                       replicas=70, baseline_replicas=self.REPLICAS,
+                                       workers=workers))
+            for workers in (1, 2)
+        ]
+        key = (4.0, runs[0].config.psi_list[0].label, "sin")
+        a, b = (r.ensembles[key] for r in runs)
+        assert a.baseline.provenance == "mc" and a.baseline.value == b.baseline.value
+        assert np.array_equal(a.values, b.values)
 
 
 class TestKs:

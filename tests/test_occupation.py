@@ -21,11 +21,11 @@ from sheclt.occupation import (
     estimate_Bt,
     exact_Bt_constant_sigma,
     exact_baseline,
-    estimate_baseline,
     nondegeneracy_check,
     occupation_sample,
     occupation_values,
 )
+from sheclt.montecarlo import estimate_baseline
 from sheclt.solver import SigmaFunction, SolutionField, solve_batch
 from sheclt.spectral import CovarianceMeasure
 
@@ -115,6 +115,25 @@ class TestLipFunction:
         for g in funcs:
             assert np.all(np.abs(g(u) - g(v)) <= g.lip * np.abs(u - v) + 1e-12)
             assert g.norm == abs(g.g0) + g.lip
+
+    def test_tabulated_shares_sigma_interpolant(self):
+        xs, ys = [-2.0, 0.0, 1.0, 4.0], [1.0, 0.0, 2.0, 1.0]
+        u = np.random.default_rng(3).normal(size=(4, 200), scale=4.0)
+        # the piecewise-linear formula, end slopes extended
+        x, y = np.array(xs), np.array(ys)
+        slopes = np.diff(y) / np.diff(x)
+        idx = np.clip(np.searchsorted(x, u) - 1, 0, x.size - 2)
+        expected = y[idx] + slopes[idx] * (u - x[idx])
+        g, sigma = LipFunction.tabulated(xs, ys), SigmaFunction.tabulated(xs, ys)
+        assert np.array_equal(g(u), expected) and np.array_equal(sigma(u), expected)
+        assert g.lip == sigma.lip == 2.0 and g.g0 == 0.0
+
+    def test_tabulated_rejects_knot_count_mismatch(self):
+        # ys one value short or long: the slopes would broadcast into a wrong table
+        for xs, ys in (([0.0, 1.0, 2.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, 5.0])):
+            for cls in (LipFunction, SigmaFunction):
+                with pytest.raises(ConfigError):
+                    cls.tabulated(xs, ys)
 
     def test_config_roundtrip(self):
         g = LipFunction.scaled(LipFunction.sin(), 1.5, -2.0)
