@@ -69,7 +69,7 @@ def _config_value(raw: dict, key: str, cast, default=None):
     absent); a value ``cast`` rejects is a ConfigError naming the key."""
     try:
         return cast(raw[key] if default is None else raw.get(key, default))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.{key}: invalid value {raw.get(key)!r} ({exc})") from exc
 
 
@@ -405,6 +405,8 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
         raw, "base_box", lambda b: [[float(v) for v in b[k]] for k in ("lo", "hi")],
         {"lo": [0.0], "hi": [1.0]},
     )
+    if not lo or len(lo) != len(hi):
+        raise ConfigError("config.base_box: lo and hi must be nonempty and of one length")
     boxes = {}
     for r in r_grid:
         hi_r = [lo[0] + r * (hi[0] - lo[0])] + hi[1:]
@@ -462,7 +464,7 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     sigma_scale = max(cfg.sigma.sigma0, cfg.sigma.lip)
     big, _ = moment_constants(eps, sigma_scale, sigma_scale, cfg.covariance)
     B = big * g.lip * psi.l2_norm() * math.sqrt(cfg.t)
-    n_ell = _config_value(raw, "ell_points", int, 20)
+    n_ell = _positive_int(raw, "ell_points", 20)
     sd = float(np.std(values))
     ell_grid = np.geomspace(0.25 * sd, 100.0 * B, n_ell)
     rows = tail_check(

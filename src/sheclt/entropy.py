@@ -104,6 +104,17 @@ def covering_number(space, r: float) -> int:
         min_dist = np.minimum(min_dist, space.dist_row(center))
 
 
+def _greedy_packing(space, r: float) -> list[int]:
+    """Index scan keeping each point farther than r from all kept points."""
+    chosen: list[int] = []
+    sep = np.full(space.n_points, np.inf)
+    for i in range(space.n_points):
+        if sep[i] > r:
+            chosen.append(i)
+            sep = np.minimum(sep, space.dist_row(i))
+    return chosen
+
+
 def packing_number(space, r: float) -> int:
     """Greedy index-scan packing count: pairwise distances strictly above r.
 
@@ -111,14 +122,7 @@ def packing_number(space, r: float) -> int:
     """
     if r <= 0.0:
         raise ConfigError("packing_number: r must be positive")
-    n = space.n_points
-    chosen: list[int] = []
-    sep = np.full(n, np.inf)
-    for i in range(n):
-        if sep[i] > r:
-            chosen.append(i)
-            sep = np.minimum(sep, space.dist_row(i))
-    return len(chosen)
+    return len(_greedy_packing(space, r))
 
 
 def covering_number_exact(space: FiniteMetricSpace, r: float) -> int:
@@ -233,17 +237,13 @@ def _covering_breakpoints(space, upper: float) -> np.ndarray:
     return np.concatenate([[0.0], dists, [upper]])
 
 
-def chaining_bound(space, tail: TailFunctional, delta: float) -> float:
-    """32 * int_0^{delta/4} tau(N(r)^2) dr by step integration.
+def _step_integral(space, tail: TailFunctional, upper: float, power: int) -> float:
+    """int_0^upper tau(N(r)^power) dr, exact for the piecewise-constant N.
 
-    N is piecewise constant between sorted pairwise distances, so the
-    integral is an exact finite sum given the covering evaluator (exact N on
-    small spaces, greedy above, which only enlarges the bound).
+    N is constant between sorted pairwise distances, so the integral is a
+    finite sum given the covering evaluator (exact N on small spaces, greedy
+    above, which only enlarges it).
     """
-    diam = space.diameter() if hasattr(space, "diameter") else None
-    if diam is not None and not (0.0 < delta <= diam):
-        raise ConfigError("chaining_bound: need 0 < delta <= diameter")
-    upper = delta / 4.0
     edges = _covering_breakpoints(space, upper)
     exact = isinstance(space, FiniteMetricSpace) and space.n_points <= EXACT_LIMIT
     total = 0.0
@@ -251,8 +251,15 @@ def chaining_bound(space, tail: TailFunctional, delta: float) -> float:
         if b <= a:
             continue
         nb = covering_number_exact(space, b) if exact else covering_number(space, b)
-        total += (b - a) * tail.tau(float(nb) ** 2)
-    return 32.0 * total
+        total += (b - a) * tail.tau(float(nb) ** power)
+    return total
+
+
+def chaining_bound(space, tail: TailFunctional, delta: float) -> float:
+    """32 * int_0^{delta/4} tau(N(r)^2) dr by step integration."""
+    if not 0.0 < delta <= space.diameter():
+        raise ConfigError("chaining_bound: need 0 < delta <= diameter")
+    return 32.0 * _step_integral(space, tail, delta / 4.0, 2)
 
 
 @dataclass
@@ -290,12 +297,7 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     level = 0
     while True:
         eps = 2.0**-level * diam
-        chosen: list[int] = []
-        sep = np.full(n, np.inf)
-        for i in range(n):
-            if sep[i] > eps:
-                chosen.append(i)
-                sep = np.minimum(sep, space.dist_row(i))
+        chosen = _greedy_packing(space, eps)
         nets.append(chosen)
         eps_list.append(eps)
         if len(chosen) == n:
@@ -307,17 +309,8 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     for net in nets:
         sub = space.dist[:, net]
         projections.append(np.asarray(net)[np.argmin(sub, axis=1)])  # lowest index wins ties
-    tail = TailFunctional.gaussian_increments()
-    upper = diam / 4.0
-    edges = _covering_breakpoints(space, upper)
-    exact = space.n_points <= EXACT_LIMIT
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        nb = covering_number_exact(space, b) if exact else covering_number(space, b)
-        total += (b - a) * tail.tau(float(nb))
-    return Chain(nets=nets, projections=projections, eps=eps_list, bound=8.0 * total)
+    bound = 8.0 * _step_integral(space, TailFunctional.gaussian_increments(), diam / 4.0, 1)
+    return Chain(nets=nets, projections=projections, eps=eps_list, bound=bound)
 
 
 # -- function classes with parameter-space samplers --

@@ -7,7 +7,9 @@ Replicas are independent tasks keyed by counter-based streams; chunking and
 process count never change the output bits, and per-N seed domains keep the
 ladder runs independent.  Every replicated solve (experiment, Monte Carlo
 baseline, B_t fields, marginal variance) runs through ``_map_chunks``, which
-solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool.
+solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool of
+at most one worker per block.  At each N one baseline solve serves every
+observable without a closed-form baseline.
 
 Statistics: one-sample Kolmogorov-Smirnov distance against a reference
 normal, empirical characteristic-function gaps with a permutation null
@@ -75,8 +77,10 @@ class ExperimentConfig:
             raise ConfigError("config.n_ladder: must be a strictly increasing list")
         if self.replicas < 1:
             raise ConfigError("config.replicas: must be positive")
-        if self.t < 0.0 or self.dx <= 0.0:
-            raise ConfigError("config: t must be nonnegative and dx positive")
+        if not all(0.0 < N < math.inf for N in self.n_ladder):
+            raise ConfigError("config.n_ladder: every N must be positive and finite")
+        if not (0.0 <= self.t < math.inf and 0.0 < self.dx < math.inf):
+            raise ConfigError("config: t must be finite and nonnegative, dx finite and positive")
         if not self.psi_list or not self.g_list:
             raise ConfigError("config: psi_list and g_list must be nonempty")
         for N in self.n_ladder:
@@ -135,7 +139,7 @@ def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
     chunks = [range(s, min(s + DEFAULT_CHUNK, n_replicas)) for s in starts]
     call = partial(task, *args)
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             return list(pool.map(call, chunks))
     return [call(chunk) for chunk in chunks]
 
@@ -150,25 +154,28 @@ def _solve_chunk(grid, sigma, f, t, seed, domain, observables, replicas):
     return np.stack([np.asarray(obs(fields)).mean(axis=axes) for obs in observables])
 
 
-def estimate_baseline(grid, sigma, f, t, g, n_replicas, seed, domain, workers=1):
-    """Frozen Monte Carlo baseline E g(u(t,0)) from a dedicated, disjoint
-    replica set: the mean of the replicas' grid means of g(u)."""
-    parts = _map_chunks(_solve_chunk, n_replicas, workers, grid, sigma, f, t, seed, domain, (g,))
-    value = float(np.mean(np.concatenate(parts, axis=1)))
-    return BaselineValue(value=value, provenance="mc", n_replicas=n_replicas)
+def estimate_baseline(grid, sigma, f, t, g_list, n_replicas, seed, domain, workers=1):
+    """Frozen Monte Carlo baselines E g(u(t,0)), one for each g in ``g_list``,
+    from one solve of a dedicated, disjoint replica set: the mean of the
+    replicas' grid means of g(u)."""
+    parts = _map_chunks(
+        _solve_chunk, n_replicas, workers, grid, sigma, f, t, seed, domain, tuple(g_list)
+    )
+    return [
+        BaselineValue(value=float(np.mean(means)), provenance="mc", n_replicas=n_replicas)
+        for means in np.concatenate(parts, axis=1)
+    ]
 
 
 def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dict:
-    out = {}
-    for g in config.g_list:
-        base = exact_baseline(g, config.sigma)
-        if base is None:
-            base = estimate_baseline(
-                grid, config.sigma, config.covariance, config.t, g,
-                config.baseline_replicas, config.seed, domain, workers=config.workers,
-            )
-        out[g.label] = base
-    return out
+    """Closed-form baselines where they exist; one Monte Carlo solve for the rest."""
+    exact = [exact_baseline(g, config.sigma) for g in config.g_list]
+    mc = [g for g, base in zip(config.g_list, exact) if base is None]
+    estimates = iter(estimate_baseline(
+        grid, config.sigma, config.covariance, config.t, mc,
+        config.baseline_replicas, config.seed, domain, workers=config.workers,
+    ) if mc else ())
+    return {g.label: base or next(estimates) for g, base in zip(config.g_list, exact)}
 
 
 def _chunk_task(config, N, grid, baselines, replicas):

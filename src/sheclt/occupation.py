@@ -35,6 +35,7 @@ from .solver import PiecewiseLinear, SigmaFunction, SolutionField
 from .spectral import CovarianceMeasure
 
 HALO_FACTOR = 8.0
+MIN_BT_REPLICAS = 100
 
 
 # -- test functions --
@@ -48,6 +49,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ConfigError("box: lo and hi must have equal length")
+        if not all(math.isfinite(v) for v in self.lo + self.hi):
+            raise ConfigError("box: coordinates must be finite")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ConfigError("box: needs lo <= hi componentwise")
 
@@ -74,6 +77,8 @@ class TestFunction:
         terms = [(float(a), Box(tuple(map(float, lo)), tuple(map(float, hi)))) for a, lo, hi in terms]
         if not terms:
             raise ConfigError("test function: needs at least one box")
+        if not all(math.isfinite(a) for a, _ in terms):
+            raise ConfigError("test function: amplitudes must be finite")
         d = terms[0][1].d
         if any(b.d != d for _, b in terms):
             raise ConfigError("test function: boxes must share one dimension")
@@ -181,11 +186,13 @@ class LipFunction:
             self.lip, self.g0 = 1.0, 0.0
         elif kind == "shifted":
             base, a = params
+            if not math.isfinite(a):
+                raise ConfigError("lip.shifted: shift a must be finite")
             self.lip, self.g0 = base.lip, float(base(np.array(-a)))
         elif kind == "scaled":
             base, a, b = params
-            if a <= 0.0:
-                raise ConfigError("lip.scaled: scale a must be positive")
+            if not (0.0 < a < math.inf and math.isfinite(b)):
+                raise ConfigError("lip.scaled: scale a must be positive, both a and b finite")
             self.lip, self.g0 = abs(b) * base.lip / a, b * float(base(np.array(0.0)))
         elif kind == "tabulated":
             self._eval_tab = PiecewiseLinear(*params, "lip.tabulated")
@@ -422,87 +429,6 @@ class BtEstimate:
     n_replicas: int
 
 
-class BtAccumulator:
-    """Streaming estimator of the integrated spatial covariance of g(u(t)).
-
-    Accumulates circular cross-correlations over replica batches; the lag
-    sum is truncated at a physical cutoff and the absolute boundary term is
-    kept as a truncation diagnostic.  g and G may differ (covariance of two
-    observables of the same field); fields at two times can be fed by
-    passing pre-transformed pairs to :meth:`update_pair`.
-    """
-
-    def __init__(self, grid: Grid, g: LipFunction, G: LipFunction, cutoff: float):
-        if cutoff > grid.length / 4.0:
-            raise ConfigError("estimate_Bt: cutoff must not exceed L/4")
-        self.grid = grid
-        self.g, self.G = g, G
-        self.cutoff = cutoff
-        self.cutoff_cells = max(int(round(cutoff / grid.dx)), 1)
-        self._window = self._lag_window()
-        self._window_cells = int(np.sum(self._window))
-        self._sum_cross = np.zeros(grid.shape)
-        self._sum_g = 0.0
-        self._sum_G = 0.0
-        self._per_rep: list[float] = []
-        self.n = 0
-
-    def update(self, fields: np.ndarray) -> None:
-        gu = np.asarray(self.g(fields))
-        self.update_pair(gu, gu if self.G is self.g else np.asarray(self.G(fields)))
-
-    def update_pair(self, gu: np.ndarray, GU: np.ndarray) -> None:
-        """Add a replica batch of g(u) and G(u) fields; pass the same array
-        twice for an autocovariance (one transform instead of two)."""
-        axes = tuple(range(1, gu.ndim))
-        spec = np.fft.rfftn(gu, axes=axes)
-        spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
-        cross = np.fft.irfftn(spec, s=gu.shape[1:], axes=axes) / gu[0].size
-        self._sum_cross += cross.sum(axis=0)
-        self._sum_g += float(gu.mean(axis=axes).sum())
-        self._sum_G += float(GU.mean(axis=axes).sum())
-        lag_sum = cross[:, self._window].sum(axis=1)
-        self._per_rep.extend(
-            (lag_sum - self._window_cells * gu.mean(axes) * GU.mean(axes))
-            * self.grid.cell_volume
-        )
-        self.n += gu.shape[0]
-
-    def _lag_window(self) -> np.ndarray:
-        """Boolean mask of the lags within cutoff_cells along every axis."""
-        c = self.cutoff_cells
-        ax_sel = np.zeros(self.grid.n, dtype=bool)
-        ax_sel[: c + 1] = True
-        ax_sel[self.grid.n - c :] = True
-        sel = ax_sel
-        for _ in range(self.grid.d - 1):
-            sel = np.multiply.outer(sel, ax_sel)
-        return sel
-
-    def finalize(self) -> BtEstimate:
-        if self.n < 2:
-            raise ConfigError("estimate_Bt: need at least 2 replicas")
-        mean_g = self._sum_g / self.n
-        mean_G = self._sum_G / self.n
-        cov = self._sum_cross / self.n - mean_g * mean_G
-        value = float(np.sum(cov[self._window])) * self.grid.cell_volume
-        per = np.asarray(self._per_rep)
-        se = float(np.std(per)) / math.sqrt(self.n)
-        c = self.cutoff_cells
-        boundary = 0.0
-        for lag in (c, self.grid.n - c):
-            boundary += abs(float(cov[(lag,) + (0,) * (self.grid.d - 1)]))
-        boundary *= self.grid.cell_volume
-        if boundary > 0.05 * abs(value) + 3.0 * se:
-            raise CutoffTooSmall(
-                f"boundary covariance {boundary:.3e} exceeds 5% of estimate {value:.3e}"
-            )
-        return BtEstimate(
-            value=value, se=se, cutoff=self.cutoff, cutoff_cells=c,
-            boundary_cov=boundary, n_replicas=self.n,
-        )
-
-
 def default_bt_cutoff(t: float, f: CovarianceMeasure) -> float:
     """Truncation radius: diffusive scale plus the reach of the covariance."""
     reach = {"dirac": 0.0, "uniform": f.param, "gaussian": 4.0 * f.param, "exponential": 6.0 / f.param}
@@ -517,27 +443,53 @@ def estimate_Bt(
     cutoff: float | None = None,
     t: float | None = None,
     f: CovarianceMeasure | None = None,
-    fields_T: np.ndarray | None = None,
-    min_replicas: int = 100,
 ) -> BtEstimate:
-    """Integrated spatial covariance of g(u(t,.)) against G(u(T,.)).
+    """Integrated spatial covariance of g(u(t,.)) against G(u(t,.)).
 
-    ``fields`` is a replica batch at time t; ``fields_T`` (same replicas,
-    one trajectory each) switches on the two-time form.
+    Circular cross-correlations of the replica batch are summed over the lags
+    within a physical cutoff along every axis; the absolute covariance at the
+    cutoff lag is kept as a truncation diagnostic.  G defaults to g, which
+    takes one transform instead of two.
     """
-    G = G or g
-    if fields.shape[0] < min_replicas:
-        raise ConfigError(f"estimate_Bt: need at least {min_replicas} replicas")
+    n = fields.shape[0]
+    if n < MIN_BT_REPLICAS:
+        raise ConfigError(f"estimate_Bt: need at least {MIN_BT_REPLICAS} replicas")
     if cutoff is None:
         if t is None or f is None:
             raise ConfigError("estimate_Bt: pass cutoff or (t, f) for the default")
         cutoff = min(default_bt_cutoff(t, f), grid.length / 4.0)
-    acc = BtAccumulator(grid, g, G, cutoff)
-    if fields_T is None:
-        acc.update(fields)
-    else:
-        acc.update_pair(np.asarray(g(fields)), np.asarray(G(fields_T)))
-    return acc.finalize()
+    if cutoff > grid.length / 4.0:
+        raise ConfigError("estimate_Bt: cutoff must not exceed L/4")
+    c = max(int(round(cutoff / grid.dx)), 1)
+    ax_sel = np.zeros(grid.n, dtype=bool)  # lags within c cells along one axis
+    ax_sel[: c + 1] = True
+    ax_sel[grid.n - c :] = True
+    window = ax_sel
+    for _ in range(grid.d - 1):
+        window = np.multiply.outer(window, ax_sel)
+    gu = np.asarray(g(fields))
+    GU = gu if G is None or G is g else np.asarray(G(fields))
+    axes = tuple(range(1, gu.ndim))
+    spec = np.fft.rfftn(gu, axes=axes)
+    spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
+    cross = np.fft.irfftn(spec, s=gu.shape[1:], axes=axes) / gu[0].size
+    mean_g, mean_G = gu.mean(axis=axes), GU.mean(axis=axes)
+    window_cells = int(np.sum(window))
+    per_rep = (cross[:, window].sum(axis=1) - window_cells * mean_g * mean_G) * grid.cell_volume
+    cov = cross.sum(axis=0) / n - (float(mean_g.sum()) / n) * (float(mean_G.sum()) / n)
+    value = float(np.sum(cov[window])) * grid.cell_volume
+    se = float(np.std(per_rep)) / math.sqrt(n)
+    boundary = 0.0
+    for lag in (c, grid.n - c):
+        boundary += abs(float(cov[(lag,) + (0,) * (grid.d - 1)]))
+    boundary *= grid.cell_volume
+    if boundary > 0.05 * abs(value) + 3.0 * se:
+        raise CutoffTooSmall(
+            f"boundary covariance {boundary:.3e} exceeds 5% of estimate {value:.3e}"
+        )
+    return BtEstimate(
+        value=value, se=se, cutoff=cutoff, cutoff_cells=c, boundary_cov=boundary, n_replicas=n
+    )
 
 
 @dataclass

@@ -36,6 +36,8 @@ class PiecewiseLinear:
             raise ConfigError(f"{what}: xs and ys must be flat lists of one length")
         if self.xs.size < 2 or np.any(np.diff(self.xs) <= 0):
             raise ConfigError(f"{what}: knots must be strictly increasing")
+        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+            raise ConfigError(f"{what}: knots and values must be finite")
         self.slopes = np.diff(self.ys) / np.diff(self.xs)
         self.lip = float(np.max(np.abs(self.slopes)))
 
@@ -60,6 +62,8 @@ class SigmaFunction:
     def __init__(self, kind, params, allow_degenerate=False):
         self.kind = kind
         self.params = params
+        if kind in ("constant", "linear", "affine") and not all(map(math.isfinite, params)):
+            raise ConfigError(f"sigma.params: {kind} parameters must be finite")
         if kind == "constant":
             (c,) = params
             self.sigma0, self.lip, self.sigma1 = abs(c), 0.0, c

@@ -67,8 +67,8 @@ class CovarianceMeasure:
             raise ConfigError("covariance.dimension: must be 1, 2, or 3")
         if not (0.0 < self.mass < math.inf):
             raise ConfigError("covariance.mass: total mass must be in (0, inf)")
-        if self.kind != "dirac" and self.param <= 0.0:
-            raise ConfigError("covariance.param: shape parameter must be positive")
+        if self.kind != "dirac" and not (0.0 < self.param < math.inf):
+            raise ConfigError("covariance.param: shape parameter must be positive and finite")
 
     # -- Fourier transform, convention f_hat(z) = int exp(i x.z) f(dx) --
 
@@ -167,7 +167,7 @@ class CovarianceMeasure:
             dim = int(record.get("dimension", 1))
             mass = float(record.get("mass", 1.0))
             param = float(record.get("params", {}).get("param", 1.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"covariance: malformed record ({exc})") from exc
         return cls(kind=kind, dimension=dim, mass=mass, param=param)
 

@@ -1,13 +1,18 @@
 """CLI dispatch, output formats, manifests, and byte reproducibility."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheclt.cli import dispatch
 from sheclt.io import load_array, save_array, write_csv
+
+NAN, INF = float("nan"), float("inf")
 
 
 def read_rows(path):
@@ -151,7 +156,7 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", "/nope.json"]) == 2
 
     def test_malformed_sigma_flag_is_usage_error(self, tmp_path):
-        for sigma in ("constant", "affine:1", "affine:1,abc"):
+        for sigma in ("constant", "affine:1", "affine:1,abc", "constant:nan", "affine:1,inf"):
             assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
                              "--sigma", sigma, "--replicas", "2"]) == 2
 
@@ -212,11 +217,36 @@ class TestDispatch:
         ({"baseline_replicas": "q"}, "config.baseline_replicas"),
         ({"g": [{"kind": "tabulated", "xs": [0.0, 1.0]}]}, "g.ys"),
         ({"g": [{"kind": "tabulated", "xs": [0.0, 1.0], "ys": [0.0, 1.0, 5.0]}]}, "lip.tabulated"),
+        ({"g": [{"kind": "tabulated", "xs": [0.0, INF], "ys": [0.0, 1.0]}]}, "lip.tabulated"),
+        ({"g": [{"kind": "scaled", "base": {"kind": "sin"}, "a": 1.0, "b": INF}]}, "lip.scaled"),
+        ({"g": [{"kind": "shifted", "base": {"kind": "sin"}, "a": NAN}]}, "lip.shifted"),
+        ({"covariance": {"kind": "gaussian", "params": {"param": NAN}}}, "covariance.param"),
+        ({"covariance": {"kind": "dirac", "dimension": INF}}, "covariance"),
     ])
     def test_bad_clt_config_value_is_usage_error(self, tmp_path, capsys, override, key):
         cfg = tiny_clt_config(tmp_path, **override)
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, override", [
+        ("clt", {"t": "inf"}),
+        ("clt", {"t": NAN}),
+        ("clt", {"n_ladder": [NAN]}),
+        ("clt", {"n_ladder": [INF]}),
+        ("clt", {"dx": "inf"}),
+        ("tails", {"dx": "inf"}),
+        ("clt", {"psi": [{"boxes": [{"amp": 1.0, "lo": [NAN], "hi": [1.0]}]}]}),
+        ("tails", {"psi": [{"boxes": [{"amp": 1.0, "lo": [0.0], "hi": [INF]}]}]}),
+        ("clt", {"psi": [{"boxes": [{"amp": INF, "lo": [0.0], "hi": [1.0]}]}]}),
+        ("tails", {"ell_points": -1}),
+        ("tails", {"ell_points": 0}),
+        ("fdd", {"base_box": {"lo": [], "hi": []}}),
+    ])
+    def test_out_of_range_config_number_is_usage_error(self, tmp_path, capsys, cmd, override):
+        cfg = tiny_clt_config(tmp_path, replicas=60, **override)
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "--workers", "1",
+                         cmd, "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
         cfg = tiny_clt_config(tmp_path, replicas=150)
@@ -303,3 +333,62 @@ class TestStatisticalSubcommands:
         assert dispatch(["--out-dir", str(out3), "--seed", "7", "tails", "--config", str(cfg3)]) == 0
         summary = json.loads(out_files(out3, "tails-summary", ".json")[0].read_text())
         assert summary["flags"]["no_violations"]
+
+
+# Malformed values only: letters cannot spell a number other than nan/inf,
+# and every number drawn is non-finite, zero or a small negative, so no draw
+# asks for a large grid, replica count or time.
+_WORD = st.sampled_from([
+    "dirac", "gaussian", "uniform", "exponential", "constant", "linear", "affine",
+    "identity", "sin", "shifted", "scaled", "tabulated",
+]) | st.text(alphabet="abcdefghijklmnopqrstuvwxyz_:,", max_size=8)
+_ATOM = st.one_of(
+    st.none(), _WORD, st.sampled_from([NAN, INF, -INF, 0, 0.0]),
+    st.integers(-5, -1), st.floats(-5.0, -1e-3),
+)
+_RECORD_KEY = st.one_of(st.sampled_from([
+    "kind", "params", "param", "dimension", "mass", "boxes", "amp", "lo", "hi",
+    "label", "xs", "ys", "base", "a", "b",
+]), _WORD)
+_MALFORMED = st.recursive(
+    _ATOM,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_RECORD_KEY, inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_KEYS = ["covariance", "sigma", "g", "psi", "t", "n_ladder", "dx", "replicas",
+                "baseline_replicas", "bt_replicas", "variance_tolerance", "covariance_tolerance",
+                "n_perm", "r_grid", "base_box", "tail_eps", "tail_delta", "ell_points"]
+_SIGMA_FLAG = st.one_of(
+    st.text(max_size=16),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["constant", "linear", "affine", "tabulated", "cubic", ""]),
+        st.lists(st.sampled_from(["1", "0", "-1", "0.5", "nan", "inf", "-inf", "x", ""]),
+                 max_size=3).map(",".join),
+    ),
+)
+
+
+class TestInputContract:
+    """Any malformed config value or --sigma string exits 0, 1 or 2; no
+    exception escapes ``dispatch``."""
+
+    @pytest.mark.parametrize("cmd", ["clt", "tails", "fdd"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(key=st.sampled_from(_CONFIG_KEYS), value=_MALFORMED)
+    def test_mutated_config_exits_cleanly(self, cmd, key, value):
+        overrides = {"n_ladder": [2], "dx": 0.25, "t": 0.0625, "replicas": 60, key: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = tiny_clt_config(Path(tmp), **overrides)
+            code = dispatch(["--out-dir", str(Path(tmp) / "o"), "--workers", "1",
+                             cmd, "--config", str(cfg)])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(flag=_SIGMA_FLAG)
+    def test_sigma_flag_exits_cleanly(self, flag):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = dispatch(["--out-dir", tmp, "--workers", "1", "solve", "--kind", "dirac",
+                             "--sigma", flag, "--L", "2", "--dx", "0.25", "--t", "0.0625",
+                             "--replicas", "2"])
+        assert code in (0, 1, 2)

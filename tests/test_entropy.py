@@ -144,19 +144,24 @@ class TestChainingBound:
         assert chain.bound == 0.0
 
     def test_step_integration_matches_adaptive_quadrature(self):
-        # same covering function, independent integrators
+        # same covering function, independent integrators; the theorem bound
+        # integrates tau(N^2), the chain's one-sided bound tau(N)
         sp = line_space(8)
         tail = TailFunctional.gaussian_increments()
         delta = sp.diameter()
-        got = chaining_bound(sp, tail, delta)
-        ref, _ = integrate.quad(
-            lambda r: tail.tau(float(covering_number_exact(sp, r)) ** 2),
-            0.0,
-            delta / 4.0,
-            points=list(np.unique(sp.dist)[1:]),
-            limit=400,
-        )
-        assert got == pytest.approx(32.0 * ref, rel=1e-8)
+
+        def quad(power):
+            ref, _ = integrate.quad(
+                lambda r: tail.tau(float(covering_number_exact(sp, r)) ** power),
+                0.0,
+                delta / 4.0,
+                points=list(np.unique(sp.dist)[1:]),
+                limit=400,
+            )
+            return ref
+
+        assert chaining_bound(sp, tail, delta) == pytest.approx(32.0 * quad(2), rel=1e-8)
+        assert chain_construct(sp).bound == pytest.approx(8.0 * quad(1), rel=1e-8)
 
     def test_lemma_bound_below_theorem_bound(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtri
 
+from sheclt import montecarlo
 from sheclt.errors import ConfigError, DegenerateVariance
 from sheclt.montecarlo import (
     DEFAULT_CHUNK,
@@ -132,6 +133,28 @@ class TestChunkedSolves:
         with pytest.raises(ConfigError):
             _map_chunks(lambda *a: None, 0, 1)
 
+    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        for workers, n in ((8, 130), (2, 130), (8, 64)):
+            lengths = _map_chunks(lambda replicas: len(replicas), n, workers)
+            assert sum(lengths) == n
+        assert sizes == [3, 2]  # one chunk runs in this process, no pool
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_field_run_matches_one_solve_batch(self, case):
         f, grid = self.CASES[case]
@@ -144,8 +167,8 @@ class TestChunkedSolves:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_baseline_worker_invariant(self, case):
         f, grid = self.CASES[case]
-        serial, pooled = (
-            estimate_baseline(grid, self.AFFINE, f, 0.25, LipFunction.sin(), self.REPLICAS,
+        (serial,), (pooled,) = (
+            estimate_baseline(grid, self.AFFINE, f, 0.25, [LipFunction.sin()], self.REPLICAS,
                               5, 10_000, workers=workers)
             for workers in (1, 2)
         )
@@ -155,6 +178,25 @@ class TestChunkedSolves:
         fields, _ = solve_batch(grid, self.AFFINE, f, 0.25, 5, range(self.REPLICAS), domain=10_000)
         axes = tuple(range(1, fields.ndim))
         assert serial.value == float(np.mean(np.sin(fields).mean(axis=axes)))
+
+    def test_one_baseline_solve_serves_every_observable(self, monkeypatch):
+        calls = []
+
+        def counting(grid, sigma, f, t, seed, replicas, **kw):
+            calls.append((kw.get("domain"), list(replicas)))
+            return solve_batch(grid, sigma, f, t, seed, replicas, **kw)
+
+        monkeypatch.setattr(montecarlo, "solve_batch", counting)
+        g_list = [LipFunction.sin(), LipFunction.tabulated([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0]),
+                  LipFunction.identity()]
+        result = run_experiment(tiny_config(sigma=self.AFFINE, g_list=g_list, replicas=70,
+                                            baseline_replicas=self.REPLICAS))
+        baseline = [r for domain, r in calls if domain == montecarlo.BASELINE_DOMAIN_OFFSET]
+        assert [len(r) for r in baseline] == [DEFAULT_CHUNK, DEFAULT_CHUNK, 3]
+        assert [i for r in baseline for i in r] == list(range(self.REPLICAS))
+        psi = result.config.psi_list[0]
+        provenance = [result.get(4.0, psi, g).baseline.provenance for g in g_list]
+        assert provenance == ["mc", "mc", "exact-mean-one"]
 
     def test_experiment_with_mc_baseline_worker_invariant(self):
         runs = [

@@ -13,7 +13,6 @@ from sheclt.errors import (
 )
 from sheclt.noise import Grid
 from sheclt.occupation import (
-    BtAccumulator,
     LipFunction,
     PreparedTestFunction,
     TestFunction,
@@ -318,18 +317,6 @@ class TestBtEstimate:
         twice = estimate_Bt(fields, grid, g, LipFunction.sin(), cutoff=cutoff)
         assert (auto.value, auto.se) == (twice.value, twice.se)
 
-    @pytest.mark.slow
-    def test_streaming_accumulator_matches_batch(self):
-        grid = grid_1d(dx=1.0 / 8.0, L=16.0)
-        fields, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 0.5, 45, range(200))
-        g = LipFunction.identity()
-        acc = BtAccumulator(grid, g, g, cutoff=3.0)
-        acc.update(fields[:80])
-        acc.update(fields[80:])
-        stream = acc.finalize()
-        direct = estimate_Bt(fields, grid, g, cutoff=3.0)
-        assert stream.value == pytest.approx(direct.value, rel=1e-10)
-
 
 class TestNondegeneracy:
     def test_inapplicable_sigma(self):
@@ -369,10 +356,10 @@ class TestBaseline:
 
     def test_estimated_baseline_deterministic(self):
         grid = grid_1d(L=8.0)
-        b1 = estimate_baseline(grid, SigmaFunction.linear(1.0), WHITE, 0.25,
-                               LipFunction.sin(), 32, seed=5, domain=9)
-        b2 = estimate_baseline(grid, SigmaFunction.linear(1.0), WHITE, 0.25,
-                               LipFunction.sin(), 32, seed=5, domain=9)
+        (b1,) = estimate_baseline(grid, SigmaFunction.linear(1.0), WHITE, 0.25,
+                                  [LipFunction.sin()], 32, seed=5, domain=9)
+        (b2,) = estimate_baseline(grid, SigmaFunction.linear(1.0), WHITE, 0.25,
+                                  [LipFunction.sin()], 32, seed=5, domain=9)
         assert b1.value == b2.value
         assert b1.provenance == "mc" and b1.n_replicas == 32
 
