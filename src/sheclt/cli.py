@@ -80,6 +80,13 @@ def _positive_int(raw: dict, key: str, default: int) -> int:
     return value
 
 
+def _positive_float(raw: dict, key: str, default: float) -> float:
+    value = _config_value(raw, key, float, default)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"config.{key}: must be positive and finite, got {value}")
+    return value
+
+
 def _cells_per_axis(length: float, dx: float) -> int:
     if not dx > 0.0:
         raise ConfigError(f"--dx: cell width must be positive, got {dx}")
@@ -295,12 +302,12 @@ def cmd_solve(args, out_dir: Path, seed: int) -> int:
 def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
+    var_tol = _positive_float(raw, "variance_tolerance", 0.10)
+    cov_tol = _positive_float(raw, "covariance_tolerance", 0.15)
     manifest = RunManifest("clt", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
     bts = _reference_bt(raw, cfg, cfg.g_list)
     b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
-    var_tol = _config_value(raw, "variance_tolerance", float, 0.10)
-    cov_tol = _config_value(raw, "covariance_tolerance", float, 0.15)
     flags = {}
     rows = []
     sample_rows = []
@@ -401,6 +408,9 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
     n_perm = _positive_int(raw, "n_perm", 200)
     r_grid = _config_value(raw, "r_grid", lambda rs: [float(r) for r in rs], [0.25, 0.5, 1.0])
+    if not all(0.0 < r < math.inf for r in r_grid):
+        raise ConfigError(f"config.r_grid: entries must be positive and finite, got {r_grid}")
+    tol = _positive_float(raw, "covariance_tolerance", 0.15)
     lo, hi = _config_value(
         raw, "base_box", lambda b: [[float(v) for v in b[k]] for k in ("lo", "hi")],
         {"lo": [0.0], "hi": [1.0]},
@@ -439,7 +449,6 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
         for j, s in enumerate(rep.r_grid):
             rows.append((r, s, rep.cov_emp[i, j], rep.cov_pred[i, j]))
     _csv(out_dir, manifest, "fdd-cov", ("r", "r_prime", "cov_emp", "cov_pred"), rows)
-    tol = _config_value(raw, "covariance_tolerance", float, 0.15)
     flags = {
         "cov_matrix_ok": rep.max_rel_dev <= tol,
         "increments_independent": rep.increments.passed,
@@ -493,6 +502,8 @@ def cmd_entropy(args, out_dir: Path, seed: int) -> int:
     params = {"check": args.check, "cls": args.cls, "r_grid": args.r_grid,
               "spaces": args.spaces, "points": args.points}
     manifest = RunManifest("entropy", params, seed)
+    if args.check in ("sandwich", "chain") and (args.spaces < 1 or args.points < 2):
+        raise ConfigError(f"entropy --check {args.check}: need --spaces >= 1 and --points >= 2")
     rng = np.random.default_rng(seed)
     flags = {}
     if args.check == "sandwich":

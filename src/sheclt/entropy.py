@@ -9,6 +9,8 @@ which holds exactly and is brute-force checkable on small spaces.  The
 greedy evaluators (farthest-point covering, index-scan packing) are cheap
 certified bounds: greedy covering >= true minimum, greedy packing is a
 valid packing.  Brute force takes over below ``EXACT_LIMIT`` points.
+The farthest-point centers do not depend on the radius, so one traversal
+gives the greedy covering count at every radius a caller needs.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
@@ -80,7 +82,14 @@ class FiniteMetricSpace:
         return cls(dist=np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
-def covering_number(space, r: float) -> int:
+def _radii(r, who: str) -> np.ndarray:
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1 or radii.size == 0 or not np.all((radii > 0.0) & (radii < np.inf)):
+        raise ConfigError(f"{who}: radii must be finite and positive")
+    return radii
+
+
+def covering_number(space, r):
     """Greedy farthest-point covering count with open balls of radius r.
 
     An upper bound on the true minimum; exact when r exceeds the diameter or
@@ -88,20 +97,22 @@ def covering_number(space, r: float) -> int:
     the uncovered point farthest from the chosen centers, lowest index on
     ties (the empty center set leaves every point at infinite distance, so
     the first center is point 0).
+
+    That center is the global farthest point (while any point is uncovered,
+    the largest distance to the centers is >= r), so the centers do not
+    depend on r and N(r) is the first k whose covering radius is below r.  A
+    scalar r gives an int; a 1-d sequence gives the counts in input order
+    from one traversal, run down to the smallest radius.
     """
-    if r <= 0.0:
-        raise ConfigError("covering_number: r must be positive")
-    n = space.n_points
-    min_dist = np.full(n, np.inf)
-    count = 0
-    while True:
-        uncovered = min_dist >= r
-        if not np.any(uncovered):
-            return count
-        masked = np.where(uncovered, min_dist, -np.inf)
-        center = int(np.argmax(masked))  # argmax takes the lowest index on ties
-        count += 1
-        min_dist = np.minimum(min_dist, space.dist_row(center))
+    radii = _radii(r, "covering_number")
+    min_dist = np.full(space.n_points, np.inf)
+    reach = [np.max(min_dist, initial=-np.inf)]  # covering radius after k centers
+    while reach[-1] >= radii.min():
+        center = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
+        np.minimum(min_dist, space.dist_row(center), out=min_dist)
+        reach.append(np.max(min_dist))
+    counts = np.searchsorted(-np.asarray(reach), -radii, side="right")
+    return int(counts) if np.ndim(r) == 0 else counts.tolist()
 
 
 def _greedy_packing(space, r: float) -> list[int]:
@@ -182,7 +193,7 @@ def sandwich_check(space: FiniteMetricSpace, r: float) -> SandwichResult:
             covering_number_exact(space, r / 2),
         )
     else:
-        n2, p, nh = covering_number(space, 2 * r), packing_number(space, r), covering_number(space, r / 2)
+        (n2, nh), p = covering_number(space, [2 * r, r / 2]), packing_number(space, r)
     return SandwichResult(n_2r=n2, p_r=p, n_half_r=nh, holds=n2 <= p <= nh, exact=exact)
 
 
@@ -242,15 +253,15 @@ def _step_integral(space, tail: TailFunctional, upper: float, power: int) -> flo
 
     N is constant between sorted pairwise distances, so the integral is a
     finite sum given the covering evaluator (exact N on small spaces, greedy
-    above, which only enlarges it).
+    above, which only enlarges it, with every breakpoint from one traversal).
     """
     edges = _covering_breakpoints(space, upper)
-    exact = isinstance(space, FiniteMetricSpace) and space.n_points <= EXACT_LIMIT
+    if isinstance(space, FiniteMetricSpace) and space.n_points <= EXACT_LIMIT:
+        counts = [covering_number_exact(space, b) for b in edges[1:]]
+    else:
+        counts = covering_number(space, edges[1:])
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        nb = covering_number_exact(space, b) if exact else covering_number(space, b)
+    for a, b, nb in zip(edges[:-1], edges[1:], counts):
         total += (b - a) * tail.tau(float(nb) ** power)
     return total
 
@@ -424,12 +435,20 @@ class ScaleClass:
         Q, B = Q.ravel(), B.ravel()
         u = np.geomspace(0.08, 8.0 * self.m, self.n_u)
         u = np.concatenate([-u[::-1], u])
-        v = u[None, :] * Q[:, None]
-        slopes = (B * Q)[:, None] * (v / np.sqrt(1.0 + v * v))
-        table = np.concatenate([slopes, (B * Q)[:, None]], axis=1)
+        v = u[:, None] * Q[None, :]
+        slopes = (B * Q)[None, :] * (v / np.sqrt(1.0 + v * v))
+        table = np.concatenate([slopes, (B * Q)[None, :]])  # one contiguous row per u-column
+        diff = np.empty(Q.size)
 
         def row(i):
-            return np.abs(B - B[i]) + np.max(np.abs(table - table[i]), axis=1)
+            # running max over the u-columns: exact in any order, and no
+            # (points x columns) temporary per row
+            sup = np.abs(table[0] - table[0, i])
+            for col in table[1:]:
+                np.abs(np.subtract(col, col[i], out=diff), out=diff)
+                np.maximum(sup, diff, out=sup)
+            sup += np.abs(B - B[i])
+            return sup
 
         probes = [0, len(Q) - 1, len(Q) // 2]
         diam = max(float(np.max(row(p))) for p in probes)
@@ -491,9 +510,9 @@ class ExponentFit:
 
 def covering_exponent(cls, r_grid, metric_resolution=None) -> ExponentFit:
     """Log-log least-squares slope of greedy covering numbers over r_grid."""
-    r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    if np.any(r_grid <= 0.0):
-        raise ConfigError("covering_exponent: radii must be positive")
+    r_grid = np.sort(_radii(r_grid, "covering_exponent"))
+    if np.unique(r_grid).size < 2:
+        raise ConfigError("covering_exponent: need at least two distinct radii for a slope")
     if metric_resolution is None:
         metric_resolution = float(r_grid[0]) / 4.0
     if metric_resolution > r_grid[0] / 4.0:
@@ -501,7 +520,7 @@ def covering_exponent(cls, r_grid, metric_resolution=None) -> ExponentFit:
             f"sampler resolution {metric_resolution:g} exceeds min(r)/4 = {r_grid[0] / 4.0:g}"
         )
     cloud = cls.sample(metric_resolution)
-    counts = np.array([covering_number(cloud, r) for r in r_grid], dtype=float)
+    counts = np.array(covering_number(cloud, r_grid), dtype=float)
     slope, intercept = np.polyfit(np.log(r_grid), np.log(counts), 1)
     return ExponentFit(slope=float(slope), intercept=float(intercept), radii=r_grid, counts=counts)
 

@@ -241,6 +241,13 @@ class TestDispatch:
         ("tails", {"ell_points": -1}),
         ("tails", {"ell_points": 0}),
         ("fdd", {"base_box": {"lo": [], "hi": []}}),
+        ("clt", {"variance_tolerance": NAN}),
+        ("clt", {"variance_tolerance": -1.0}),
+        ("clt", {"covariance_tolerance": 0.0}),
+        ("fdd", {"covariance_tolerance": NAN}),
+        ("fdd", {"covariance_tolerance": -0.5}),
+        ("fdd", {"r_grid": [0.0, 1.0]}),
+        ("fdd", {"r_grid": [0.5, NAN]}),
     ])
     def test_out_of_range_config_number_is_usage_error(self, tmp_path, capsys, cmd, override):
         cfg = tiny_clt_config(tmp_path, replicas=60, **override)
@@ -369,9 +376,21 @@ _SIGMA_FLAG = st.one_of(
 )
 
 
+# Entropy flags: non-finite, zero, negative or non-numeric values, and grids
+# with fewer than two distinct radii; never a tiny positive radius, because
+# the sampled class grows like r^-2.
+_BAD_NUMBER = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.25", "x", ""])
+_ENTROPY_FLAG = st.one_of(
+    st.tuples(st.just("--r-grid"),
+              st.lists(_BAD_NUMBER | st.just("0.3"), min_size=1, max_size=3).map(",".join)),
+    st.tuples(st.sampled_from(["--spaces", "--points"]), _BAD_NUMBER),
+    st.tuples(st.just("--class"), _WORD | _BAD_NUMBER),
+)
+
+
 class TestInputContract:
-    """Any malformed config value or --sigma string exits 0, 1 or 2; no
-    exception escapes ``dispatch``."""
+    """Any malformed config value, --sigma string or entropy flag exits 0, 1
+    or 2; no exception escapes ``dispatch``."""
 
     @pytest.mark.parametrize("cmd", ["clt", "tails", "fdd"])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -391,4 +410,14 @@ class TestInputContract:
             code = dispatch(["--out-dir", tmp, "--workers", "1", "solve", "--kind", "dirac",
                              "--sigma", flag, "--L", "2", "--dx", "0.25", "--t", "0.0625",
                              "--replicas", "2"])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(check=st.sampled_from(["sandwich", "chain", "exponent"]), flag=_ENTROPY_FLAG)
+    def test_entropy_flag_exits_cleanly(self, check, flag):
+        args = {"--spaces": "2", "--points": "3", "--class": "shift", "--r-grid": "0.2,0.3"}
+        args[flag[0]] = flag[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            code = dispatch(["--out-dir", tmp, "entropy", "--check", check,
+                             *(part for item in args.items() for part in item)])
         assert code in (0, 1, 2)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from sheclt.cli import dispatch
 from sheclt.entropy import (
+    EXACT_LIMIT,
     BoxClass,
     ConvolutionClass,
     FiniteMetricSpace,
@@ -33,6 +35,52 @@ def line_space(n, spacing=1.0):
 
 def random_space(rng, n, dim=3):
     return FiniteMetricSpace.from_points(rng.normal(size=(n, dim)))
+
+
+def covering_number_reference(space, r):
+    """The per-radius greedy loop: a fresh farthest-point covering for r."""
+    min_dist = np.full(space.n_points, np.inf)
+    count = 0
+    while True:
+        uncovered = min_dist >= r
+        if not np.any(uncovered):
+            return count
+        masked = np.where(uncovered, min_dist, -np.inf)
+        count += 1
+        min_dist = np.minimum(min_dist, space.dist_row(int(np.argmax(masked))))
+
+
+def step_integral_reference(space, tail, upper, power):
+    """int_0^upper tau(N(r)^power) dr with one greedy covering per breakpoint."""
+    dists = np.unique(space.dist)
+    edges = np.concatenate([[0.0], dists[(dists > 0.0) & (dists < upper)], [upper]])
+    return sum((b - a) * tail.tau(float(covering_number_reference(space, b)) ** power)
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def tied_space(rng, n):
+    """Integer points in a small cube: duplicate points and many tied distances."""
+    return FiniteMetricSpace.from_points(rng.integers(0, 3, size=(n, 3)).astype(float))
+
+
+class CountingCloud:
+    """Delegates to a sampled cloud and counts ``dist_row`` calls."""
+
+    def __init__(self, cloud):
+        self.cloud, self.n_points, self.rows = cloud, cloud.n_points, 0
+
+    def dist_row(self, i):
+        self.rows += 1
+        return self.cloud.dist_row(i)
+
+
+class CountingClass:
+    def __init__(self, cls):
+        self.cls, self.cloud = cls, None
+
+    def sample(self, metric_resolution):
+        self.cloud = CountingCloud(self.cls.sample(metric_resolution))
+        return self.cloud
 
 
 class TestMetricSpace:
@@ -80,6 +128,28 @@ class TestCoveringPacking:
             assert covering_number(sp, r) >= covering_number_exact(sp, r)
             assert packing_number(sp, r) <= packing_number_exact(sp, r)
 
+    def test_one_traversal_matches_per_radius_loop(self):
+        rng = np.random.default_rng(11)
+        for k in range(60):
+            n = int(rng.integers(1, 40))
+            sp = tied_space(rng, n) if k % 2 else random_space(rng, n)
+            pos = sp.dist[sp.dist > 0.0]
+            diam = max(sp.diameter(), 1.0)
+            radii = list(rng.uniform(0.02, 1.3, 5) * diam)
+            radii += [1.5 * diam, sp.diameter() + 1e-9, 0.5 * (pos.min() if pos.size else 1.0)]
+            radii += list(pos[:3]) + [radii[0], radii[2]]  # ties with a distance, repeats
+            rng.shuffle(radii)
+            ref = [covering_number_reference(sp, r) for r in radii]
+            assert covering_number(sp, radii) == ref
+            assert [covering_number(sp, r) for r in radii] == ref
+            assert all(type(c) is int for c in covering_number(sp, radii))
+
+    def test_radii_must_be_finite_and_positive(self):
+        sp = line_space(4)
+        for bad in (0.0, -1.0, math.nan, math.inf, [0.5, math.nan], [1.0, -0.5], [], [[1.0]]):
+            with pytest.raises(ConfigError):
+                covering_number(sp, bad)
+
     def test_exact_counts_non_increasing_in_r(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -111,6 +181,18 @@ class TestSandwich:
             sp = random_space(rng, int(rng.integers(2, 11)))
             r = float(rng.uniform(0.05, 1.2) * sp.diameter())
             assert sandwich_check(sp, r).holds
+
+    def test_greedy_branch_matches_per_radius_loop(self):
+        rng = np.random.default_rng(12)
+        for k in range(20):
+            n = int(rng.integers(EXACT_LIMIT + 1, 40))
+            sp = tied_space(rng, n) if k % 2 else random_space(rng, n)
+            r = float(rng.uniform(0.05, 1.2) * sp.diameter())
+            res = sandwich_check(sp, r)
+            assert not res.exact
+            assert (res.n_2r, res.p_r, res.n_half_r) == (
+                covering_number_reference(sp, 2 * r), packing_number(sp, r),
+                covering_number_reference(sp, r / 2))
 
 
 class TestTailFunctional:
@@ -162,6 +244,18 @@ class TestChainingBound:
 
         assert chaining_bound(sp, tail, delta) == pytest.approx(32.0 * quad(2), rel=1e-8)
         assert chain_construct(sp).bound == pytest.approx(8.0 * quad(1), rel=1e-8)
+
+    def test_greedy_step_integral_matches_per_breakpoint_loop(self):
+        rng = np.random.default_rng(13)
+        tail = TailFunctional.gaussian_increments()
+        for k in range(10):
+            sp = random_space(rng, int(rng.integers(EXACT_LIMIT + 1, 30)))
+            for frac in (1.0, 0.4):
+                delta = frac * sp.diameter()
+                ref = 32.0 * step_integral_reference(sp, tail, delta / 4.0, 2)
+                assert chaining_bound(sp, tail, delta) == ref
+            diam = sp.diameter()
+            assert chain_construct(sp).bound == 8.0 * step_integral_reference(sp, tail, diam / 4.0, 1)
 
     def test_lemma_bound_below_theorem_bound(self):
         rng = np.random.default_rng(5)
@@ -225,6 +319,55 @@ class TestCoveringExponents:
     def test_resolution_guard(self):
         with pytest.raises(ResolutionTooCoarse):
             covering_exponent(ShiftClass(n=1.0), [0.1, 0.2], metric_resolution=0.1)
+
+    @pytest.mark.parametrize("r_grid", [[math.nan, 0.1, 0.2], [0.1, math.inf], [0.1], [0.2, 0.2],
+                                        [0.0, 0.1], [-0.1, 0.2], []])
+    def test_radius_grid_contract(self, r_grid):
+        with pytest.raises(ConfigError):
+            covering_exponent(ShiftClass(n=1.0), r_grid)
+
+    def test_one_row_per_center(self):
+        # the traversal for the smallest radius serves every larger one
+        cls = CountingClass(ShiftClass(n=1.0))
+        fit = covering_exponent(cls, np.geomspace(0.05, 0.3, 7))
+        assert cls.cloud.rows == int(fit.counts.max())
+        assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
+
+    def test_scale_row_matches_broadcast_formula(self):
+        cls = ScaleClass()
+        cloud = cls.sample(0.1)
+        # the sampler's parameter grid and slope table, built row-major
+        lip = max(1.2 * cls.n, 1.0 + cls.m)
+        delta = 0.1 / lip
+        q = np.arange(1.0 / cls.m, cls.m + delta / 2.0, delta)
+        b = np.arange(cls.b_lo, cls.n + delta / 2.0, delta)
+        Q, B = (a.ravel() for a in np.meshgrid(q, b, indexing="ij"))
+        u = np.geomspace(0.08, 8.0 * cls.m, cls.n_u)
+        u = np.concatenate([-u[::-1], u])
+        v = u[None, :] * Q[:, None]
+        table = np.concatenate([(B * Q)[:, None] * (v / np.sqrt(1.0 + v * v)), (B * Q)[:, None]], axis=1)
+        assert cloud.n_points == Q.size
+        for i in (0, 1, Q.size // 3, Q.size - 1):
+            ref = np.abs(B - B[i]) + np.max(np.abs(table - table[i]), axis=1)
+            assert np.array_equal(cloud.dist_row(i), ref)
+
+
+class TestEntropyCommandContract:
+    @pytest.mark.parametrize("flags", [
+        ["--check", "exponent", "--r-grid", "nan,0.1,0.2"],
+        ["--check", "exponent", "--r-grid", "0.1,inf"],
+        ["--check", "exponent", "--r-grid", "0.1"],
+        ["--check", "exponent", "--class", "shift", "--r-grid", "0.2,-0.3"],
+        ["--check", "sandwich", "--points", "1"],
+        ["--check", "sandwich", "--points", "0"],
+        ["--check", "sandwich", "--spaces", "0"],
+        ["--check", "sandwich", "--spaces", "-1"],
+        ["--check", "chain", "--spaces", "0"],
+        ["--check", "chain", "--points", "0"],
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
+        assert dispatch(["--out-dir", str(tmp_path), "entropy", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestConvolutionClass:
