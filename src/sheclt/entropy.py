@@ -303,6 +303,11 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     diam = space.diameter()
     if diam == 0.0 or n == 1:
         return Chain(nets=[[0]], projections=[], eps=[0.0], bound=0.0)
+    # no packing separates two points at distance 0, so no net reaches all n
+    same = np.argwhere(np.triu(space.dist == 0.0, k=1))
+    if same.size:
+        pairs = ", ".join(f"{space.labels[i]!r} = {space.labels[j]!r}" for i, j in same)
+        raise ConfigError(f"chain_construct: coincident points (distance 0): {pairs}")
     nets = []
     eps_list = []
     level = 0

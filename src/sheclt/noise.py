@@ -18,7 +18,8 @@ F_grid(0) = mass / dx^d with no off-cell correlation, i.e. a flat spectrum.
 Randomness is counter-based: every (seed, domain, replica, step) maps to an
 independent Philox key, and each replica is filtered on its own, so any
 execution order, chunking, or process count reproduces bit-identical
-fields.
+fields; the solver draws and filters each step's replicas in cache-sized
+blocks, which never changes output bits.
 """
 
 from __future__ import annotations
@@ -306,6 +307,8 @@ def empirical_noise_covariance(slices: list[NoiseSlice], max_lag: int) -> NoiseC
     """
     if len(slices) < 2:
         raise ConfigError("empirical_noise_covariance: need at least 2 slices")
+    if max_lag < 0:
+        raise ConfigError("empirical_noise_covariance: max_lag must be nonnegative")
     fields = np.stack([s.values for s in slices])
     degenerate = bool(
         all(np.array_equal(slices[0].values, s.values) for s in slices[1:])

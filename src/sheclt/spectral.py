@@ -445,12 +445,17 @@ class MomentBoundParams:
     psi_norm: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k, self.N, self.T, self.sigma0, self.lip_sigma,
+                                       self.lip_g, self.psi_norm))):
+            raise ConfigError("moment bound: parameters must be finite")
         if not (0.0 < self.eps < 1.0):
             raise ConfigError("moment bound: eps must lie in (0, 1)")
         if self.k < 2.0:
             raise ConfigError("moment bound: k must be at least 2")
         if self.N <= 0.0 or self.T <= 0.0:
             raise ConfigError("moment bound: N and T must be positive")
+        if self.psi_norm < 0.0:
+            raise ConfigError("moment bound: psi_norm must be nonnegative")
 
 
 def moment_constants(
@@ -523,8 +528,8 @@ def tail_bound(
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ConfigError("tail_bound: eps and delta must lie in (0, 1)")
-    if ell <= 0.0 or B <= 0.0 or T <= 0.0:
-        raise ConfigError("tail_bound: ell, B, T must be positive")
+    if not all(0.0 < v < math.inf for v in (ell, B, T)):
+        raise ConfigError("tail_bound: ell, B, T must be finite and positive")
     logratio = math.log(ell / B)
     if logratio <= 0.0:
         return 1.0

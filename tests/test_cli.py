@@ -386,11 +386,18 @@ _ENTROPY_FLAG = st.one_of(
     st.tuples(st.sampled_from(["--spaces", "--points"]), _BAD_NUMBER),
     st.tuples(st.just("--class"), _WORD | _BAD_NUMBER),
 )
+# bounds and noise-check flags are parametrized, so every flag gets its own draws
+_BOUNDS_FLAGS = ["--kind", "--d", "--mass", "--param", "--lambda", "--a", "--eps", "--delta",
+                 "--moment-k", "--big-t", "--n-scale", "--sigma0", "--lip-sigma", "--lip-g",
+                 "--psi-norm", "--ell"]
+_NOISE_CHECK_FLAGS = ["--kind", "--d", "--mass", "--param", "--dx", "--length", "--slices",
+                      "--max-lag"]
+_MEASURE_KIND = st.sampled_from(["dirac", "gaussian", "uniform", "exponential"])
 
 
 class TestInputContract:
-    """Any malformed config value, --sigma string or entropy flag exits 0, 1
-    or 2; no exception escapes ``dispatch``."""
+    """Any malformed config value, --sigma string or bounds, noise-check or
+    entropy flag exits 0, 1 or 2; no exception escapes ``dispatch``."""
 
     @pytest.mark.parametrize("cmd", ["clt", "tails", "fdd"])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -401,6 +408,40 @@ class TestInputContract:
             cfg = tiny_clt_config(Path(tmp), **overrides)
             code = dispatch(["--out-dir", str(Path(tmp) / "o"), "--workers", "1",
                              cmd, "--config", str(cfg)])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(key=st.sampled_from(_CONFIG_KEYS), value=_MALFORMED)
+    def test_mutated_independence_config_exits_cleanly(self, key, value):
+        psi = [{"label": f"b{i}", "boxes": [{"amp": 1.0, "lo": [2.0 * i], "hi": [2.0 * i + 1]}]}
+               for i in range(2)]
+        overrides = {"n_ladder": [2], "dx": 0.25, "t": 0.0625, "replicas": 60, "psi": psi,
+                     "n_perm": 5, key: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = tiny_clt_config(Path(tmp), **overrides)
+            code = dispatch(["--out-dir", str(Path(tmp) / "o"), "--workers", "1",
+                             "independence", "--config", str(cfg)])
+        assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("flag", _BOUNDS_FLAGS)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=_MEASURE_KIND, value=_WORD | _BAD_NUMBER)
+    def test_bounds_flag_exits_cleanly(self, flag, kind, value):
+        args = {"--kind": kind, "--lambda": "1.0", "--a": "0.5", "--ell": "1.0", flag: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            code = dispatch(["--out-dir", tmp, "bounds",
+                             *(part for item in args.items() for part in item)])
+        assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("flag", _NOISE_CHECK_FLAGS)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=_MEASURE_KIND, value=_WORD | _BAD_NUMBER)
+    def test_noise_check_flag_exits_cleanly(self, flag, kind, value):
+        args = {"--kind": kind, "--dx": "0.25", "--length": "2", "--slices": "4", "--max-lag": "1",
+                flag: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            code = dispatch(["--out-dir", tmp, "noise-check",
+                             *(part for item in args.items() for part in item)])
         assert code in (0, 1, 2)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
