@@ -24,6 +24,7 @@ blocks, which never changes output bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,12 +110,15 @@ class RngStream:
     domain: int = 0
     replica: int = 0
 
+    @functools.cached_property
+    def _k0(self) -> int:
+        # the key word that depends on (seed, domain) only: once per stream
+        return _splitmix64((self.seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64(self.domain))
+
     def philox_key(self, step: int) -> list[int]:
         if not (0 <= self.replica < 2**32 and 0 <= step < 2**32):
             raise ConfigError("rng: replica and step indices must fit in 32 bits")
-        k0 = _splitmix64((self.seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64(self.domain))
-        k1 = (self.replica << 32) | step
-        return [k0, k1]
+        return [self._k0, (self.replica << 32) | step]
 
     def generator(self, step: int) -> np.random.Generator:
         # uint64 explicitly: a list of Python ints above 2**63 becomes float64
@@ -241,19 +245,22 @@ class _KeyedPhilox:
     def __init__(self):
         self._bg = np.random.Philox(key=[0, 0])
         self.generator = np.random.Generator(self._bg)
-
-    def rekey(self, key) -> np.random.Generator:
-        self._bg.state = {
+        # one fresh-generator state, built once; rekey writes only its key
+        # (the state setter copies the values, so the zero counter and
+        # empty buffer stay as they are)
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.asarray(key, dtype=np.uint64),
-            },
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def rekey(self, key) -> np.random.Generator:
+        self._key[0], self._key[1] = key
+        self._bg.state = self._state
         return self.generator
 
 

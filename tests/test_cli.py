@@ -86,6 +86,19 @@ class TestDispatch:
         record = json.loads(manifests[0].read_text())
         assert record["outputs"] and record["version"]
 
+    def test_bounds_uniform_d2_is_warning_free(self, tmp_path):
+        # the uniform kind's smoothed covariance no longer loses digits at
+        # large s, so the time-domain quadrature behind upsilon stays quiet
+        import warnings
+
+        from scipy.integrate import IntegrationWarning
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            code = dispatch(["--out-dir", str(tmp_path / "out"), "bounds", "--kind", "uniform",
+                             "--d", "2", "--a", "2.0"])
+        assert code == 0
+
     def test_noise_check_smoke(self, tmp_path):
         out = tmp_path / "out"
         code = dispatch(

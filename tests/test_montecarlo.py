@@ -1,6 +1,7 @@
 """Experiment orchestration and limit-theorem statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,194 @@ class TestEcf:
         assert len(zs) == 16
         flat = {tuple(z) for z in zs}
         assert (1.0, -1.0) in flat and (-2.0, 2.0) in flat
+
+
+def independence_rhs_nested(f, t, psi, phi, N):
+    """The nested-quadrature route to independence_rhs: adaptive quadrature
+    in eta of the smoothed covariance times the box cross-correlation, per
+    axis, inside adaptive quadrature in w = sqrt(s).
+
+    The eta pieces are cut at the trapezoid's knots and, inside them, at the
+    kernel's centre and scale (0, +-sqrt(2s), +-8 sqrt(2s)), with tolerances
+    1e-12 relative and no absolute floor: cut at the knots alone, with
+    QUADPACK's default tolerances, the narrow kernel at N = 32 is missed by
+    up to 4e-4 relative.
+    """
+    if t <= 0.0:
+        return 0.0
+    terms_psi = montecarlo._abs_disjoint_terms(psi)
+    terms_phi = montecarlo._abs_disjoint_terms(phi)
+    d = f.dimension
+
+    def inner(s):
+        scale = math.sqrt(2.0 * s)
+        total = 0.0
+        for a_phi, box_phi in terms_phi:
+            for a_psi, box_psi in terms_psi:
+                prod = a_phi * a_psi
+                for ax in range(d):
+                    p, q = box_phi.lo[ax], box_phi.hi[ax]
+                    r, w = box_psi.lo[ax], box_psi.hi[ax]
+                    lo, hi = N * (p - w), N * (q - r)
+                    if hi <= lo:
+                        prod = 0.0
+                        break
+                    knots = {lo, N * (p - r), N * (q - w), hi}
+                    knots |= {c * scale for c in (0.0, -1.0, 1.0, -8.0, 8.0)
+                              if lo < c * scale < hi}
+                    knots = sorted(knots)
+
+                    def integrand(eta):
+                        ov = max(0.0, min(q, w + eta / N) - max(p, r + eta / N))
+                        return float(f.smoothed_axis(2.0 * s, np.array([eta]))[0]) * ov
+
+                    prod *= sum(
+                        integrate.quad(integrand, a0, b0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                        for a0, b0 in zip(knots[:-1], knots[1:])
+                    )
+                total += prod
+        return f.mass * total
+
+    with warnings.catch_warnings():
+        # far-out eta pieces hold nothing and can report roundoff at 1e-12
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(
+            lambda wv: 2.0 * wv * inner(wv * wv), 0.0, math.sqrt(t),
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+    return val
+
+
+def _mp_ramp(f, v, a):
+    """E[(X - a)^+] in mpmath for X ~ smoothed_axis(v, .), a >= 0."""
+    import mpmath as mp
+
+    def gauss(c, var, k=1):  # E[(G - c)^{+k}], G ~ N(0, var)
+        sd = mp.sqrt(var)
+        z = c / sd
+        if k == 1:
+            return sd * mp.npdf(z) - c * mp.ncdf(-z)
+        return sd**3 * ((z * z + 2) * mp.npdf(z) - z * (z * z + 3) * mp.ncdf(-z))
+
+    if f.kind == "dirac":
+        return gauss(a, v)
+    if f.kind == "gaussian":
+        return gauss(a, v + mp.mpf(f.param) ** 2)
+    if f.kind == "exponential":
+        r = mp.mpf(f.param)
+
+        def half(y):
+            return mp.exp(r * r * v / 2 - r * y) * mp.ncdf((y - r * v) / mp.sqrt(v))
+
+        return gauss(a, v) + (half(a) + half(-a)) / (2 * r)
+    h = mp.mpf(f.param)
+    return (gauss(a - h, v, 3) - 2 * gauss(a, v, 3) + gauss(a + h, v, 3)) / (6 * h * h)
+
+
+def independence_rhs_mpmath(f, t, box_psi, box_phi, N):
+    """d = 1, one box each: the ramp identity in 30-digit arithmetic, with the
+    time integral a 20-point Gauss-Legendre rule on 60 pieces in w that halve
+    towards w = sqrt(t), where a far pair's integrand lives."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        p, q = mp.mpf(box_phi[0]), mp.mpf(box_phi[1])
+        r, w = mp.mpf(box_psi[0]), mp.mpf(box_psi[1])
+        N = mp.mpf(N)
+        knots = [abs(N * k) for k in (p - w, p - r, q - w, q - r)]
+        ov0 = max(mp.mpf(0), min(q, w) - max(p, r))
+
+        def inner(s):
+            ramps = [_mp_ramp(f, 2 * s, a) for a in knots]
+            return ov0 + (ramps[0] - ramps[1] - ramps[2] + ramps[3]) / N
+
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        top = mp.sqrt(t)
+        edges = [mp.mpf(0)] + [top * (1 - mp.mpf(2) ** -k) for k in range(1, 61)] + [top]
+        total = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            for x, wt in zip(nodes, weights):
+                wv = mid + half * mp.mpf(float(x))
+                total += half * mp.mpf(float(wt)) * 2 * wv * inner(wv * wv)
+        return f.mass * total
+
+
+RHS_KINDS = [
+    CovarianceMeasure("dirac", 1, 1.0),
+    CovarianceMeasure("gaussian", 1, 1.3, 0.7),
+    CovarianceMeasure("uniform", 1, 0.8, 1.2),
+    CovarianceMeasure("exponential", 1, 1.1, 2.0),
+]
+# (psi, phi) per layout as (amp, lo, hi) boxes on one axis, with the (N, t)
+# pairs it is checked at: every N in {1, 4, 32} and t in {0.25, 1} per kind
+RHS_LAYOUTS = {
+    "overlapping": ([(1.0, 0.0, 1.0)], [(1.0, 0.5, 1.5)], ((1.0, 0.25), (4.0, 1.0), (32.0, 0.25))),
+    "adjacent": ([(1.0, 0.0, 1.0)], [(1.0, 1.0, 2.0)], ((1.0, 1.0), (4.0, 0.25), (32.0, 1.0))),
+    "disjoint": ([(1.0, 0.0, 1.0)], [(1.0, 2.0, 3.0)], ((1.0, 0.25), (4.0, 1.0), (32.0, 0.25))),
+    "signed": ([(1.0, 0.0, 1.0), (-0.5, 1.5, 2.5)], [(1.0, 0.2, 0.9)],
+               ((1.0, 1.0), (4.0, 0.25), (32.0, 1.0))),
+}
+
+
+def _tf(boxes, extra=()):
+    """One-axis boxes, each extended by the fixed ``extra`` (lo, hi) axes."""
+    return TestFunction([(a, (lo, *(e[0] for e in extra)), (hi, *(e[1] for e in extra)))
+                         for a, lo, hi in boxes])
+
+
+class TestIndependenceRhsClosedForm:
+    """The ramp-identity ``independence_rhs`` against independent routes."""
+
+    @pytest.mark.parametrize("layout", sorted(RHS_LAYOUTS))
+    @pytest.mark.parametrize("f", RHS_KINDS, ids=lambda f: f.kind)
+    def test_matches_nested_quadrature_d1(self, f, layout):
+        psi_boxes, phi_boxes, cases = RHS_LAYOUTS[layout]
+        psi, phi = _tf(psi_boxes), _tf(phi_boxes)
+        for N, t in cases:
+            got = independence_rhs(f, t, psi, phi, N)
+            ref = independence_rhs_nested(f, t, psi, phi, N)
+            assert math.isfinite(got) and got >= 0.0
+            if ref >= 1e-12:
+                assert got == pytest.approx(ref, rel=1e-9), (N, t)
+
+    @pytest.mark.parametrize("f", RHS_KINDS, ids=lambda f: f.kind)
+    def test_matches_nested_quadrature_d2(self, f):
+        # axis 1 is overlapping for the first box pair, adjacent for the second
+        f2 = CovarianceMeasure(f.kind, 2, f.mass, f.param)
+        psi = TestFunction([(1.0, (0.0, 0.0), (1.0, 1.0)), (-0.5, (1.5, 1.0), (2.5, 2.0))])
+        phi = _tf([(1.0, 0.5, 1.5)], extra=[(0.5, 1.0)])
+        for N, t in ((1.0, 1.0), (4.0, 0.25)):
+            got = independence_rhs(f2, t, psi, phi, N)
+            ref = independence_rhs_nested(f2, t, psi, phi, N)
+            assert ref >= 1e-12
+            assert got == pytest.approx(ref, rel=1e-9), (N, t)
+
+    @pytest.mark.parametrize(
+        "f, psi_box, N, t",
+        [
+            (RHS_KINDS[0], (2.0, 3.0), 16.0, 1.0),  # the benchmark's box0~box2 at N = 16
+            (RHS_KINDS[0], (4.0, 5.0), 16.0, 1.0),
+            (RHS_KINDS[1], (-4.0, -3.0), 16.0, 1.0),
+            (RHS_KINDS[2], (2.0, 3.0), 32.0, 1.0),
+            (RHS_KINDS[3], (-4.0, -3.0), 16.0, 0.25),
+        ],
+        ids=["dirac-bench", "dirac", "gaussian", "uniform", "exponential"],
+    )
+    def test_far_pairs_match_mpmath(self, f, psi_box, N, t):
+        # values down to 1e-258: no term of the closed form may cancel
+        got = independence_rhs(f, t, TestFunction.box(*psi_box), TestFunction.box(0.0, 1.0), N)
+        ref = float(independence_rhs_mpmath(f, t, psi_box, (0.0, 1.0), N))
+        assert 0.0 < ref < 1e-12
+        assert got >= 0.0
+        assert got == pytest.approx(ref, rel=1e-11)
+
+    def test_nonnegative_on_a_ladder(self):
+        psi, phi = TestFunction.box(0.0, 1.0), TestFunction.box(1.0 + 1e-9, 2.0)
+        for f in RHS_KINDS:
+            for N in (1.0, 8.0, 64.0, 512.0):
+                val = independence_rhs(f, 1.0, psi, phi, N)
+                assert math.isfinite(val) and val >= 0.0
 
 
 class TestIndependenceRhs:

@@ -149,6 +149,56 @@ class TestCovarianceMeasure:
                 )
                 assert f.smoothed_at(s, [x]) == pytest.approx(f.mass * val, rel=1e-8)
 
+    @pytest.mark.parametrize("f", ALL_KINDS_1D + [
+        CovarianceMeasure("gaussian", 1, 1.3, 0.7),
+        CovarianceMeasure("uniform", 1, 0.8, 1.2),
+        CovarianceMeasure("exponential", 1, 1.1, 2.0),
+    ], ids=lambda f: f"{f.kind}-{f.param}")
+    def test_ramp_matches_quadrature(self, f):
+        # R(a) = int (x - a)^+ (p_s * f)(x) dx, the smoothed covariance
+        # integrated directly, cut at a and at the kernel's scale
+        for s in (0.05, 0.5, 2.0):
+            scale = math.sqrt(s + (f.param if f.kind != "dirac" else 0.0) ** 2)
+            for a in (-3.0, -0.4, 0.0, 0.9, 2.5):
+                edges = sorted({a, *(a + c * scale for c in (1.0, 4.0, 16.0)),
+                                *(c * scale for c in (-1.0, 0.0, 1.0, 4.0) if c * scale > a)})
+                val = sum(
+                    _quad(lambda x: (x - a) * float(f.smoothed_axis(s, np.array([x]))[0]), lo, hi)
+                    for lo, hi in zip(edges, [*edges[1:], np.inf])
+                )
+                got = float(f.ramp_axis(s, np.array([a]))[0])
+                assert got == pytest.approx(val, rel=1e-9), (s, a)
+
+    def test_ramp_reflection(self):
+        # the law is symmetric and has mean 0: R(a) - R(-a) = -a
+        a = np.array([-2.0, -0.3, 0.0, 0.6, 1.7])
+        for f in ALL_KINDS_1D:
+            for s in (0.05, 0.8, 1e4):
+                assert np.allclose(f.ramp_axis(s, a) - f.ramp_axis(s, -a), -a,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_uniform_smoothed_axis_matches_mpmath_at_large_s(self):
+        # the triangle smoothing of p_s cancels for s >> h^2 unless summed as
+        # a series there; 60-digit second difference of E[(G - c)^+] as oracle
+        import mpmath as mp
+
+        worst = 0.0
+        with mp.workdps(60):
+            for h in (0.3, 1.0):
+                f = CovarianceMeasure("uniform", 1, 1.0, h)
+                for s in (1e-2, 0.5, 8.0, 1e2, 1e4, 1e6, 1e8):
+                    sd = math.sqrt(s)
+                    for x in (0.0, 0.05 * sd, 0.7 * sd, 2.0 * sd + h):
+                        def ramp(c):
+                            z = c / mp.sqrt(s)
+                            return mp.sqrt(s) * mp.npdf(z) - c * mp.ncdf(-z)
+
+                        xm, hm = mp.mpf(x), mp.mpf(h)
+                        ref = (ramp(xm - hm) - 2 * ramp(xm) + ramp(xm + hm)) / hm**2
+                        got = float(f.smoothed_axis(s, np.array([x]))[0])
+                        worst = max(worst, float(abs(got / ref - 1)))
+        assert worst <= 1e-13
+
     def test_config_roundtrip(self):
         for f in ALL_KINDS_1D + [CovarianceMeasure("gaussian", 3, 2.5, 0.7)]:
             assert CovarianceMeasure.from_config(f.to_config()) == f
@@ -204,6 +254,21 @@ class TestUpsilon:
                 got = upsilon(DalangProfile(f), lam)
                 assert math.isfinite(got)
                 assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10)
+
+    def test_gaussian_d3_matches_mpmath_at_large_lambda(self):
+        # 1 - sqrt(pi) y erfcx(y) cancels to 2 y^2 ulps; its continued
+        # fraction must hold far out (y = s sqrt(lam) up to 4e6)
+        import mpmath as mp
+
+        with mp.workdps(50):
+            for param in ORACLE_PARAMS:
+                f = CovarianceMeasure("gaussian", 3, 1.3, param)
+                for lam in (3.0, 1e2, 1e4, 1e6, 1e8, 1e12):
+                    y = mp.mpf(param) * mp.sqrt(lam)
+                    shape = 1 - mp.sqrt(mp.pi) * y * mp.erfc(y) * mp.exp(y * y)
+                    ref = mp.mpf(1.3) * shape / (mp.pi**1.5 * mp.sqrt(2) * param)
+                    got = upsilon(DalangProfile(f), lam)
+                    assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (param, lam)
 
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(11)
