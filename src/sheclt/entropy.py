@@ -8,9 +8,14 @@ numbers use strict separation.  The two quantities sandwich each other,
 which holds exactly and is brute-force checkable on small spaces.  The
 greedy evaluators (farthest-point covering, index-scan packing) are cheap
 certified bounds: greedy covering >= true minimum, greedy packing is a
-valid packing.  Brute force takes over below ``EXACT_LIMIT`` points.
-The farthest-point centers do not depend on the radius, so one traversal
-gives the greedy covering count at every radius a caller needs.
+valid packing.  Brute force takes over up to ``EXACT_LIMIT`` points: one
+pass over all subsets gives the smallest covering radius and the largest
+separation of each subset size, hence the exact N(r) and P(r) at every
+radius a caller needs.  The farthest-point centers do not depend on the
+radius either, so one traversal gives the greedy covering count at every
+radius; it asks each row only for the entries that can still lower the
+running distance to the centers (the ``below`` contract of
+``covering_number``), which the scale class uses to skip most points.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import integrate
@@ -69,8 +73,8 @@ class FiniteMetricSpace:
     def n_points(self) -> int:
         return self.dist.shape[0]
 
-    def dist_row(self, i: int) -> np.ndarray:
-        return self.dist[i]
+    def dist_row(self, i: int, below=np.inf) -> np.ndarray:
+        return self.dist[i]  # the full row; ``below`` (see covering_number) is not needed
 
     def diameter(self) -> float:
         return float(np.max(self.dist))
@@ -89,6 +93,12 @@ def _radii(r, who: str) -> np.ndarray:
     return radii
 
 
+def _as_given(r, counts):
+    """An int for a scalar radius, a list in input order for a sequence."""
+    counts = np.ravel(counts)
+    return int(counts[0]) if np.ndim(r) == 0 else counts.tolist()
+
+
 def covering_number(space, r):
     """Greedy farthest-point covering count with open balls of radius r.
 
@@ -103,16 +113,20 @@ def covering_number(space, r):
     depend on r and N(r) is the first k whose covering radius is below r.  A
     scalar r gives an int; a 1-d sequence gives the counts in input order
     from one traversal, run down to the smallest radius.
+
+    Each center's row is asked for with ``below`` set to the running
+    distance to the centers: a space may return any value >= ``below``
+    wherever the true distance is >= ``below`` (such entries cannot lower
+    the running minimum), and must be exact elsewhere.
     """
     radii = _radii(r, "covering_number")
     min_dist = np.full(space.n_points, np.inf)
     reach = [np.max(min_dist, initial=-np.inf)]  # covering radius after k centers
     while reach[-1] >= radii.min():
         center = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
-        np.minimum(min_dist, space.dist_row(center), out=min_dist)
+        np.minimum(min_dist, space.dist_row(center, below=min_dist), out=min_dist)
         reach.append(np.max(min_dist))
-    counts = np.searchsorted(-np.asarray(reach), -radii, side="right")
-    return int(counts) if np.ndim(r) == 0 else counts.tolist()
+    return _as_given(r, np.searchsorted(-np.asarray(reach), -radii, side="right"))
 
 
 def _greedy_packing(space, r: float) -> list[int]:
@@ -126,47 +140,69 @@ def _greedy_packing(space, r: float) -> list[int]:
     return chosen
 
 
-def packing_number(space, r: float) -> int:
+def packing_number(space, r):
     """Greedy index-scan packing count: pairwise distances strictly above r.
 
     A valid (inclusion-maximal) packing, hence a lower bound on the maximum.
+    Takes a scalar or a 1-d sequence of radii, as ``covering_number`` does.
     """
-    if r <= 0.0:
-        raise ConfigError("packing_number: r must be positive")
-    return len(_greedy_packing(space, r))
+    radii = _radii(r, "packing_number")
+    return _as_given(r, [len(_greedy_packing(space, x)) for x in radii.ravel()])
 
 
-def covering_number_exact(space: FiniteMetricSpace, r: float) -> int:
-    """Minimum open-ball covering by exhaustive subset search (small spaces)."""
+def _subset_extremes(space: FiniteMetricSpace, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest covering radius and largest separation over k-subsets, k = 0..n.
+
+    One pass over all 2^n subsets S (bit i of S is point i), built from
+    S' = S minus its highest point i:
+
+        near[S, j] = min_{c in S} d(c, j)        (and d(j, c) in the second half)
+        rho(S) = max_j near[S, j]                (covering radius; -inf for no points)
+        mu(S) = min(mu(S'), near[S', i], near[S', n + i])   (min pairwise distance)
+
+    The separation takes each stored distance in both orders, as a pairwise
+    test does, so it stays exact on matrices symmetric only to rounding.
+    """
     n = space.n_points
     if n > EXACT_LIMIT:
-        raise ConfigError(f"covering_number_exact: limited to {EXACT_LIMIT} points")
-    balls = [int(sum(1 << j for j in range(n) if space.dist[i, j] < r)) for i in range(n)]
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
-        for centers in combinations(range(n), k):
-            mask = 0
-            for c in centers:
-                mask |= balls[c]
-            if mask == full:
-                return k
-    return n
+        raise ConfigError(f"{who}: limited to {EXACT_LIMIT} points")
+    rows = np.hstack([space.dist, space.dist.T])
+    near = np.full((1 << n, 2 * n), np.inf)
+    mu = np.full(1 << n, np.inf)
+    for i in range(n):
+        lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
+        np.minimum(near[lo], rows[i], out=near[hi])
+        np.minimum(mu[lo], np.minimum(near[lo, i], near[lo, n + i]), out=mu[hi])
+    rho = np.max(near[:, :n], axis=1, initial=-np.inf)
+    size = np.bitwise_count(np.arange(1 << n))
+    best_rho = np.full(n + 1, np.inf)
+    best_mu = np.full(n + 1, -np.inf)
+    np.minimum.at(best_rho, size, rho)
+    np.maximum.at(best_mu, size, mu)
+    return best_rho, best_mu
 
 
-def packing_number_exact(space: FiniteMetricSpace, r: float) -> int:
-    """Maximum strictly-r-separated subset by exhaustive search (small spaces)."""
-    n = space.n_points
-    if n > EXACT_LIMIT:
-        raise ConfigError(f"packing_number_exact: limited to {EXACT_LIMIT} points")
-    adj = [int(sum(1 << j for j in range(n) if j != i and space.dist[i, j] > r)) for i in range(n)]
-    best = 1
-    for mask in range(1, 1 << n):
-        bits = [i for i in range(n) if mask >> i & 1]
-        if len(bits) <= best:
-            continue
-        if all(all(adj[i] >> j & 1 for j in bits if j != i) for i in bits):
-            best = len(bits)
-    return best
+def covering_number_exact(space: FiniteMetricSpace, r):
+    """Minimum open-ball covering count by exhaustive subset search (small spaces).
+
+    N(r) is the least k whose best k-subset covering radius is below r; the
+    best radius only falls as k grows, so one subset pass answers every
+    radius (scalar or 1-d sequence, as in ``covering_number``).
+    """
+    radii = _radii(r, "covering_number_exact")
+    best_rho, _ = _subset_extremes(space, "covering_number_exact")
+    return _as_given(r, np.searchsorted(-best_rho, -radii, side="right"))
+
+
+def packing_number_exact(space: FiniteMetricSpace, r):
+    """Maximum strictly-r-separated subset size by exhaustive search (small spaces).
+
+    P(r) is the largest k, and at least 1, whose best k-subset separation
+    exceeds r; one subset pass answers every radius.
+    """
+    radii = _radii(r, "packing_number_exact")
+    _, best_mu = _subset_extremes(space, "packing_number_exact")
+    return _as_given(r, np.maximum(np.searchsorted(-best_mu[1:], -radii, side="left"), 1))
 
 
 @dataclass
@@ -187,11 +223,7 @@ def sandwich_check(space: FiniteMetricSpace, r: float) -> SandwichResult:
     """
     exact = space.n_points <= EXACT_LIMIT
     if exact:
-        n2, p, nh = (
-            covering_number_exact(space, 2 * r),
-            packing_number_exact(space, r),
-            covering_number_exact(space, r / 2),
-        )
+        (n2, nh), p = covering_number_exact(space, [2 * r, r / 2]), packing_number_exact(space, r)
     else:
         (n2, nh), p = covering_number(space, [2 * r, r / 2]), packing_number(space, r)
     return SandwichResult(n_2r=n2, p_r=p, n_half_r=nh, holds=n2 <= p <= nh, exact=exact)
@@ -257,7 +289,7 @@ def _step_integral(space, tail: TailFunctional, upper: float, power: int) -> flo
     """
     edges = _covering_breakpoints(space, upper)
     if isinstance(space, FiniteMetricSpace) and space.n_points <= EXACT_LIMIT:
-        counts = [covering_number_exact(space, b) for b in edges[1:]]
+        counts = covering_number_exact(space, edges[1:])
     else:
         counts = covering_number(space, edges[1:])
     total = 0.0
@@ -333,7 +365,11 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
 
 
 class PointCloud:
-    """Sampled class with closed-form row distances (no dense matrix)."""
+    """Sampled class with closed-form row distances (no dense matrix).
+
+    ``dist_row_fn(i, below)`` gives row i; it may use ``below`` as the
+    contract in ``covering_number`` allows, or ignore it and stay exact.
+    """
 
     def __init__(self, dist_row_fn, n_points, resolution, diam):
         self._row = dist_row_fn
@@ -341,8 +377,8 @@ class PointCloud:
         self.resolution = resolution
         self._diam = diam
 
-    def dist_row(self, i: int) -> np.ndarray:
-        return self._row(i)
+    def dist_row(self, i: int, below=np.inf) -> np.ndarray:
+        return self._row(i, below)
 
     def diameter(self) -> float:
         return self._diam
@@ -371,7 +407,7 @@ class BoxClass:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vol = np.prod(pts, axis=1)
 
-        def row(i):
+        def row(i, below=np.inf):
             mins = np.minimum(pts, pts[i])
             return np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
 
@@ -397,7 +433,7 @@ class ShiftClass:
         delta = metric_resolution / 4.0  # metric <= 2 |a - b|
         a = np.arange(-self.n, self.n + delta / 2.0, delta)
 
-        def row(i):
+        def row(i, below=np.inf):
             return np.abs(np.sin(a) - np.sin(a[i])) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
 
         diam = float(np.max(row(0))) if a.size else 0.0
@@ -415,10 +451,17 @@ class ScaleClass:
     The Lipschitz metric |b g(./a) - B g(./A)|_Lip = |b - B| +
     sup_u |(b/a) g'(u/a) - (B/A) g'(u/A)| is evaluated on a saturating
     logarithmic u-grid (g' tends to +-1, so the sup is attained at finite u
-    or in the limit, included as an extra column).  Sampling is uniform in
-    (1/a, b), where the metric has bounded anisotropy.  The exponent window
-    keeps b away from 0, where every member collapses to the zero function
-    and the pinched geometry contaminates finite-radius counts.
+    or in the limit, included as an extra column).  g' is odd, so the
+    difference at -u is the exact negation of the one at u and the grid
+    keeps u > 0 only.  Sampling is uniform in (1/a, b), where the metric
+    has bounded anisotropy.  The exponent window keeps b away from 0, where
+    every member collapses to the zero function and the pinched geometry
+    contaminates finite-radius counts.
+
+    The limit column plus the b term, |bq - BQ| + |b - B| with q = 1/a, is
+    an exact lower bound on every distance; a row asked for ``below`` (see
+    ``covering_number``) returns that bound wherever it already reaches
+    ``below`` and the full sup only on the remaining points.
     """
 
     expected_exponent = -2.0
@@ -438,22 +481,22 @@ class ScaleClass:
         b = np.arange(self.b_lo, self.n + delta / 2.0, delta)
         Q, B = np.meshgrid(q, b, indexing="ij")
         Q, B = Q.ravel(), B.ravel()
+        BQ = B * Q  # the u -> infinity limit of the slope
         u = np.geomspace(0.08, 8.0 * self.m, self.n_u)
-        u = np.concatenate([-u[::-1], u])
         v = u[:, None] * Q[None, :]
-        slopes = (B * Q)[None, :] * (v / np.sqrt(1.0 + v * v))
-        table = np.concatenate([slopes, (B * Q)[None, :]])  # one contiguous row per u-column
-        diff = np.empty(Q.size)
+        slopes = BQ[None, :] * (v / np.sqrt(1.0 + v * v))  # one contiguous row per u-column
 
-        def row(i):
-            # running max over the u-columns: exact in any order, and no
-            # (points x columns) temporary per row
-            sup = np.abs(table[0] - table[0, i])
-            for col in table[1:]:
-                np.abs(np.subtract(col, col[i], out=diff), out=diff)
-                np.maximum(sup, diff, out=sup)
-            sup += np.abs(B - B[i])
-            return sup
+        def row(i, below=np.inf):
+            db = np.abs(B - B[i])
+            sup = np.abs(BQ - BQ[i])
+            out = sup + db  # the lower bound, exact where the limit column is the sup
+            near = np.flatnonzero(out < below)
+            sup = sup[near]
+            # running max over the u-columns: exact in any order
+            for col in slopes:
+                np.maximum(sup, np.abs(col[near] - col[i]), out=sup)
+            out[near] = sup + db[near]
+            return out
 
         probes = [0, len(Q) - 1, len(Q) // 2]
         diam = max(float(np.max(row(p))) for p in probes)

@@ -1,6 +1,7 @@
 """Entropy machinery: covering/packing, sandwich, chains, exponents, bounds."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -58,6 +59,35 @@ def step_integral_reference(space, tail, upper, power):
                for a, b in zip(edges[:-1], edges[1:]))
 
 
+def covering_number_exact_reference(space, r):
+    """Exhaustive search over center sets of growing size, with ball bitmasks."""
+    n = space.n_points
+    balls = [int(sum(1 << j for j in range(n) if space.dist[i, j] < r)) for i in range(n)]
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for centers in combinations(range(n), k):
+            mask = 0
+            for c in centers:
+                mask |= balls[c]
+            if mask == full:
+                return k
+    return n
+
+
+def packing_number_exact_reference(space, r):
+    """Exhaustive search over all subsets with pairwise-separation bitmasks."""
+    n = space.n_points
+    adj = [int(sum(1 << j for j in range(n) if j != i and space.dist[i, j] > r)) for i in range(n)]
+    best = 1
+    for mask in range(1, 1 << n):
+        bits = [i for i in range(n) if mask >> i & 1]
+        if len(bits) <= best:
+            continue
+        if all(all(adj[i] >> j & 1 for j in bits if j != i) for i in bits):
+            best = len(bits)
+    return best
+
+
 def tied_space(rng, n):
     """Integer points in a small cube: duplicate points and many tied distances."""
     return FiniteMetricSpace.from_points(rng.integers(0, 3, size=(n, 3)).astype(float))
@@ -69,9 +99,9 @@ class CountingCloud:
     def __init__(self, cloud):
         self.cloud, self.n_points, self.rows = cloud, cloud.n_points, 0
 
-    def dist_row(self, i):
+    def dist_row(self, i, below=np.inf):
         self.rows += 1
-        return self.cloud.dist_row(i)
+        return self.cloud.dist_row(i, below=below)
 
 
 class CountingClass:
@@ -149,6 +179,52 @@ class TestCoveringPacking:
         for bad in (0.0, -1.0, math.nan, math.inf, [0.5, math.nan], [1.0, -0.5], [], [[1.0]]):
             with pytest.raises(ConfigError):
                 covering_number(sp, bad)
+
+    def test_exact_matches_exhaustive_reference(self):
+        # every pairwise distance as a radius (ties with a ball edge), plus
+        # radii between and beyond them, on 1-12 points with duplicates
+        rng = np.random.default_rng(14)
+        for n in [*range(1, EXACT_LIMIT + 1), 3, 5, 7, 8, 9]:
+            for sp in (tied_space(rng, n), random_space(rng, n)):
+                dists = np.unique(sp.dist)
+                radii = [*dists[dists > 0.0], sp.diameter() + 1.0]
+                if n <= 10:
+                    radii += list(0.5 * (dists[1:] + dists[:-1]))
+                cov = [covering_number_exact_reference(sp, r) for r in radii]
+                pack = [packing_number_exact_reference(sp, r) for r in radii]
+                assert covering_number_exact(sp, radii) == cov
+                assert packing_number_exact(sp, radii) == pack
+                assert [covering_number_exact(sp, r) for r in radii] == cov
+                assert [packing_number_exact(sp, r) for r in radii] == pack
+                assert all(type(c) is int for c in covering_number_exact(sp, radii))
+                assert type(packing_number_exact(sp, radii[0])) is int
+
+    def test_exact_matches_reference_on_rounding_asymmetric_matrix(self):
+        # accepted matrices need only be symmetric to rounding; separation
+        # must hold in both stored orders, as the pairwise test demands
+        d = np.array([[0.0, 1.0, 2.0], [1.0 + 1e-9, 0.0, 1.0], [2.0, 1.0 - 1e-9, 0.0]])
+        sp = FiniteMetricSpace(dist=d)
+        radii = sorted({*d.ravel()[d.ravel() > 0.0], 0.5, 1.5, 3.0})
+        assert covering_number_exact(sp, radii) == [covering_number_exact_reference(sp, r) for r in radii]
+        assert packing_number_exact(sp, radii) == [packing_number_exact_reference(sp, r) for r in radii]
+
+    def test_exact_size_limit(self):
+        sp = line_space(EXACT_LIMIT + 1)
+        for fn in (covering_number_exact, packing_number_exact):
+            with pytest.raises(ConfigError, match="limited to"):
+                fn(sp, 1.0)
+
+    @pytest.mark.parametrize("fn", [covering_number_exact, packing_number_exact, packing_number])
+    def test_other_evaluators_reject_bad_radii(self, fn):
+        sp = line_space(4)
+        for bad in (0.0, -1.0, math.nan, math.inf, [0.5, math.nan], [1.0, -0.5], [], [[1.0]]):
+            with pytest.raises(ConfigError):
+                fn(sp, bad)
+
+    def test_greedy_packing_sequence_matches_scalars(self):
+        sp = tied_space(np.random.default_rng(15), 25)
+        radii = [2.0, 0.5, 1.0, 1.5, 1.0]
+        assert packing_number(sp, radii) == [packing_number(sp, r) for r in radii]
 
     def test_exact_counts_non_increasing_in_r(self):
         rng = np.random.default_rng(2)
@@ -343,6 +419,14 @@ class TestCoveringExponents:
         assert cls.cloud.rows == int(fit.counts.max())
         assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
 
+    def test_scale_rows_below_keep_the_counts(self):
+        # the covering asks the scale cloud for pruned rows; the reference
+        # loop asks for full ones
+        cls = CountingClass(ScaleClass())
+        fit = covering_exponent(cls, np.geomspace(0.3, 0.75, 4))
+        assert cls.cloud.rows == int(fit.counts.max())
+        assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
+
     def test_scale_row_matches_broadcast_formula(self):
         cls = ScaleClass()
         cloud = cls.sample(0.1)
@@ -360,6 +444,19 @@ class TestCoveringExponents:
         for i in (0, 1, Q.size // 3, Q.size - 1):
             ref = np.abs(B - B[i]) + np.max(np.abs(table - table[i]), axis=1)
             assert np.array_equal(cloud.dist_row(i), ref)
+
+    def test_scale_row_below_is_exact_under_the_bound(self):
+        cloud = ScaleClass().sample(0.1)
+        rng = np.random.default_rng(16)
+        for i in (0, 5, cloud.n_points // 2, cloud.n_points - 1):
+            full = cloud.dist_row(i)
+            for below in (rng.uniform(0.0, 2.0, cloud.n_points), np.full(cloud.n_points, 0.3),
+                          0.7, np.inf):
+                row = cloud.dist_row(i, below=below)
+                under = full < below
+                assert np.array_equal(row[under], full[under])
+                assert np.all(row[~under] >= np.broadcast_to(below, full.shape)[~under])
+                assert 0 < under.sum() < cloud.n_points or np.all(below == np.inf)
 
 
 class TestEntropyCommandContract:

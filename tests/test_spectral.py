@@ -243,7 +243,7 @@ class TestUpsilon:
                 f = CovarianceMeasure(kind, 1, 1.3, param)
                 got = upsilon(DalangProfile(f), lam)
                 assert math.isfinite(got)
-                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10)
+                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_radial_gaussian_matches_quadrature(self, d):
@@ -253,7 +253,7 @@ class TestUpsilon:
             for lam in ORACLE_LAMS:
                 got = upsilon(DalangProfile(f), lam)
                 assert math.isfinite(got)
-                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10)
+                assert got == pytest.approx(upsilon_by_quadrature(f, lam), rel=1e-10, abs=0.0)
 
     def test_gaussian_d3_matches_mpmath_at_large_lambda(self):
         # 1 - sqrt(pi) y erfcx(y) cancels to 2 y^2 ulps; its continued
