@@ -2,7 +2,8 @@
 
 Every run writes its outputs under --out-dir together with a manifest
 recording the configuration hash, master seed, code version, parameters,
-wall clock, and output list.  Data files are byte-reproducible functions of
+wall clock, and output list; the experiment subcommands (clt, independence,
+fdd, tails) also record each N's grid.  Data files are byte-reproducible functions of
 (config, seed); rerunning with the same manifest hash rewrites identical
 CSV/JSON payloads.
 
@@ -28,6 +29,7 @@ from .errors import ConfigError, ShecltError
 from .io import save_array, write_csv
 from .montecarlo import (
     ExperimentConfig,
+    ExperimentResult,
     clt_report,
     default_workers,
     default_z_tuples,
@@ -110,7 +112,17 @@ class RunManifest:
             _canonical({"cmd": subcommand, "params": params, "seed": seed}).encode()
         ).hexdigest()[:16]
         self.outputs: list[str] = []
+        self.grids: list[dict] = []
         self._t0 = time.perf_counter()
+
+    def record_grids(self, result: ExperimentResult) -> None:
+        """Each N's simulation grid: cells per axis, torus length, dt, steps."""
+        t = result.config.t
+        self.grids = [
+            {"N": N, "n": g.n, "L": g.length, "dt": g.dt, "steps": round(t / g.dt),
+             "cells_per_replica": g.n**g.d}
+            for N, g in result.grids.items()
+        ]
 
     def write(self, out_dir: Path) -> Path:
         record = {
@@ -122,6 +134,8 @@ class RunManifest:
             "wall_clock_s": time.perf_counter() - self._t0,
             "outputs": self.outputs,
         }
+        if self.grids:
+            record["grids"] = self.grids
         path = out_dir / f"manifest-{self.hash}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         return path
@@ -306,6 +320,7 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     cov_tol = _positive_float(raw, "covariance_tolerance", 0.15)
     manifest = RunManifest("clt", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
+    manifest.record_grids(result)
     bts = _reference_bt(raw, cfg, cfg.g_list)
     b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
     flags = {}
@@ -362,6 +377,7 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
     n_perm = _positive_int(raw, "n_perm", 200)
     manifest = RunManifest("independence", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
+    manifest.record_grids(result)
     g = cfg.g_list[0]
     rows = []
     flags = {}
@@ -434,6 +450,7 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw_cfg, seed, workers, replicas=args.replicas)
     manifest = RunManifest("fdd", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
+    manifest.record_grids(result)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
     ((b_t, b_src),) = _reference_bt(raw, cfg, [g])
@@ -464,6 +481,7 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
     manifest = RunManifest("tails", {"config": raw, "replicas": cfg.replicas}, seed)
     result = run_experiment(cfg)
+    manifest.record_grids(result)
     psi, g = cfg.psi_list[0], cfg.g_list[0]
     N = cfg.n_ladder[-1]
     values = result.get(N, psi, g).values

@@ -37,9 +37,32 @@ from .spectral import CovarianceMeasure, dalang_check
 _WEIGHT_CLIP_REPORT = 1e-8
 
 
+def _five_smooth_at_least(m: int) -> int:
+    """Smallest integer >= max(m, 1) with no prime factor above 5.
+
+    Tries each 3^b 5^c below the power of two >= m, doubled up to m.
+    """
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < m:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Periodic grid on [0, L)^d with n cells per axis and time step dt."""
+    """Periodic grid on [0, L)^d with n cells per axis and time step dt.
+
+    n is at least 2 and 5-smooth (no prime factor above 5), so every axis
+    FFT runs in mixed radix 2, 3 and 5.
+    """
 
     d: int
     length: float
@@ -49,8 +72,11 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ConfigError("grid.d: dimension must be 1, 2, or 3")
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError("grid.n: cells per axis must be a power of two")
+        if self.n < 2 or _five_smooth_at_least(self.n) != self.n:
+            raise ConfigError(
+                f"grid.n: cells per axis must be at least 2 with no prime factor "
+                f"other than 2, 3 and 5, got {self.n}"
+            )
         if self.length <= 0.0:
             raise ConfigError("grid.length: must be positive")
         if not self.dt > 0.0:
@@ -75,17 +101,19 @@ class Grid:
 
     @classmethod
     def for_support(cls, extent: float, t: float, dx: float, d: int, dt: float | None = None) -> "Grid":
-        """Smallest power-of-two grid with L > 2 * extent + 8 sqrt(t).
+        """Grid with the smallest 5-smooth n such that L = n dx > 2 extent + 8 sqrt(t).
 
         ``extent`` is the largest per-axis width of any scaled test-function
-        support; the additive term is the diffusive halo.
+        support; the additive term is the diffusive halo.  Above 100 cells,
+        consecutive 5-smooth counts differ by at most 1/9, so the torus holds
+        at most that much more than the support and halo need.
         """
         if dx <= 0.0:
             raise ConfigError("grid.dx: must be positive")
         needed = 2.0 * max(extent, 0.0) + 8.0 * math.sqrt(max(t, 0.0))
-        n = 2
+        n = _five_smooth_at_least(max(2, math.floor(needed / dx)))
         while n * dx <= needed:
-            n *= 2
+            n = _five_smooth_at_least(n + 1)
         if dt is None:
             dt = dx * dx / (2.0 * d)
         return cls(d=d, length=n * dx, n=n, dt=dt)

@@ -164,6 +164,51 @@ class TestDispatch:
             assert predicted[g.label] == unit.l2_inner(unit) * bt
         assert predicted["sin"] != predicted["identity"]
 
+    def test_experiment_manifest_records_grids(self, tmp_path):
+        from sheclt.montecarlo import ExperimentConfig
+        from sheclt.occupation import LipFunction, TestFunction
+        from sheclt.solver import SigmaFunction
+        from sheclt.spectral import CovarianceMeasure
+
+        out = tmp_path / "out"
+        cfg = tiny_clt_config(tmp_path, n_ladder=[4, 6], replicas=60)
+        assert dispatch(["--out-dir", str(out), "--seed", "7", "--workers", "1",
+                         "clt", "--config", str(cfg)]) in (0, 1)
+        record = json.loads(out_files(out, "manifest-", ".json")[0].read_text())
+        expected = ExperimentConfig(
+            covariance=CovarianceMeasure("dirac", 1, 1.0), sigma=SigmaFunction.constant(1.0),
+            g_list=[LipFunction.identity()], psi_list=[TestFunction.box(0.0, 1.0)],
+            t=0.25, n_ladder=[4.0, 6.0], dx=0.25, replicas=60, seed=7,
+        )
+        assert [r["N"] for r in record["grids"]] == [4.0, 6.0]
+        for rec in record["grids"]:
+            grid = expected.grid_for(rec["N"])
+            assert rec == {"N": rec["N"], "n": grid.n, "L": grid.length, "dt": grid.dt,
+                           "steps": round(0.25 / grid.dt), "cells_per_replica": grid.n**grid.d}
+        # 2 * 4 + 8 sqrt(1/4) = 12 needs more than 48 cells of 1/4: 50 = 2 * 5^2
+        assert record["grids"][0]["n"] == 50
+
+    def test_non_power_of_two_cell_counts_run(self, tmp_path):
+        # --L 5 --dx 0.25: 20 = 2^2 * 5 cells per axis
+        out = tmp_path / "out"
+        assert dispatch(["--out-dir", str(out), "--seed", "4", "solve", "--kind", "gaussian",
+                         "--sigma", "affine:1.0,0.5", "--t", "0.25", "--dx", "0.25", "--L", "5",
+                         "--replicas", "20", "--dump-fields"]) == 0
+        arr, _ = load_array(out_files(out, "fields-", ".bin")[0])
+        assert arr.shape == (20, 20)
+        assert dispatch(["--out-dir", str(out), "--seed", "3", "noise-check", "--kind", "gaussian",
+                         "--slices", "150", "--max-lag", "2", "--dx", "0.25", "--length", "5"]) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "noise-check"])
+    def test_cell_count_with_prime_factor_above_five_is_usage_error(self, tmp_path, capsys, command):
+        # --L 3.5 --dx 0.25: 14 = 2 * 7 cells per axis
+        length = "--L" if command == "solve" else "--length"
+        assert dispatch(["--out-dir", str(tmp_path / "o"), command, "--kind", "dirac",
+                         "--dx", "0.25", length, "3.5"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.n" in err and "2, 3 and 5, got 14" in err
+        assert "Traceback" not in err
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt"]) == 2
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", "/nope.json"]) == 2

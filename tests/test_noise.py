@@ -30,10 +30,21 @@ def small_grid(n=64, L=16.0, d=1):
     return Grid(d=d, length=L, n=n, dt=dx * dx / (2 * d))
 
 
+def five_smooth(n):
+    """Trial division: n has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class TestGrid:
-    def test_power_of_two_enforced(self):
-        with pytest.raises(ConfigError):
-            Grid(d=1, length=10.0, n=48, dt=1e-4)
+    def test_five_smooth_enforced(self):
+        for n in (14, 49):
+            with pytest.raises(ConfigError, match="2, 3 and 5"):
+                Grid(d=1, length=10.0, n=n, dt=1e-4)
+        for n in (45, 48):
+            assert Grid(d=1, length=10.0, n=n, dt=1e-4).n == n
 
     def test_stability_enforced(self):
         with pytest.raises(ConfigError):
@@ -41,9 +52,25 @@ class TestGrid:
 
     def test_for_support_halo_rule(self):
         g = Grid.for_support(extent=64.0, t=1.0, dx=1.0 / 16.0, d=1)
-        assert g.length > 2 * 64.0 + 8.0
-        assert g.n & (g.n - 1) == 0
+        needed = 2 * 64.0 + 8.0
+        assert g.length > needed
+        assert five_smooth(g.n)
+        smaller = max(k for k in range(2, g.n) if five_smooth(k))
+        assert smaller * g.dx <= needed
         assert g.dt == pytest.approx(g.dx**2 / 2.0)
+
+    @pytest.mark.parametrize("extent, t, dx, d", [
+        (0.0, 0.0, 1.0, 1), (1.0, 0.25, 0.25, 1), (4.0, 0.25, 0.25, 1), (16.0, 0.5, 0.5, 2),
+        (3.3, 0.1, 0.07, 3), (1024.0, 1.0, 1.0 / 16.0, 1), (2.0e4, 1.0, 1.0, 1),
+    ])
+    def test_for_support_is_smallest_five_smooth(self, extent, t, dx, d):
+        # reference: scan every cell count upward from 2
+        needed = 2.0 * extent + 8.0 * math.sqrt(t)
+        n = 2
+        while n * dx <= needed or not five_smooth(n):
+            n += 1
+        g = Grid.for_support(extent=extent, t=t, dx=dx, d=d)
+        assert (g.n, g.length) == (n, n * dx)
 
 
 class TestSpectralWeights:
@@ -154,6 +181,46 @@ class TestSampling:
         axes = tuple(range(1, d + 1))
         ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
         assert np.max(np.abs(batch - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (15, 3)])
+    @pytest.mark.parametrize("kind, param", [("gaussian", 0.8), ("exponential", 1.3), ("uniform", 1.2)])
+    def test_real_fft_filter_on_mixed_radix_grid(self, kind, param, n, d):
+        # odd n has no Nyquist mode: the half spectrum keeps n // 2 + 1 modes
+        g = small_grid(n=n, L=0.25 * n, d=d)
+        w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
+        streams = [RngStream(seed=21, replica=r) for r in range(3)]
+        batch = sample_noise_batch(g, w, g.dt, streams, step=4)
+        xi = np.stack([s.generator(4).standard_normal(g.shape) for s in streams])
+        scale = np.sqrt(g.dt * g.n**g.d * w.weights)
+        axes = tuple(range(1, d + 1))
+        ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
+        assert np.max(np.abs(batch - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("f", DENSITY_KINDS + [CovarianceMeasure("dirac", 1, 1.0)],
+                             ids=lambda f: f.kind)
+    def test_lag_covariance_on_odd_grid(self, f):
+        g = small_grid(n=45, L=11.25)
+        w = spectral_weights(g, f)
+        R = 3000
+        batch = sample_noise_batch(g, w, g.dt, [RngStream(seed=14, replica=r) for r in range(R)], 1)
+        lags = range(5)
+        targets = g.dt * periodized_covariance(g, f, lags=lags)
+        for lag, target in zip(lags, targets):
+            per_rep = np.mean(batch * np.roll(batch, -lag, axis=1), axis=1)
+            se = float(np.std(per_rep)) / math.sqrt(R)
+            assert abs(float(np.mean(per_rep)) - target) < 4.0 * se + 1e-15, lag
+
+    def test_lag_covariance_on_15x15_grid(self):
+        g = small_grid(n=15, L=7.5, d=2)
+        f = CovarianceMeasure("gaussian", 2, 1.0, 0.6)
+        w = spectral_weights(g, f)
+        R = 3000
+        batch = sample_noise_batch(g, w, g.dt, [RngStream(seed=15, replica=r) for r in range(R)], 1)
+        full = g.dt * periodized_covariance(g, f)
+        for lag in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (7, 8)]:
+            per_rep = np.mean(batch * np.roll(batch, (-lag[0], -lag[1]), axis=(1, 2)), axis=(1, 2))
+            se = float(np.std(per_rep)) / math.sqrt(R)
+            assert abs(float(np.mean(per_rep)) - full[lag]) < 4.0 * se, lag
 
     def test_flat_path_is_scaled_draw(self):
         g = small_grid()

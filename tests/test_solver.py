@@ -227,6 +227,16 @@ class TestEuler:
         # scheme sits within a few percent
         assert abs(est - 1.0 / math.sqrt(math.pi)) < 0.1 * 1.0 / math.sqrt(math.pi)
 
+    def test_variance_matches_scheme_exact_on_odd_grid(self):
+        # 75 = 3 * 5^2 cells: no Nyquist mode, mixed-radix noise draws
+        g = grid_1d(dx=1.0 / 8.0, L=75.0 / 8.0)
+        R = 600
+        u, _ = solve_batch(g, SigmaFunction.constant(1.0), WHITE, 1.0, seed=33, replicas=range(R))
+        per_replica = np.var(u, axis=1) + (np.mean(u, axis=1) - 1.0) ** 2
+        se = float(np.std(per_replica)) / math.sqrt(R)
+        exact = exact_discrete_variance_white(g, round(1.0 / g.dt), 1.0)
+        assert abs(float(np.mean(per_replica)) - exact) < 4 * se
+
     @pytest.mark.slow
     def test_mean_one_and_stationarity(self):
         g = grid_1d(dx=1.0 / 8.0, L=16.0)
@@ -284,7 +294,18 @@ class TestBlockedStepping:
     @pytest.mark.parametrize("noise", ["flat", "filtered"])
     @pytest.mark.parametrize("kind", sorted(SIGMAS))
     def test_blocks_match_reference_loop(self, small_blocks, d, noise, kind):
-        g = small_grid(d)
+        self.check_blocks(small_blocks, small_grid(d), noise, kind)
+
+    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (15, 3)])
+    @pytest.mark.parametrize("noise", ["flat", "filtered"])
+    def test_blocks_match_reference_loop_on_odd_grid(self, small_blocks, n, d, noise):
+        dx = 0.25
+        g = Grid(d=d, length=n * dx, n=n, dt=dx * dx / (2.0 * d))
+        self.check_blocks(small_blocks, g, noise, "affine")
+
+    @staticmethod
+    def check_blocks(small_blocks, g, noise, kind):
+        d = g.d
         small_blocks(g)
         if noise == "flat":
             # dirac noise violates Dalang's condition for d > 1; flat weights
@@ -344,13 +365,15 @@ class TestPicard:
 
     @pytest.mark.slow
     def test_agreement_with_euler_linear_sigma(self):
-        # same mild equation, same noise: relative L2 below 5% at dx=1/16
-        g = grid_1d(dx=1.0 / 16.0, L=8.0)
+        # same mild equation, same noise: relative L2 below 5% at dx=1/16,
+        # on 128 cells and on 60 = 2^2 * 3 * 5 cells
         sigma = SigmaFunction.linear(1.0)
-        eu, _ = solve_batch(g, sigma, WHITE, 0.25, seed=3, replicas=[0])
-        pi = picard_solve(g, sigma, WHITE, 0.25, seed=3, replica=0, n_iter=8)
-        rel = np.linalg.norm(pi.values - eu[0]) / np.linalg.norm(eu[0])
-        assert rel < 0.05
+        for L in (8.0, 3.75):
+            g = grid_1d(dx=1.0 / 16.0, L=L)
+            eu, _ = solve_batch(g, sigma, WHITE, 0.25, seed=3, replicas=[0])
+            pi = picard_solve(g, sigma, WHITE, 0.25, seed=3, replica=0, n_iter=8)
+            rel = np.linalg.norm(pi.values - eu[0]) / np.linalg.norm(eu[0])
+            assert rel < 0.05, g.n
 
     @pytest.mark.slow
     def test_refinement_shrinks_disagreement(self):
