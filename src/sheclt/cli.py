@@ -94,7 +94,14 @@ def _cells_per_axis(length: float, dx: float) -> int:
         raise ConfigError(f"--dx: cell width must be positive, got {dx}")
     if not 0.0 < length < math.inf:
         raise ConfigError(f"--L/--length: must be positive and finite, got {length}")
-    return int(round(length / dx))
+    cells = length / dx
+    if not cells < math.inf:
+        raise ConfigError(f"--dx: {dx} gives more cells than can be counted for length {length}")
+    n = round(cells)
+    if abs(cells - n) > 1e-9 * cells:
+        raise ConfigError(f"--L/--length: {length} is not a whole number of cells of width "
+                          f"--dx {dx}; the nearest whole-cell length is {max(n, 1) * dx:g}")
+    return n
 
 
 def _canonical(obj) -> str:
@@ -603,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mass", type=float, default=1.0)
         p.add_argument("--param", type=float, default=1.0)
 
-    p = sub.add_parser("bounds", help="upsilon (closed form; quadrature for the product kinds "
-                       "in d >= 2), lambda_of and the moment/tail bounds")
+    p = sub.add_parser("bounds", help="upsilon (closed form; the trapezoid rule in log s for "
+                       "the product kinds in d >= 2), lambda_of and the moment/tail bounds")
     common_measure(p)
     p.add_argument("--lambda", dest="lam", type=float, action="append", default=[])
     p.add_argument("--a", type=float, action="append", default=[])

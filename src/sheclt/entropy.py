@@ -41,6 +41,8 @@ from scipy.special import ndtr, ndtri
 from .errors import ConfigError, CovarianceNotPSD, ResolutionTooCoarse
 
 EXACT_LIMIT = 12
+# elements of the (n, k, n) triangle-inequality temporary per block of middle points
+_TRIANGLE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -54,16 +56,24 @@ class FiniteMetricSpace:
         m = np.asarray(self.dist, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("metric space: distance matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
+        mt = m.T
+        with np.errstate(invalid="ignore"):  # inf - inf; equal infinities pass by ==
+            # np.allclose(m, m.T, rtol=1e-5, atol=1e-12) elementwise; NaN fails
+            close = (np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)) & np.isfinite(mt) | (m == mt)
+        if not close.all():
             raise ConfigError("metric space: distance matrix must be symmetric")
         if np.any(np.diag(m) != 0.0):
             raise ConfigError("metric space: diagonal must vanish")
         if np.any(m < 0.0):
             raise ConfigError("metric space: distances must be nonnegative")
         n = m.shape[0]
-        # triangle inequality, vectorized over the middle point
-        for k in range(n):
-            if np.any(m > m[:, [k]] + m[[k], :] + 1e-9 * (1.0 + m)):
+        # triangle inequality m[i, j] <= m[i, k] + m[k, j] + 1e-9 (1 + m[i, j]),
+        # broadcast over (i, k, j) for a block of middle points k at a time
+        bound = (1e-9 * (1.0 + m))[:, None, :]
+        step = max(1, _TRIANGLE_BLOCK // max(1, n * n))
+        for k in range(0, n, step):
+            via = m[:, k:k + step, None] + m[None, k:k + step, :]
+            if np.any(m[:, None, :] > via + bound):
                 raise ConfigError("metric space: triangle inequality violated")
         self.dist = m
         if self.labels is None:

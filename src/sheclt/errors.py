@@ -15,7 +15,7 @@ class SolverBlowup(ShecltError):
 
 
 class NonConvergence(ShecltError):
-    """Successive fixed-point iterates stopped contracting."""
+    """Successive fixed-point iterates or quadrature sums stopped converging."""
 
 
 class SupportOverflow(ShecltError):

@@ -21,12 +21,15 @@ module evaluates the spectral integral
 
     upsilon(lam) = (2/(2 pi)^d) * int f_hat(z) / (2 lam + |z|^2) dz,
 
-in closed form for every kind in d = 1 and the Gaussian in d = 2, 3, by
-quadrature for the product kinds (exponential, uniform) in d >= 2; its
-inverse ``lambda_of``, closed form for dirac and the d = 1 exponential kind,
-a root find otherwise; the heat kernel/resolvent identity; and the explicit
-moment, tail, and Malliavin-derivative bounds whose constants feed the Monte
-Carlo non-violation checks.
+in closed form for every kind in d = 1 and the Gaussian in d = 2, 3, and for
+the product kinds (exponential, uniform) in d >= 2 as the time-domain
+integral int_0^inf e^{-lam s} (p_s * f)(0) ds, by the trapezoid rule in
+y = log s over one vectorised evaluation of the closed-form (p_s * f)(0) per
+step size; its inverse ``lambda_of``, closed form for dirac and the d = 1
+exponential kind, a root find otherwise; the heat kernel/resolvent identity,
+whose time side is the same trapezoid rule; and the explicit moment, tail,
+and Malliavin-derivative bounds whose constants feed the Monte Carlo
+non-violation checks.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import erfcx, exp1, ndtr
+from scipy.special import erf, erfcx, exp1, ndtr
 
-from .errors import ConfigError, DalangViolation
+from .errors import ConfigError, DalangViolation, NonConvergence
 
 KINDS = ("dirac", "gaussian", "uniform", "exponential")
 
@@ -169,6 +172,32 @@ class CovarianceMeasure:
             x = np.zeros(self.dimension)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.mass * float(np.prod(self.smoothed_axis(s, x)))
+
+    def smoothed_origin(self, s):
+        """(p_s * f)(0) over an array of s > 0, the d-th power of the one-axis
+        value times ``mass``.  Per axis (unit mass):
+
+            dirac        (2 pi s)^{-1/2}
+            gaussian     (2 pi (s + l^2))^{-1/2}                (scale l)
+            exponential  (r/2) erfcx(r sqrt(s/2))               (rate r)
+            uniform      (2/h) [erf(rho/sqrt 2)/2 + expm1(-rho^2/2)/(rho sqrt(2 pi))],
+                         rho = h / sqrt(s)                      (halfwidth h)
+
+        The uniform form cancels to at most half of its first term.
+        """
+        s = np.asarray(s, dtype=float)
+        p = self.param
+        if self.kind == "dirac":
+            axis = 1.0 / np.sqrt(2.0 * math.pi * s)
+        elif self.kind == "gaussian":
+            axis = 1.0 / np.sqrt(2.0 * math.pi * (s + p * p))
+        elif self.kind == "exponential":
+            axis = 0.5 * p * erfcx(p * np.sqrt(0.5 * s))
+        else:
+            rho = p / np.sqrt(s)
+            axis = (2.0 / p) * (0.5 * erf(rho / math.sqrt(2.0))
+                                + np.expm1(-0.5 * rho * rho) / (rho * math.sqrt(2.0 * math.pi)))
+        return self.mass * axis**self.dimension
 
     # -- serialization --
 
@@ -333,9 +362,14 @@ def dalang_check(f: CovarianceMeasure) -> None:
         )
 
 
-# adaptive-quadrature tolerances (product kinds in d >= 2, resolvent check)
-_REL_TOL = 1e-11
-_MAX_SUBDIVISIONS = 200
+# the time-domain trapezoid rule: the integrand's negligible share at either
+# cut-off, nodes per block while the lower cut-off is sought, the relative
+# agreement of successive halvings, the most halvings, and the smallest log s
+_CUT = 1e-19
+_BLOCK = 64
+_TRAP_TOL = 1e-13
+_MAX_HALVINGS = 8
+_LOG_S_MIN = math.log(np.finfo(float).tiny)
 # lambda_of brackets log lam inside [-_LOG_LAM_EDGE, _LOG_LAM_EDGE] (lam in [1e-12, 1e12])
 _LOG_LAM_EDGE = math.log(1e12)
 
@@ -388,8 +422,10 @@ def upsilon(profile: DalangProfile, lam: float) -> float:
 
     each evaluated free of cancellation and overflow.  The product-form
     kinds (exponential, uniform) in d >= 2 have no elementary form; they use
-    quadrature of the equivalent time-domain representation, cheap and
-    robust through their closed-form smoothed covariances.
+    the equivalent time-domain integral int_0^inf e^{-lam s} (p_s * f)(0) ds,
+    summed by the trapezoid rule in y = log s (``_time_domain_integral``),
+    which converges geometrically and raises NonConvergence rather than
+    return an unsettled sum.
     """
     if lam <= 0.0:
         raise ConfigError("upsilon: lam must be positive")
@@ -414,21 +450,48 @@ def upsilon(profile: DalangProfile, lam: float) -> float:
         j1 = float(_normal_tail_ratios(np.array([a * p]))[0][0])
         return M * j1 / (math.pi**1.5 * math.sqrt(2.0) * p)
 
-    wscale = 1.0 / math.sqrt(lam)
-    return _time_domain_integral(f, lam, sorted({min(1.0, wscale), wscale, 4.0 * wscale}))
+    return _time_domain_integral(f, lam)
 
 
-def _time_domain_integral(f: CovarianceMeasure, lam: float, breaks=()) -> float:
-    """int_0^inf e^{-lam s} (p_s * f)(0) ds by adaptive quadrature, split at
-    ``breaks`` in w, with s = w^2 so the integrand is smooth at the origin."""
-    edges = [0.0, *breaks, np.inf]
-    return sum(
-        integrate.quad(
-            lambda w: 2.0 * w * math.exp(-lam * w * w) * f.smoothed_at(w * w),
-            lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
-        )[0]
-        for lo, hi in zip(edges, edges[1:])
-    )
+def _time_domain_integral(f: CovarianceMeasure, lam: float) -> float:
+    """int_0^inf e^{-lam s} (p_s * f)(0) ds by the trapezoid rule in y = log s.
+
+    In y the integrand F(y) = s e^{-lam s} (p_s * f)(0) is analytic in a strip
+    about the real axis and decays at both ends: like s^{1/2} or faster as
+    s -> 0, and super-exponentially once lam s is large.  So the trapezoid
+    sum converges geometrically as the step h shrinks.  The nodes run down
+    from lam s = log(1 / _CUT), where e^{-lam s} is negligible, in blocks of
+    _BLOCK until the lowest node holds under _CUT of the sum; below it F
+    decays at least like e^{y/2}, so the rest is at most 2 F there.  The step
+    halves from h = 0.5 (each level adds only the midpoints) until two
+    successive sums agree to _TRAP_TOL relative.
+    """
+    top = math.log(-math.log(_CUT) / lam)
+
+    def integrand(k, h):  # F at the nodes y = top - k h
+        s = np.exp(top - h * k)
+        return s * np.exp(-lam * s) * f.smoothed_origin(s)
+
+    h, n, total = 0.5, 0, 0.0
+    while True:
+        if top - (n + _BLOCK) * h < _LOG_S_MIN:
+            raise NonConvergence(f"time-domain integral at lam = {lam:g}: the integrand "
+                                 "does not fall off as s -> 0")
+        block = integrand(np.arange(n, n + _BLOCK), h)
+        total += block.sum()
+        n += _BLOCK
+        if 0.0 < total < math.inf and block[-1] <= _CUT * total:
+            break
+    total *= h
+    for _ in range(_MAX_HALVINGS):
+        h *= 0.5
+        refined = 0.5 * total + h * integrand(2 * np.arange(n) + 1, h).sum()
+        n *= 2
+        if abs(refined - total) <= _TRAP_TOL * refined:
+            return refined
+        total = refined
+    raise NonConvergence(f"time-domain integral at lam = {lam:g}: trapezoid sums did not "
+                         f"agree to {_TRAP_TOL:g} after {_MAX_HALVINGS} halvings")
 
 
 def lambda_of(profile: DalangProfile, a: float) -> float:
@@ -473,9 +536,10 @@ def resolvent_identity_check(profile: DalangProfile, lam: float) -> tuple[float,
     """Return ((v_lam * f)(0), upsilon(lam)) computed along independent routes.
 
     The left side is the Laplace transform in time of the heat-smoothed
-    covariance at the origin, one adaptive quadrature over the whole
-    half-line; the right side is ``upsilon``, closed form where one exists.
-    The two agree analytically.
+    covariance at the origin, the trapezoid rule in log s over the whole
+    half-line; the right side is ``upsilon``, closed form where one exists
+    (for the product kinds in d >= 2 it is the same trapezoid rule).  The two
+    agree analytically.
     """
     if lam <= 0.0:
         raise ConfigError("resolvent_identity_check: lam must be positive")

@@ -87,8 +87,6 @@ class TestDispatch:
         assert record["outputs"] and record["version"]
 
     def test_bounds_uniform_d2_is_warning_free(self, tmp_path):
-        # the uniform kind's smoothed covariance no longer loses digits at
-        # large s, so the time-domain quadrature behind upsilon stays quiet
         import warnings
 
         from scipy.integrate import IntegrationWarning
@@ -208,6 +206,22 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "config error: grid.n" in err and "2, 3 and 5, got 14" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "noise-check"])
+    def test_length_not_whole_cells_is_usage_error(self, tmp_path, capsys, command):
+        # --L 5.1 --dx 0.25 is 20.4 cells; it used to run silently on L = 5
+        length = "--L" if command == "solve" else "--length"
+        out = tmp_path / "o"
+        assert dispatch(["--out-dir", str(out), command, "--kind", "dirac",
+                         "--dx", "0.25", length, "5.1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --L/--length: 5.1" in err
+        assert "nearest whole-cell length is 5" in err and "Traceback" not in err
+        assert not list(out.glob("manifest-*.json"))
+        # a cell count that overflows used to escape as an OverflowError
+        assert dispatch(["--out-dir", str(out), command, "--kind", "dirac",
+                         "--dx", "1e-320", length, "16"]) == 2
+        assert "config error: --dx" in capsys.readouterr().err
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt"]) == 2

@@ -88,6 +88,85 @@ def packing_number_exact_reference(space, r):
     return best
 
 
+def metric_space_reference(dist):
+    """The per-middle-point validator: None where ``FiniteMetricSpace``
+    accepts ``dist``, else the message it raises."""
+    m = np.asarray(dist, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return "metric space: distance matrix must be square"
+    if not np.allclose(m, m.T, atol=1e-12):
+        return "metric space: distance matrix must be symmetric"
+    if np.any(np.diag(m) != 0.0):
+        return "metric space: diagonal must vanish"
+    if np.any(m < 0.0):
+        return "metric space: distances must be nonnegative"
+    for k in range(m.shape[0]):
+        if np.any(m > m[:, [k]] + m[[k], :] + 1e-9 * (1.0 + m)):
+            return "metric space: triangle inequality violated"
+    return None
+
+
+def metric_space_verdict(dist):
+    try:
+        FiniteMetricSpace(dist=np.array(dist, dtype=float))
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def validation_cases(rng):
+    """Distance matrices at and around every rule the validator applies."""
+    cases = [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros(3), np.zeros((2, 3)),
+             np.array([[0.0, 1.0], [2.0, 0.0]]),
+             np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])]
+    for n in (3, 7, 10, 31, 200):
+        cases.append(FiniteMetricSpace.from_points(rng.integers(0, 3, (n, 3)).astype(float)).dist)
+        i, j = (int(v) for v in rng.choice(n - 1, 2, replace=False))
+        pts = rng.normal(size=(n, 3))
+        pts[-1] = 0.5 * (pts[i] + pts[j])  # the tightest middle point of (i, j) is the last
+        base = FiniteMetricSpace.from_points(pts).dist
+        cases.append(base)
+        # raise the pair (i, j) to where m[i, j] > via + 1e-9 (1 + m[i, j]) starts to hold
+        via = np.min(np.delete(base[i] + base[:, j], [i, j]))
+        flip = (via + 1e-9) / (1.0 - 1e-9)
+        while flip > via + 1e-9 * (1.0 + flip):
+            flip = np.nextafter(flip, 0.0)
+        while not flip > via + 1e-9 * (1.0 + flip):
+            flip = np.nextafter(flip, np.inf)
+        for value in (via, np.nextafter(flip, 0.0), flip, 1.5 * via):
+            m = base.copy()
+            m[i, j] = m[j, i] = value
+            cases.append(m)
+        # asymmetric by rounding (rtol 1e-5 of the transposed entry, atol 1e-12) and beyond
+        edge = (1e-5 + 1e-12 / base[i, j]) * (1.0 + 5e-6)
+        for rel in (1e-15, 1e-7, 9e-6, edge, 2e-5, 1e-3):
+            m = base.copy()
+            m[i, j] *= 1.0 + rel
+            cases.append(m)
+        for shift in (5e-13, 1e-12, 3e-12):
+            m = np.zeros((n, n))
+            m[i, j] = shift
+            cases.append(m)
+        for bad in (np.nan, np.inf, -np.inf, -1e-300):
+            m = base.copy()
+            m[i, j] = bad
+            cases.append(m)
+            m = m.copy()
+            m[j, i] = bad
+            cases.append(m)
+        m = base.copy()
+        m[i, j], m[j, i] = np.inf, -np.inf
+        cases.append(m)
+        m = base.copy()
+        m[i, i] = np.inf
+        cases.append(m)
+    # two clusters at infinite distance
+    m = np.full((4, 4), np.inf)
+    m[:2, :2] = m[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]]
+    cases.append(m)
+    return cases
+
+
 def tied_space(rng, n):
     """Integer points in a small cube: duplicate points and many tied distances."""
     return FiniteMetricSpace.from_points(rng.integers(0, 3, size=(n, 3)).astype(float))
@@ -122,6 +201,22 @@ class TestMetricSpace:
 
     def test_diameter(self):
         assert line_space(5).diameter() == 4.0
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    def test_validation_matches_reference(self, monkeypatch, block):
+        # the blocked broadcast check accepts and rejects exactly what the
+        # per-middle-point loop and np.allclose did, with the same message;
+        # n = 200 takes several blocks at the default size
+        from sheclt import entropy
+
+        if block is not None:
+            monkeypatch.setattr(entropy, "_TRIANGLE_BLOCK", block)
+        verdicts = []
+        for m in validation_cases(np.random.default_rng(17)):
+            verdicts.append(metric_space_verdict(m))
+            assert verdicts[-1] == metric_space_reference(m)
+        assert None in verdicts and "metric space: triangle inequality violated" in verdicts
+        assert "metric space: distance matrix must be symmetric" in verdicts
 
 
 class TestCoveringPacking:

@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 
 from sheclt import spectral
-from sheclt.errors import ConfigError, DalangViolation
+from sheclt.errors import ConfigError, DalangViolation, NonConvergence
 from sheclt.spectral import (
     CovarianceMeasure,
     DalangProfile,
@@ -93,6 +93,25 @@ def upsilon_by_quadrature(f, lam):
         for x, y in zip(tail, tail[1:])
     )
     return (2.0 / math.pi) * f.mass * (body - cos_part)
+
+
+def upsilon_by_time_quadrature(f, lam):
+    """int_0^inf e^{-lam s} (p_s * f)(0) ds by adaptive quadrature in y = log s.
+
+    The scalar closed form ``smoothed_at`` per node, over pieces of width 2
+    from s = 1e-30 up to lam s = 60.  Below s = 1e-30 the integral is at most
+    1e-30 (p_0 * f)(0), which must be negligible; above lam s = 60 it is
+    under e^{-60} of the rest.
+    """
+    def integrand(y):
+        s = math.exp(y)
+        return s * math.exp(-lam * s) * f.smoothed_at(s)
+
+    edges = np.append(np.arange(math.log(1e-30), math.log(60.0 / lam), 2.0), math.log(60.0 / lam))
+    total = math.fsum(_quad(integrand, a, b) for a, b in zip(edges, edges[1:]))
+    at_zero = f.mass * (f.param / 2.0 if f.kind == "exponential" else 1.0 / f.param) ** f.dimension
+    assert 1e-30 * at_zero <= 1e-16 * total
+    return total
 
 
 class TestCovarianceMeasure:
@@ -198,6 +217,16 @@ class TestCovarianceMeasure:
                         got = float(f.smoothed_axis(s, np.array([x]))[0])
                         worst = max(worst, float(abs(got / ref - 1)))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("kind", spectral.KINDS)
+    def test_smoothed_origin_matches_smoothed_at(self, kind):
+        # the vectorised at-origin forms against the per-axis closed forms
+        s = np.geomspace(1e-10, 1e10, 81)
+        for d in (1, 2, 3):
+            for param in ORACLE_PARAMS:
+                f = CovarianceMeasure(kind, d, 1.3, param)
+                ref = np.array([f.smoothed_at(v) for v in s])
+                np.testing.assert_allclose(f.smoothed_origin(s), ref, rtol=1e-13, atol=0.0)
 
     def test_config_roundtrip(self):
         for f in ALL_KINDS_1D + [CovarianceMeasure("gaussian", 3, 2.5, 0.7)]:
@@ -317,6 +346,54 @@ class TestUpsilon:
         v, _ = integrate.quad(inner, 0, np.inf, limit=200)
         oracle = (2.0 / (2 * math.pi) ** 2) * 4.0 * f.mass * v
         assert upsilon(prof, lam) == pytest.approx(oracle, rel=1e-7)
+
+
+class TestTimeDomainRule:
+    """The trapezoid rule in log s behind ``upsilon`` for the product kinds in
+    d >= 2 and the time side of ``resolvent_identity_check``."""
+
+    @pytest.mark.parametrize("kind", ["exponential", "uniform"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_kinds_match_time_quadrature(self, kind, d):
+        for param in ORACLE_PARAMS:
+            f = CovarianceMeasure(kind, d, 1.3, param)
+            for lam in np.geomspace(1e-12, 1e6, 7):
+                got = upsilon(DalangProfile(f), float(lam))
+                ref = upsilon_by_time_quadrature(f, float(lam))
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (param, lam)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_warning_of_any_category(self, d):
+        lams = [10.0**e for e in range(-12, 13)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in spectral.KINDS:
+                if kind == "dirac" and d > 1:
+                    continue
+                prof = DalangProfile(CovarianceMeasure(kind, d, 1.3, 0.7))
+                for lam in lams:
+                    a = upsilon(prof, lam)
+                    back = lambda_of(prof, a)  # 1e-12 and 1e12 are the bracket's edges
+                    if 1e-12 < lam < 1e12:
+                        assert back == pytest.approx(lam, rel=1e-8)
+                    lhs, rhs = resolvent_identity_check(prof, lam)
+                    assert abs(lhs - rhs) < 1e-6 * rhs
+
+    def test_unsettled_sums_raise(self, monkeypatch):
+        # a jump at s = 1: the trapezoid sums only settle like h
+        monkeypatch.setattr(CovarianceMeasure, "smoothed_origin",
+                            lambda self, s: np.where(s < 1.0, 1.0, 0.5))
+        prof = DalangProfile(CovarianceMeasure("exponential", 2, 1.0, 1.0))
+        with pytest.raises(NonConvergence, match="did not agree"):
+            upsilon(prof, 1.0)
+        with pytest.raises(NonConvergence):
+            resolvent_identity_check(DalangProfile(CovarianceMeasure("gaussian", 1)), 1.0)
+
+    def test_integrand_without_lower_tail_raises(self, monkeypatch):
+        # s (p_s * f)(0) = 1 does not fall off as s -> 0
+        monkeypatch.setattr(CovarianceMeasure, "smoothed_origin", lambda self, s: 1.0 / s)
+        with pytest.raises(NonConvergence, match="does not fall off"):
+            upsilon(DalangProfile(CovarianceMeasure("uniform", 3, 1.0, 1.0)), 1.0)
 
 
 class TestLambdaOf:
