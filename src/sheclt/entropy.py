@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import ConfigError, CovarianceNotPSD, ResolutionTooCoarse
 
@@ -511,51 +511,6 @@ class ScaleClass:
         probes = [0, len(Q) - 1, len(Q) // 2]
         diam = max(float(np.max(row(p))) for p in probes)
         return PointCloud(row, Q.size, metric_resolution, diam)
-
-
-class ConvolutionClass:
-    """Pairwise convolutions C * D of two sampled L2 classes.
-
-    Functions live on a shared grid; distances are numeric L2 norms.  Young's
-    inequality bounds each distance by |C|_2 |D - d|_2 + |d|_2 |C - c|_2.
-    """
-
-    def __init__(self, funcs_c, funcs_d, x_grid):
-        self.x = np.asarray(x_grid, dtype=float)
-        self.dx = float(self.x[1] - self.x[0])
-        self.c = [np.asarray(f, dtype=float) for f in funcs_c]
-        self.d = [np.asarray(f, dtype=float) for f in funcs_d]
-
-    @classmethod
-    def boxes(cls, widths_c, widths_d, span=4.0, n_grid=512):
-        x = np.linspace(-span, span, n_grid)
-        mk = lambda w: ((x >= 0.0) & (x <= w)).astype(float)
-        return cls([mk(w) for w in widths_c], [mk(w) for w in widths_d], x)
-
-    def sample(self, metric_resolution: float = 0.0) -> tuple[FiniteMetricSpace, list]:
-        convs = []
-        pairs = []
-        for i, c in enumerate(self.c):
-            for j, d in enumerate(self.d):
-                convs.append(np.convolve(c, d, mode="same") * self.dx)
-                pairs.append((i, j))
-        convs = np.stack(convs)
-        diff = convs[:, None, :] - convs[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1) * self.dx)
-        return FiniteMetricSpace(dist=dist), pairs
-
-    def young_bound_holds(self) -> bool:
-        space, pairs = self.sample()
-        norm = lambda v: math.sqrt(float(np.sum(v * v)) * self.dx)
-        for p, (i, j) in enumerate(pairs):
-            for q, (k, l) in enumerate(pairs):
-                lhs = space.dist[p, q]
-                rhs = norm(self.c[i]) * norm(self.d[j] - self.d[l]) + norm(self.d[l]) * norm(
-                    self.c[i] - self.c[k]
-                )
-                if lhs > rhs + 1e-9:
-                    return False
-        return True
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Occupation-field samples and the limiting covariance form.
 
-A test function is a signed combination of axis-aligned boxes; its L1/L2
-norms and all pairings are closed-form box algebra.  The normalized sample
+A test function is a signed combination of axis-aligned boxes; its L2
+norm and all pairings are closed-form box algebra.  The normalized sample
 
     N^{d/2} [ sum_j g(u(t, x_j)) w_j  -  baseline * int psi ]
 
@@ -31,7 +31,7 @@ from .errors import (
     SupportOverflow,
 )
 from .noise import Grid
-from .solver import PiecewiseLinear, SigmaFunction, SolutionField
+from .solver import PiecewiseLinear, SigmaFunction
 from .spectral import CovarianceMeasure
 
 HALO_FACTOR = 8.0
@@ -113,23 +113,6 @@ class TestFunction:
     def l2_norm(self) -> float:
         return math.sqrt(max(self.l2_inner(self), 0.0))
 
-    def l1_norm(self) -> float:
-        """Exact L1 norm via the arrangement of box edges (any overlaps)."""
-        edges = []
-        for ax in range(self.d):
-            vals = sorted({b.lo[ax] for _, b in self.terms} | {b.hi[ax] for _, b in self.terms})
-            edges.append(vals)
-        total = 0.0
-        for cell in iter_product(*(range(len(e) - 1) for e in edges)):
-            mid = [0.5 * (edges[ax][i] + edges[ax][i + 1]) for ax, i in enumerate(cell)]
-            vol = math.prod(edges[ax][i + 1] - edges[ax][i] for ax, i in enumerate(cell))
-            val = sum(
-                a for a, b in self.terms
-                if all(b.lo[ax] <= mid[ax] <= b.hi[ax] for ax in range(self.d))
-            )
-            total += abs(val) * vol
-        return total
-
     def support_bbox(self):
         lo = [min(b.lo[ax] for _, b in self.terms) for ax in range(self.d)]
         hi = [max(b.hi[ax] for _, b in self.terms) for ax in range(self.d)]
@@ -150,11 +133,6 @@ class TestFunction:
             ],
             label=f"{self.label}@N={N:g}",
         )
-
-    def combine(self, other: "TestFunction", a: float, b: float) -> "TestFunction":
-        terms = [(a * amp, bx.lo, bx.hi) for amp, bx in self.terms]
-        terms += [(b * amp, bx.lo, bx.hi) for amp, bx in other.terms]
-        return TestFunction(terms, label=f"{a:g}*({self.label})+{b:g}*({other.label})")
 
     def to_config(self) -> dict:
         return {
@@ -351,16 +329,6 @@ def exact_baseline(g: LipFunction, sigma: SigmaFunction) -> BaselineValue | None
     return None
 
 
-@dataclass
-class OccupationSample:
-    value: float
-    N: float
-    t: float
-    psi_label: str
-    g_label: str
-    baseline: BaselineValue
-
-
 def occupation_values(
     prepared: PreparedTestFunction, gu_batch: np.ndarray, baseline: float, N: float
 ) -> np.ndarray:
@@ -368,47 +336,6 @@ def occupation_values(
     d = prepared.grid.d
     raw = prepared.integrate(gu_batch) - baseline * prepared.integral
     return N ** (d / 2.0) * raw
-
-
-def occupation_sample(
-    field: SolutionField, psi: TestFunction, g: LipFunction, N: float, baseline: BaselineValue
-) -> OccupationSample:
-    """One occupation sample of one realization.
-
-    The scaled support plus the diffusive halo must fit the grid domain.
-    """
-    grid = field.grid
-    prepared = PreparedTestFunction(
-        grid, psi.scaled(N), halo=HALO_FACTOR * math.sqrt(max(field.time, 0.0))
-    )
-    gu = np.asarray(g(field.values))[np.newaxis]
-    value = float(occupation_values(prepared, gu, baseline.value, N)[0])
-    return OccupationSample(
-        value=value, N=N, t=field.time, psi_label=psi.label, g_label=g.label, baseline=baseline
-    )
-
-
-def brownian_sheet_field(
-    field: SolutionField, g: LipFunction, N: float, y_grid, baseline: BaselineValue
-) -> np.ndarray:
-    """Normalized box averages over [0, y] for each corner y in y_grid."""
-    grid = field.grid
-    ys = np.atleast_2d(np.asarray(y_grid, dtype=float))
-    if ys.shape[1] != grid.d:
-        raise ConfigError("brownian_sheet_field: y entries must have length d")
-    gu = np.asarray(g(field.values))[np.newaxis]
-    out = np.empty(ys.shape[0])
-    halo = HALO_FACTOR * math.sqrt(max(field.time, 0.0))
-    for i, y in enumerate(ys):
-        if np.any(y < 0.0):
-            raise ConfigError("brownian_sheet_field: corners must be nonnegative")
-        if np.all(y > 0.0):
-            psi = TestFunction.box(tuple(0.0 for _ in y), tuple(y))
-            prepared = PreparedTestFunction(grid, psi.scaled(N), halo=halo)
-            out[i] = float(occupation_values(prepared, gu, baseline.value, N)[0])
-        else:
-            out[i] = 0.0  # empty box
-    return out
 
 
 # -- limiting covariance form --

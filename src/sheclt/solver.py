@@ -14,7 +14,7 @@ realization cross-validates the Euler path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -397,34 +397,3 @@ def picard_solve(
         seed=seed, replica=replica, domain=domain,
     )
 
-
-@dataclass
-class MarginalStats:
-    mean: float
-    variance: float
-    lag_cov: np.ndarray  # axis-0 lags 0..max_lag
-    n_replicas: int
-    n_cells: int
-
-
-def marginal_stats(fields: np.ndarray, grid: Grid, g, max_lag: int = 0) -> MarginalStats:
-    """Pooled mean/variance/lag-covariance of g(field) over replicas and cells.
-
-    ``fields`` is a batch (R, *grid.shape); pooling over cells is justified
-    by spatial stationarity.  The lag covariance runs along axis 0 of the
-    grid out to ``max_lag`` cells.
-    """
-    if fields.ndim != grid.d + 1 or fields.shape[0] < 2:
-        raise ConfigError("marginal_stats: need a batch of at least 2 replica fields")
-    gu = np.asarray(g(fields), dtype=float)
-    mean = float(np.mean(gu))
-    centered = gu - mean
-    variance = float(np.mean(centered**2))
-    lags = np.arange(max_lag + 1)
-    lag_cov = np.empty(max_lag + 1)
-    for lag in lags:
-        lag_cov[lag] = float(np.mean(centered * np.roll(centered, -int(lag), axis=1)))
-    return MarginalStats(
-        mean=mean, variance=variance, lag_cov=lag_cov,
-        n_replicas=fields.shape[0], n_cells=fields[0].size,
-    )

@@ -27,9 +27,8 @@ integral int_0^inf e^{-lam s} (p_s * f)(0) ds, by the trapezoid rule in
 y = log s over one vectorised evaluation of the closed-form (p_s * f)(0) per
 step size; its inverse ``lambda_of``, closed form for dirac and the d = 1
 exponential kind, a root find otherwise; the heat kernel/resolvent identity,
-whose time side is the same trapezoid rule; and the explicit moment, tail,
-and Malliavin-derivative bounds whose constants feed the Monte Carlo
-non-violation checks.
+whose time side is the same trapezoid rule; and the explicit moment and
+tail bounds whose constants feed the Monte Carlo non-violation checks.
 """
 
 from __future__ import annotations
@@ -93,16 +92,6 @@ class CovarianceMeasure:
             return out
         r = self.param
         return r * r / (r * r + z * z)
-
-    def fourier(self, z):
-        """f_hat(z) for z a scalar (d=1) or an array whose last axis has length d."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.shape[-1] != self.dimension:
-            if self.dimension == 1:
-                z = z[..., np.newaxis]
-            else:
-                raise ConfigError("fourier: last axis of z must match the dimension")
-        return self.mass * np.prod(self.fourier_axis(z), axis=-1)
 
     # -- physical-space evaluations --
 
@@ -370,8 +359,9 @@ _BLOCK = 64
 _TRAP_TOL = 1e-13
 _MAX_HALVINGS = 8
 _LOG_S_MIN = math.log(np.finfo(float).tiny)
-# lambda_of brackets log lam inside [-_LOG_LAM_EDGE, _LOG_LAM_EDGE] (lam in [1e-12, 1e12])
-_LOG_LAM_EDGE = math.log(1e12)
+# lambda_of brackets lam inside [1 / _LAM_EDGE, _LAM_EDGE], log lam inside +-_LOG_LAM_EDGE
+_LAM_EDGE = 1e12
+_LOG_LAM_EDGE = math.log(_LAM_EDGE)
 
 
 @dataclass(frozen=True)
@@ -504,7 +494,8 @@ def lambda_of(profile: DalangProfile, a: float) -> float:
     decreasing), to 1e-12 in log lam, after growing a bracket from lam = 1
     in doubling log-steps up to lam in [1e-12, 1e12].  The root find returns
     0.0 when upsilon(1e-12) < a (a is at least the supremum of upsilon near
-    0, which is finite for d = 3) and inf when upsilon(1e12) > a.
+    0, which is finite for d = 3) and inf when upsilon(1e12) > a; an a equal
+    to upsilon at an edge returns that edge.
     """
     if a <= 0.0:
         raise ConfigError("lambda_of: a must be positive")
@@ -519,17 +510,23 @@ def lambda_of(profile: DalangProfile, a: float) -> float:
 
     log_a = math.log(a)
 
+    def lam_at(t):  # the edge nodes are 1e-12 and 1e12 exactly, not exp(-+log 1e12)
+        if abs(t) < _LOG_LAM_EDGE:
+            return math.exp(t)
+        return _LAM_EDGE if t > 0.0 else 1.0 / _LAM_EDGE
+
     @functools.cache
     def gap(t):  # strictly decreasing in t = log lam; cached for brentq's end points
-        return math.log(upsilon(profile, math.exp(t))) - log_a
+        return math.log(upsilon(profile, lam_at(t))) - log_a
 
     sign = 1.0 if gap(0.0) > 0.0 else -1.0  # the root lies on this side of lam = 1
     t0, t1 = 0.0, sign
-    while (gap(t1) > 0.0) == (sign > 0.0):  # no sign change in [t0, t1] yet
+    while sign * gap(t1) > 0.0:  # no sign change nor zero in [t0, t1] yet
         if abs(t1) >= _LOG_LAM_EDGE:
             return math.inf if sign > 0.0 else 0.0
         t0, t1 = t1, sign * min(2.0 * abs(t1), _LOG_LAM_EDGE)
-    return math.exp(brentq(gap, min(t0, t1), max(t0, t1), xtol=1e-12))
+    # brentq returns an end point where gap is exactly 0, so an edge root is the edge
+    return lam_at(brentq(gap, min(t0, t1), max(t0, t1), xtol=1e-12))
 
 
 def resolvent_identity_check(profile: DalangProfile, lam: float) -> tuple[float, float]:
@@ -546,50 +543,6 @@ def resolvent_identity_check(profile: DalangProfile, lam: float) -> tuple[float,
     f = profile.measure
     dalang_check(f)
     return _time_domain_integral(f, lam), upsilon(profile, lam)
-
-
-def upsilon_upper_d1(f: CovarianceMeasure, lam: float) -> float:
-    """The d=1 envelope mass/sqrt(2 lam); equality holds for the dirac kind."""
-    return f.mass / math.sqrt(2.0 * lam)
-
-
-def lul_constant(f: CovarianceMeasure) -> float:
-    """Lower-bound constant c with lam * upsilon(lam) >= c for all lam > 1.
-
-    c = (2 / (3 (2 pi)^d)) * integral of f_hat over the unit ball.
-    """
-    d = f.dimension
-    coeff = 2.0 / (3.0 * (2.0 * math.pi) ** d)
-    if d == 1:
-        val, _ = integrate.quad(lambda z: f.fourier_axis(np.array([z]))[0], 0.0, 1.0)
-        return coeff * f.mass * 2.0 * val
-    if d == 2:
-
-        def inner(z1):
-            zmax = math.sqrt(1.0 - z1 * z1)
-            val, _ = integrate.quad(
-                lambda z2: f.fourier_axis(np.array([z2]))[0], 0.0, zmax
-            )
-            return f.fourier_axis(np.array([z1]))[0] * val
-
-        val, _ = integrate.quad(inner, 0.0, 1.0)
-        return coeff * f.mass * 4.0 * val
-
-    def inner2(z1):
-        r1 = 1.0 - z1 * z1
-
-        def inner1(z2):
-            zmax = math.sqrt(max(r1 - z2 * z2, 0.0))
-            val, _ = integrate.quad(
-                lambda z3: f.fourier_axis(np.array([z3]))[0], 0.0, zmax
-            )
-            return f.fourier_axis(np.array([z2]))[0] * val
-
-        val, _ = integrate.quad(inner1, 0.0, math.sqrt(r1))
-        return f.fourier_axis(np.array([z1]))[0] * val
-
-    val, _ = integrate.quad(inner2, 0.0, 1.0)
-    return coeff * f.mass * 8.0 * val
 
 
 def time_integrated_cov(f: CovarianceMeasure, t: float, x=None) -> float:
@@ -672,17 +625,6 @@ def log_moment_bound(params: MomentBoundParams, profile: DalangProfile) -> float
     )
 
 
-def moment_bound(params: MomentBoundParams, profile: DalangProfile) -> float:
-    """Uniform-in-time k-th moment bound for the occupation field; may be inf."""
-    log_val = log_moment_bound(params, profile)
-    if log_val == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
-
-
 def tail_bound(
     ell: float,
     eps: float,
@@ -714,55 +656,3 @@ def tail_bound(
     ups = upsilon(profile, lam_arg)
     return min(1.0, math.exp(-small * delta * logratio / (2.0 * ups)))
 
-
-def log_malliavin_bound(
-    eps: float,
-    T: float,
-    k: float,
-    t: float,
-    s: float,
-    x,
-    z,
-    sigma0: float,
-    lip_sigma: float,
-    profile: DalangProfile,
-) -> float:
-    """Natural log of the pointwise Malliavin-derivative moment bound.
-
-    log of 8 (sigma0 v Lip sigma) exp{2 T Lambda(a(eps)/k)} / eps^{3/2}
-    * p_{t-s}(x - z).
-    """
-    if not (0.0 < s < t <= T):
-        raise ConfigError("malliavin bound: need 0 < s < t <= T")
-    if k < 2.0 or not (0.0 < eps < 1.0):
-        raise ConfigError("malliavin bound: need k >= 2 and eps in (0, 1)")
-    f = profile.measure
-    big = max(abs(sigma0), abs(lip_sigma))
-    if big == 0.0:
-        return -math.inf
-    _, small = moment_constants(eps, sigma0, lip_sigma, f)
-    lam = lambda_of(profile, small / k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    kern = heat_kernel(t - s, x - z, d=f.dimension)
-    if kern == 0.0:
-        return -math.inf
-    return (
-        math.log(8.0 * big)
-        + 2.0 * T * lam
-        - 1.5 * math.log(eps)
-        + math.log(kern)
-    )
-
-
-def malliavin_bound(
-    eps, T, k, t, s, x, z, sigma0, lip_sigma, profile: DalangProfile
-) -> float:
-    """Pointwise Malliavin-derivative moment bound; may overflow to inf."""
-    log_val = log_malliavin_bound(eps, T, k, t, s, x, z, sigma0, lip_sigma, profile)
-    if log_val == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf

@@ -11,7 +11,6 @@ from sheclt.cli import dispatch
 from sheclt.entropy import (
     EXACT_LIMIT,
     BoxClass,
-    ConvolutionClass,
     FiniteMetricSpace,
     ScaleClass,
     ShiftClass,
@@ -570,15 +569,6 @@ class TestEntropyCommandContract:
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
         assert dispatch(["--out-dir", str(tmp_path), "entropy", *flags]) == 2
         assert "config error" in capsys.readouterr().err
-
-
-class TestConvolutionClass:
-    def test_young_inequality_on_samples(self):
-        cls = ConvolutionClass.boxes([0.5, 1.0, 1.5], [0.6, 1.2], n_grid=256)
-        assert cls.young_bound_holds()
-        space, pairs = cls.sample()
-        assert space.n_points == 6
-        assert sandwich_check(space, 0.3 * space.diameter()).holds
 
 
 class TestChainingEmpirical:

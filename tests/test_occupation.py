@@ -13,19 +13,19 @@ from sheclt.errors import (
 )
 from sheclt.noise import Grid
 from sheclt.occupation import (
+    HALO_FACTOR,
+    BaselineValue,
     LipFunction,
     PreparedTestFunction,
     TestFunction,
-    brownian_sheet_field,
     estimate_Bt,
     exact_Bt_constant_sigma,
     exact_baseline,
     nondegeneracy_check,
-    occupation_sample,
     occupation_values,
 )
 from sheclt.montecarlo import estimate_baseline
-from sheclt.solver import SigmaFunction, SolutionField, solve_batch
+from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure
 
 WHITE = CovarianceMeasure("dirac", 1, 1.0)
@@ -57,13 +57,13 @@ class TestTestFunction:
         assert amp == pytest.approx(0.25)
         assert box.lo == (0.0,) and box.hi == (4.0,)
 
-    def test_scale_preserves_l1_and_scales_l2(self):
+    def test_scale_preserves_integral_and_scales_l2(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             psi = random_box_combo(rng)
             for N in (2.0, 5.0, 16.0):
                 s = psi.scaled(N)
-                assert s.l1_norm() == pytest.approx(psi.l1_norm(), rel=1e-10)
+                assert s.integral() == pytest.approx(psi.integral(), rel=1e-10)
                 assert s.l2_norm() ** 2 * N == pytest.approx(psi.l2_norm() ** 2, rel=1e-10)
 
     def test_l2_closed_form_matches_grid_quadrature(self):
@@ -79,9 +79,9 @@ class TestTestFunction:
             assert abs(psi.l2_norm() - quad) < 2e-4  # grid quadrature noise O(dx)
 
     def test_l1_overlapping_arrangement(self):
-        # 1_{[0,2]} - 1_{[1,3]} has |psi| = 1 on [0,1] u (2,3]: L1 = 2
+        # 1_{[0,2]} - 1_{[1,3]} has |psi| = 1 on [0,1] u (2,3] and 0 elsewhere,
+        # so its L1 norm is its squared L2 norm, 2
         psi = TestFunction([(1.0, (0.0,), (2.0,)), (-1.0, (1.0,), (3.0,))])
-        assert psi.l1_norm() == pytest.approx(2.0)
         assert psi.integral() == pytest.approx(0.0)
         assert psi.l2_norm() ** 2 == pytest.approx(2.0)
 
@@ -142,72 +142,79 @@ class TestLipFunction:
 
 
 class TestOccupationSample:
-    def make_field(self, grid, sigma, t=0.5, seed=40, replica=0):
-        vals, _ = solve_batch(grid, sigma, WHITE, t, seed, [replica])
-        return SolutionField(grid=grid, time=t, values=vals[0], scheme="euler",
-                             seed=seed, replica=replica)
+    """Normalized samples of one realization through ``occupation_values``."""
+
+    def make_values(self, grid, sigma, t=0.5, seed=40):
+        vals, _ = solve_batch(grid, sigma, WHITE, t, seed, [0])
+        return vals[0]
+
+    def sample(self, grid, psi, gu, baseline, N):
+        return occupation_values(PreparedTestFunction(grid, psi.scaled(N)), gu[np.newaxis],
+                                 baseline, N)[0]
 
     def test_constant_observable_exact_zero(self):
         grid = grid_1d()
-        field = self.make_field(grid, SigmaFunction.linear(1.0))
+        vals = self.make_values(grid, SigmaFunction.linear(1.0))
         g = LipFunction.tabulated([-1.0, 1.0], [2.0, 2.0], label="const2")
         base = exact_baseline(g, SigmaFunction.constant(0.0, allow_degenerate=True))
-        sample = occupation_sample(field, TestFunction.box(0.0, 1.0), g, 4.0,
-                                   base or __import__("sheclt.occupation", fromlist=["BaselineValue"]).BaselineValue(2.0, "exact"))
-        assert abs(sample.value) < 1e-12
+        assert base == BaselineValue(2.0, "exact-flat-field")
+        assert abs(self.sample(grid, TestFunction.box(0.0, 1.0), g(vals), base.value, 4.0)) < 1e-12
 
     def test_flat_field_exact_zero(self):
         grid = grid_1d()
         sigma0 = SigmaFunction.constant(0.0, allow_degenerate=True)
-        vals, _ = solve_batch(grid, sigma0, WHITE, 0.5, 1, [0])
-        field = SolutionField(grid=grid, time=0.5, values=vals[0], scheme="euler", seed=1, replica=0)
+        vals = self.make_values(grid, sigma0, seed=1)
         g = LipFunction.sin()
         base = exact_baseline(g, sigma0)
         assert base.provenance == "exact-flat-field"
-        s = occupation_sample(field, TestFunction.box(0.0, 2.0), g, 2.0, base)
-        assert s.value == pytest.approx(0.0, abs=1e-12)
+        s = self.sample(grid, TestFunction.box(0.0, 2.0), g(vals), base.value, 2.0)
+        assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_bilinear_in_psi_exact(self):
         grid = grid_1d()
-        field = self.make_field(grid, SigmaFunction.constant(1.0))
-        g = LipFunction.identity()
-        base = exact_baseline(g, SigmaFunction.constant(1.0))
+        gu = self.make_values(grid, SigmaFunction.constant(1.0))  # identity observable
         rng = np.random.default_rng(9)
         for _ in range(5):
             p1 = random_box_combo(rng, m=2, lo=0.0, hi=2.0)
             p2 = random_box_combo(rng, m=2, lo=0.5, hi=2.5)
             a, b = rng.normal(size=2)
-            combo = p1.combine(p2, a, b)
-            s_combo = occupation_sample(field, combo, g, 2.0, base).value
-            s1 = occupation_sample(field, p1, g, 2.0, base).value
-            s2 = occupation_sample(field, p2, g, 2.0, base).value
+            combo = TestFunction([(a * amp, bx.lo, bx.hi) for amp, bx in p1.terms]
+                                 + [(b * amp, bx.lo, bx.hi) for amp, bx in p2.terms])
+            s_combo, s1, s2 = (self.sample(grid, p, gu, 1.0, 2.0) for p in (combo, p1, p2))
             assert s_combo == pytest.approx(a * s1 + b * s2, abs=1e-10)
+
+    def test_box_additivity(self):
+        # adjacent boxes partition the cell weights of their union
+        grid = grid_1d()
+        gu = self.make_values(grid, SigmaFunction.constant(1.0), seed=3)  # identity observable
+        whole = self.sample(grid, TestFunction.box(0.0, 2.0), gu, 1.0, 4.0)
+        parts = [self.sample(grid, TestFunction.box(lo, hi), gu, 1.0, 4.0)
+                 for lo, hi in ((0.0, 0.5), (0.5, 1.25), (1.25, 2.0))]
+        assert whole == pytest.approx(sum(parts), abs=1e-10)
 
     def test_bilinear_in_g_exact(self):
         grid = grid_1d()
-        field = self.make_field(grid, SigmaFunction.constant(1.0))
+        vals = self.make_values(grid, SigmaFunction.constant(1.0))
         psi = TestFunction.box(0.0, 1.5)
         gid = LipFunction.identity()
         gsin = LipFunction.sin()
-        from sheclt.occupation import BaselineValue
 
         b1, b2 = 1.0, 0.84  # any frozen centering values work for linearity
         a, c = 0.7, -1.3
         combo = lambda u: a * gid(u) + c * gsin(u)
         prepared = PreparedTestFunction(grid, psi.scaled(2.0))
-        gu = combo(field.values)[np.newaxis]
-        v_combo = occupation_values(prepared, gu, a * b1 + c * b2, 2.0)[0]
-        v1 = occupation_values(prepared, gid(field.values)[np.newaxis], b1, 2.0)[0]
-        v2 = occupation_values(prepared, gsin(field.values)[np.newaxis], b2, 2.0)[0]
+        v_combo = occupation_values(prepared, combo(vals)[np.newaxis], a * b1 + c * b2, 2.0)[0]
+        v1 = occupation_values(prepared, gid(vals)[np.newaxis], b1, 2.0)[0]
+        v2 = occupation_values(prepared, gsin(vals)[np.newaxis], b2, 2.0)[0]
         assert v_combo == pytest.approx(a * v1 + c * v2, abs=1e-10)
 
     def test_support_overflow(self):
+        # the scaled support plus the diffusive halo at t = 1/2 must fit the domain
         grid = grid_1d(L=8.0)
-        field = self.make_field(grid, SigmaFunction.constant(1.0), t=0.5)
-        g = LipFunction.identity()
-        base = exact_baseline(g, SigmaFunction.constant(1.0))
+        psi = TestFunction.box(0.0, 1.0).scaled(7.5)
+        PreparedTestFunction(grid, psi)
         with pytest.raises(SupportOverflow):
-            occupation_sample(field, TestFunction.box(0.0, 1.0), g, 7.5, base)
+            PreparedTestFunction(grid, psi, halo=HALO_FACTOR * math.sqrt(0.5))
 
     def test_torus_wrap_matches_shifted_placement(self):
         # the same box placed across the seam integrates the same cells
@@ -232,31 +239,6 @@ class TestOccupationSample:
         full = prep.integrate(fields)[[0, 63]]
         assert np.array_equal(prep.integrate(fields[[0, 63]]), full)
         assert np.array_equal([prep.integrate(fields[r : r + 1])[0] for r in (0, 63)], full)
-
-
-class TestBrownianSheetField:
-    def test_zero_corner(self):
-        grid = grid_1d()
-        vals, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 0.5, 3, [0])
-        field = SolutionField(grid=grid, time=0.5, values=vals[0], scheme="euler", seed=3, replica=0)
-        g = LipFunction.identity()
-        base = exact_baseline(g, SigmaFunction.constant(1.0))
-        w = brownian_sheet_field(field, g, 4.0, [[0.0], [1.0]], base)
-        assert w[0] == 0.0
-
-    def test_box_additivity(self):
-        grid = grid_1d()
-        vals, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 0.5, 3, [0])
-        field = SolutionField(grid=grid, time=0.5, values=vals[0], scheme="euler", seed=3, replica=0)
-        g = LipFunction.identity()
-        base = exact_baseline(g, SigmaFunction.constant(1.0))
-        w = brownian_sheet_field(field, g, 4.0, [[2.0]], base)[0]
-        parts = [
-            occupation_sample(field, TestFunction.box(0.0, 0.5), g, 4.0, base).value,
-            occupation_sample(field, TestFunction.box(0.5, 1.25), g, 4.0, base).value,
-            occupation_sample(field, TestFunction.box(1.25, 2.0), g, 4.0, base).value,
-        ]
-        assert w == pytest.approx(sum(parts), abs=1e-10)
 
 
 class TestBtEstimate:
@@ -387,7 +369,8 @@ class TestL2Continuity:
         for _ in range(8):
             psi = random_box_combo(rng, m=2, lo=0.0, hi=2.5)
             phi = random_box_combo(rng, m=2, lo=0.0, hi=2.5)
-            diff = psi.combine(phi, 1.0, -1.0)
+            diff = TestFunction([(a, b.lo, b.hi) for a, b in psi.terms]
+                                + [(-a, b.lo, b.hi) for a, b in phi.terms])
             dist = diff.l2_norm()
             if dist < 1e-6:
                 continue
