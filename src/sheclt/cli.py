@@ -41,7 +41,7 @@ from .montecarlo import (
     tail_check,
 )
 from .noise import Grid, RngStream, empirical_noise_covariance, periodized_covariance, sample_noise_slice, spectral_weights
-from .occupation import LipFunction, TestFunction, estimate_Bt, exact_Bt_constant_sigma
+from .occupation import BtEstimate, LipFunction, TestFunction, estimate_Bt, exact_Bt_constant_sigma
 from .solver import SigmaFunction, solve_batch
 from .spectral import (
     CovarianceMeasure,
@@ -199,8 +199,8 @@ def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -
     )
 
 
-def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float, str]]:
-    """(B_t, source) for each observable in ``g_list``.
+def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float, str, BtEstimate | None]]:
+    """(B_t, source, Monte Carlo estimate or None) for each observable in ``g_list``.
 
     Exact for constant sigma with the identity observable; every other
     observable gets its own estimate from one shared dedicated field run.
@@ -211,7 +211,7 @@ def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float,
     for g in g_list:
         if sigma.is_constant and g.kind == "identity":
             c0 = float(sigma(np.array(1.0)))
-            out.append((exact_Bt_constant_sigma(c0, cfg.t, cfg.covariance), "exact"))
+            out.append((exact_Bt_constant_sigma(c0, cfg.t, cfg.covariance), "exact", None))
             continue
         if fields is None:
             grid = cfg.grid_for(cfg.n_ladder[0])
@@ -220,7 +220,7 @@ def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float,
                 cfg.seed, domain=20_000, workers=cfg.workers,
             )
         est = estimate_Bt(fields, grid, g, t=cfg.t, f=cfg.covariance)
-        out.append((est.value, "mc"))
+        out.append((est.value, "mc", est))
     return out
 
 
@@ -339,7 +339,7 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
             (p.label, q.label): p.l2_inner(q) for p in cfg.psi_list for q in cfg.psi_list
         }
         for psi in cfg.psi_list:
-            for g, (g_bt, _) in zip(cfg.g_list, bts):
+            for g, (g_bt, _, _) in zip(cfg.g_list, bts):
                 ens = result.get(N, psi, g)
                 rep = clt_report(ens.values, psi.l2_inner(psi), g_bt)
                 key = f"N={N:g}|{psi.label}|{g.label}"
@@ -370,10 +370,12 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
          ("N", "psi", "g", "mean", "variance", "predicted_variance", "ks", "ks_critical"),
          rows)
     _csv(out_dir, manifest, "clt-samples", ("replica", "N", "psi", "g", "value"), sample_rows)
-    return _finish(out_dir, manifest, flags, extra={
-        "b_t": {g.label: v for g, (v, _) in zip(cfg.g_list, bts)},
-        "b_t_source": {g.label: src for g, (_, src) in zip(cfg.g_list, bts)},
-    })
+    extra = {"b_t": {g.label: v for g, (v, _, _) in zip(cfg.g_list, bts)},
+             "b_t_source": {g.label: src for g, (_, src, _) in zip(cfg.g_list, bts)}}
+    mc = [(g.label, est) for g, (_, _, est) in zip(cfg.g_list, bts) if est is not None]
+    for name in ("se", "cutoff", "boundary_cov"):  # the quality of each Monte Carlo B_t
+        extra[f"b_t_{name}"] = {label: getattr(est, name) for label, est in mc}
+    return _finish(out_dir, manifest, flags, extra=extra)
 
 
 def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
@@ -460,7 +462,7 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     manifest.record_grids(result)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
-    ((b_t, b_src),) = _reference_bt(raw, cfg, [g])
+    ((b_t, b_src, _),) = _reference_bt(raw, cfg, [g])
     samples = {r: result.get(N, boxes[r], g).values for r in r_grid}
     inc_cols = np.stack([result.get(N, b, g).values for b in inc_boxes], axis=1)
     vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])

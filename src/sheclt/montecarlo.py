@@ -87,19 +87,16 @@ class ExperimentConfig:
             self.grid_for(N)  # support pre-check before any replica runs
 
     def grid_for(self, N: float) -> Grid:
-        """Grid sized for every scaled support at this N plus the halo."""
+        """Grid whose torus exceeds the span of the scaled supports' union plus the halo."""
         d = self.covariance.dimension
-        max_width = 0.0
         union_lo = np.full(d, np.inf)
         union_hi = np.full(d, -np.inf)
         for psi in self.psi_list:
-            scaled = psi.scaled(N)
-            lo, hi = scaled.support_bbox()
+            lo, hi = psi.scaled(N).support_bbox()
             union_lo = np.minimum(union_lo, lo)
             union_hi = np.maximum(union_hi, hi)
-            max_width = max(max_width, max(scaled.support_widths()))
-        extent = max(max_width, float(np.max(union_hi - union_lo)) / 2.0)
-        return Grid.for_support(extent=extent, t=self.t, dx=self.dx, d=d)
+        span = float(np.max(union_hi - union_lo))
+        return Grid.for_support(span=span, t=self.t, dx=self.dx, d=d)
 
 
 @dataclass

@@ -100,17 +100,17 @@ class Grid:
         return np.arange(self.n) * self.dx
 
     @classmethod
-    def for_support(cls, extent: float, t: float, dx: float, d: int, dt: float | None = None) -> "Grid":
-        """Grid with the smallest 5-smooth n such that L = n dx > 2 extent + 8 sqrt(t).
+    def for_support(cls, span: float, t: float, dx: float, d: int, dt: float | None = None) -> "Grid":
+        """Grid with the smallest 5-smooth n such that L = n dx > span + 8 sqrt(t).
 
-        ``extent`` is the largest per-axis width of any scaled test-function
-        support; the additive term is the diffusive halo.  Above 100 cells,
-        consecutive 5-smooth counts differ by at most 1/9, so the torus holds
-        at most that much more than the support and halo need.
+        ``span`` is the largest per-axis width of the union of the scaled
+        supports, so each support point lies more than the diffusive halo from
+        every wrapped image of another.  Above 100 cells, consecutive 5-smooth
+        counts differ by at most 1/9, so L exceeds what it needs by at most that.
         """
         if dx <= 0.0:
             raise ConfigError("grid.dx: must be positive")
-        needed = 2.0 * max(extent, 0.0) + 8.0 * math.sqrt(max(t, 0.0))
+        needed = max(span, 0.0) + 8.0 * math.sqrt(max(t, 0.0))
         n = _five_smooth_at_least(max(2, math.floor(needed / dx)))
         while n * dx <= needed:
             n = _five_smooth_at_least(n + 1)

@@ -127,6 +127,9 @@ class TestDispatch:
         assert code == 0
         summary = json.loads(out_files(out, "clt-summary", ".json")[0].read_text())
         assert summary["pass"]
+        # the exact B_t has no Monte Carlo quality to report
+        assert summary["values"]["b_t_source"] == {"identity": "exact"}
+        assert all(summary["values"][k] == {} for k in ("b_t_se", "b_t_cutoff", "b_t_boundary_cov"))
         # absurd tolerance forces an acceptance failure: exit code 1
         cfg_bad = tiny_clt_config(tmp_path, variance_tolerance=1e-9)
         out_bad = tmp_path / "out-bad"
@@ -157,9 +160,15 @@ class TestDispatch:
             t=0.25, n_ladder=[4.0], dx=0.25, replicas=50, seed=7,
         ).grid_for(4.0)
         fields = field_run(white, sigma, 0.25, grid, 100, 7, domain=20_000)
+        values = json.loads(out_files(out, "clt-summary", ".json")[0].read_text())["values"]
         for g in (LipFunction.sin(), LipFunction.identity()):
-            bt = estimate_Bt(fields, grid, g, t=0.25, f=white).value
-            assert predicted[g.label] == unit.l2_inner(unit) * bt
+            est = estimate_Bt(fields, grid, g, t=0.25, f=white)
+            assert predicted[g.label] == unit.l2_inner(unit) * est.value
+            # each Monte Carlo B_t reports its quality, with the cutoff it used
+            assert values["b_t_source"][g.label] == "mc"
+            assert (values["b_t_se"][g.label], values["b_t_cutoff"][g.label],
+                    values["b_t_boundary_cov"][g.label]) == (est.se, est.cutoff, est.boundary_cov)
+            assert 0.0 < values["b_t_cutoff"][g.label] <= grid.length / 4.0
         assert predicted["sin"] != predicted["identity"]
 
     def test_experiment_manifest_records_grids(self, tmp_path):
@@ -183,8 +192,8 @@ class TestDispatch:
             grid = expected.grid_for(rec["N"])
             assert rec == {"N": rec["N"], "n": grid.n, "L": grid.length, "dt": grid.dt,
                            "steps": round(0.25 / grid.dt), "cells_per_replica": grid.n**grid.d}
-        # 2 * 4 + 8 sqrt(1/4) = 12 needs more than 48 cells of 1/4: 50 = 2 * 5^2
-        assert record["grids"][0]["n"] == 50
+        # 4 + 8 sqrt(1/4) = 8 needs more than 32 cells of 1/4: 36 = 2^2 * 3^2
+        assert record["grids"][0]["n"] == 36
 
     def test_non_power_of_two_cell_counts_run(self, tmp_path):
         # --L 5 --dx 0.25: 20 = 2^2 * 5 cells per axis

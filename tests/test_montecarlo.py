@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtri
 
@@ -31,7 +33,7 @@ from sheclt.montecarlo import (
     tail_check,
     wilson_interval,
 )
-from sheclt.occupation import LipFunction, TestFunction
+from sheclt.occupation import HALO_FACTOR, LipFunction, PreparedTestFunction, TestFunction
 from sheclt.noise import Grid
 from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure, DalangProfile
@@ -99,6 +101,60 @@ class TestExperiment:
         vals = res.get(4.0, res.config.psi_list[0], "identity").values
         se = np.std(vals) / math.sqrt(vals.size)
         assert abs(np.mean(vals)) < 4 * se
+
+
+def five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@st.composite
+def signed_layouts(draw):
+    """1-3 test functions of 1-3 signed boxes each in d = 1-3, with N, t and dx."""
+    d = draw(st.integers(1, 3))
+    quarter = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+    def term():
+        lo = tuple(draw(quarter) for _ in range(d))
+        hi = tuple(v + draw(st.integers(1, 8)) / 4.0 for v in lo)
+        return draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])), lo, hi
+
+    psis = [TestFunction([term() for _ in range(draw(st.integers(1, 3)))])
+            for _ in range(draw(st.integers(1, 3)))]
+    N, t, dx = (draw(st.floats(lo, hi)) for lo, hi in ((0.25, 4.0), (0.0, 1.0), (0.25, 1.0)))
+    return d, psis, N, t, dx
+
+
+class TestGridFor:
+    @settings(max_examples=150, deadline=None)
+    @given(signed_layouts())
+    def test_smallest_torus_past_span_and_halo(self, layout):
+        d, psis, N, t, dx = layout
+        cov = WHITE if d == 1 else CovarianceMeasure("gaussian", d, 1.0, 1.0)
+        cfg = tiny_config(covariance=cov, psi_list=psis, t=t, n_ladder=[N], dx=dx)
+        grid = cfg.grid_for(N)
+        boxes = [box for psi in psis for _, box in psi.scaled(N).terms]
+        lo = np.min([box.lo for box in boxes], axis=0)
+        hi = np.max([box.hi for box in boxes], axis=0)
+        span, widest = float(np.max(hi - lo)), max(max(psi.scaled(N).support_widths()) for psi in psis)
+        needed = span + 8.0 * math.sqrt(t)
+        assert grid.length > needed
+        smaller = [k for k in range(2, grid.n) if five_smooth(k)]
+        assert not smaller or smaller[-1] * dx <= needed
+        for psi in psis:
+            PreparedTestFunction(grid, psi.scaled(N), halo=HALO_FACTOR * math.sqrt(t))
+        # the rule this one replaces: L > 2 max(widest support, span / 2) + 8 sqrt(t)
+        old_needed = 2.0 * max(widest, span / 2.0) + 8.0 * math.sqrt(t)
+        old_n = next(k for k in range(2, 10**6) if five_smooth(k) and k * dx > old_needed)
+        assert grid.n == old_n if span >= 2.0 * widest else grid.n <= old_n
+
+    def test_independence_layout_unchanged(self):
+        # three unit boxes at 0, 2, 4: span = 5 N is already twice the old extent
+        cfg = tiny_config(psi_list=[TestFunction.box(lo, lo + 1.0) for lo in (0.0, 2.0, 4.0)],
+                          t=1.0, n_ladder=[16.0, 32.0], dx=0.25)
+        assert [cfg.grid_for(N).n for N in cfg.n_ladder] == [360, 675]
 
 
 class TestMarginalVarianceRun:

@@ -51,25 +51,26 @@ class TestGrid:
             Grid(d=1, length=16.0, n=64, dt=1.0)
 
     def test_for_support_halo_rule(self):
-        g = Grid.for_support(extent=64.0, t=1.0, dx=1.0 / 16.0, d=1)
-        needed = 2 * 64.0 + 8.0
+        g = Grid.for_support(span=64.0, t=1.0, dx=1.0 / 16.0, d=1)
+        needed = 64.0 + 8.0
         assert g.length > needed
+        assert g.n == 1200
         assert five_smooth(g.n)
         smaller = max(k for k in range(2, g.n) if five_smooth(k))
         assert smaller * g.dx <= needed
         assert g.dt == pytest.approx(g.dx**2 / 2.0)
 
-    @pytest.mark.parametrize("extent, t, dx, d", [
+    @pytest.mark.parametrize("span, t, dx, d", [
         (0.0, 0.0, 1.0, 1), (1.0, 0.25, 0.25, 1), (4.0, 0.25, 0.25, 1), (16.0, 0.5, 0.5, 2),
         (3.3, 0.1, 0.07, 3), (1024.0, 1.0, 1.0 / 16.0, 1), (2.0e4, 1.0, 1.0, 1),
     ])
-    def test_for_support_is_smallest_five_smooth(self, extent, t, dx, d):
+    def test_for_support_is_smallest_five_smooth(self, span, t, dx, d):
         # reference: scan every cell count upward from 2
-        needed = 2.0 * extent + 8.0 * math.sqrt(t)
+        needed = span + 8.0 * math.sqrt(t)
         n = 2
         while n * dx <= needed or not five_smooth(n):
             n += 1
-        g = Grid.for_support(extent=extent, t=t, dx=dx, d=d)
+        g = Grid.for_support(span=span, t=t, dx=dx, d=d)
         assert (g.n, g.length) == (n, n * dx)
 
 

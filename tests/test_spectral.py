@@ -372,7 +372,7 @@ class TestTimeDomainRule:
                 prof = DalangProfile(CovarianceMeasure(kind, d, 1.3, 0.7))
                 for lam in lams:
                     a = upsilon(prof, lam)
-                    assert lambda_of(prof, a) == pytest.approx(lam, rel=1e-8)
+                    assert lambda_of(prof, a) == pytest.approx(lam, rel=1e-8, abs=0.0)
                     lhs, rhs = resolvent_identity_check(prof, lam)
                     assert abs(lhs - rhs) < 1e-6 * rhs
 
