@@ -40,7 +40,8 @@ from .montecarlo import (
     run_experiment,
     tail_check,
 )
-from .noise import Grid, RngStream, empirical_noise_covariance, periodized_covariance, sample_noise_slice, spectral_weights
+from .noise import (Grid, RngStream, empirical_noise_covariance, periodized_covariance,
+                    sample_noise_slice, spectral_weights, stable_dt)
 from .occupation import BtEstimate, LipFunction, TestFunction, estimate_Bt, exact_Bt_constant_sigma
 from .solver import SigmaFunction, solve_batch
 from .spectral import (
@@ -179,16 +180,20 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config: cannot read {path} ({exc})") from exc
 
 
-def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -> ExperimentConfig:
+def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None,
+                            psi_list=None) -> ExperimentConfig:
+    """The experiment ``raw`` describes; ``psi_list``, when given, stands in
+    for the config's ``psi`` key, which is then neither required nor read."""
     for key in ("covariance", "sigma", "psi", "t", "n_ladder", "dx", "replicas"):
-        if key not in raw:
+        if key not in raw and not (key == "psi" and psi_list is not None):
             raise ConfigError(f"config: missing key {key!r}")
     return ExperimentConfig(
         covariance=CovarianceMeasure.from_config(raw["covariance"]),
         sigma=SigmaFunction.from_config(raw["sigma"]),
         g_list=_config_value(raw, "g", lambda gs: [LipFunction.from_config(g) for g in gs],
                              [{"kind": "identity"}]),
-        psi_list=_config_value(raw, "psi", lambda ps: [TestFunction.from_config(p) for p in ps]),
+        psi_list=psi_list if psi_list is not None else _config_value(
+            raw, "psi", lambda ps: [TestFunction.from_config(p) for p in ps]),
         t=_config_value(raw, "t", float),
         n_ladder=_config_value(raw, "n_ladder", lambda ns: [float(n) for n in ns]),
         dx=_config_value(raw, "dx", float),
@@ -197,6 +202,15 @@ def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None) -
         baseline_replicas=_config_value(raw, "baseline_replicas", int, 400),
         workers=workers,
     )
+
+
+def _run(command: str, raw: dict, cfg: ExperimentConfig) -> tuple[RunManifest, ExperimentResult]:
+    """The one path of every experiment command from its config to its
+    results: open the manifest, run every replica, record each N's grid."""
+    manifest = RunManifest(command, {"config": raw, "replicas": cfg.replicas}, cfg.seed)
+    result = run_experiment(cfg)
+    manifest.record_grids(result)
+    return manifest, result
 
 
 def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float, str, BtEstimate | None]]:
@@ -266,7 +280,7 @@ def cmd_bounds(args, out_dir: Path) -> int:
 def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
     n = _cells_per_axis(args.length, args.dx)
-    grid = Grid(d=args.d, length=n * args.dx, n=n, dt=args.dx**2 / (2 * args.d))
+    grid = Grid(d=args.d, length=n * args.dx, n=n, dt=stable_dt(args.dx, args.d))
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
               "dx": args.dx, "length": args.length, "slices": args.slices,
               "max_lag": args.max_lag}
@@ -297,7 +311,7 @@ def cmd_solve(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
     sigma = parse_sigma_flag(args.sigma)
     n = _cells_per_axis(args.length, args.dx)
-    dt = args.dt if args.dt is not None else args.dx**2 / (2 * args.d)
+    dt = args.dt if args.dt is not None else stable_dt(args.dx, args.d)
     grid = Grid(d=args.d, length=n * args.dx, n=n, dt=dt)
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
               "sigma": args.sigma, "t": args.t, "dx": args.dx, "dt": dt,
@@ -325,19 +339,13 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
     var_tol = _positive_float(raw, "variance_tolerance", 0.10)
     cov_tol = _positive_float(raw, "covariance_tolerance", 0.15)
-    manifest = RunManifest("clt", {"config": raw, "replicas": cfg.replicas}, seed)
-    result = run_experiment(cfg)
-    manifest.record_grids(result)
+    manifest, result = _run("clt", raw, cfg)
     bts = _reference_bt(raw, cfg, cfg.g_list)
     b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
     flags = {}
     rows = []
     sample_rows = []
     for N in cfg.n_ladder:
-        joint = {p.label: result.get(N, p, cfg.g_list[0]).values for p in cfg.psi_list}
-        gram = {
-            (p.label, q.label): p.l2_inner(q) for p in cfg.psi_list for q in cfg.psi_list
-        }
         for psi in cfg.psi_list:
             for g, (g_bt, _, _) in zip(cfg.g_list, bts):
                 ens = result.get(N, psi, g)
@@ -353,18 +361,15 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
                 flags[f"ks_ok|{key}"] = rep.gaussian
                 for r, v in enumerate(ens.values):
                     sample_rows.append((r, N, psi.label, g.label, v))
-        # joint covariance consistency across overlapping pairs
-        labels = [p.label for p in cfg.psi_list]
-        if len(labels) > 1:
-            cols = np.stack([joint[l] for l in labels], axis=1)
-            cov = np.cov(cols.T)
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    inner = gram[(labels[i], labels[j])]
+        # joint covariance of each overlapping pair against <psi_i, psi_j> B_t
+        if len(cfg.psi_list) > 1:
+            cov = np.cov(result.joint(N, [(p, cfg.g_list[0]) for p in cfg.psi_list]).T)
+            for i, p in enumerate(cfg.psi_list):
+                for j, q in enumerate(cfg.psi_list[i + 1:], start=i + 1):
+                    inner = p.l2_inner(q)
                     if abs(inner) > 1e-12:
-                        ratio = cov[i, j] / (inner * b_t)
-                        flags[f"cov_ok|N={N:g}|{labels[i]}~{labels[j]}"] = (
-                            abs(ratio - 1.0) <= cov_tol
+                        flags[f"cov_ok|N={N:g}|{p.label}~{q.label}"] = (
+                            abs(cov[i, j] / (inner * b_t) - 1.0) <= cov_tol
                         )
     _csv(out_dir, manifest, "clt-report",
          ("N", "psi", "g", "mean", "variance", "predicted_variance", "ks", "ks_critical"),
@@ -384,52 +389,43 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
     if len(cfg.psi_list) < 2:
         raise ConfigError("independence: need at least two test functions")
     n_perm = _positive_int(raw, "n_perm", 200)
-    manifest = RunManifest("independence", {"config": raw, "replicas": cfg.replicas}, seed)
-    result = run_experiment(cfg)
-    manifest.record_grids(result)
+    manifest, result = _run("independence", raw, cfg)
     g = cfg.g_list[0]
+    last = cfg.n_ladder[-1]
     rows = []
     flags = {}
     observed_by_n = []
     null_se_by_n = []
     for N in cfg.n_ladder:
         cols = result.joint(N, [(p, g) for p in cfg.psi_list])
-        z_list = default_z_tuples(cols.shape[1])
-        rep = independence_report(cols, z_list, n_perm=n_perm, seed=seed)
+        rep = independence_report(cols, default_z_tuples(cols.shape[1]), n_perm=n_perm, seed=seed)
         observed_by_n.append(rep.observed)
         null_se_by_n.append(rep.null_se)
         rows.append((N, "all", rep.observed, rep.null_q99, float("nan")))
-        for i in range(len(cfg.psi_list)):
-            for j in range(i + 1, len(cfg.psi_list)):
-                pair_cols = cols[:, [i, j]]
+        for i, p in enumerate(cfg.psi_list):
+            for j, q in enumerate(cfg.psi_list[i + 1:], start=i + 1):
                 pair_rep = independence_report(
-                    pair_cols, default_z_tuples(2), n_perm=n_perm, seed=seed + 1
+                    cols[:, [i, j]], default_z_tuples(2), n_perm=n_perm, seed=seed + 1
                 )
-                rhs = independence_rhs(
-                    cfg.covariance, cfg.t, cfg.psi_list[i], cfg.psi_list[j], N
-                )
-                rows.append(
-                    (N, f"{cfg.psi_list[i].label}~{cfg.psi_list[j].label}",
-                     pair_rep.observed, pair_rep.null_q99, rhs)
-                )
-                if N == cfg.n_ladder[-1]:
-                    flags[f"pair_ok|{cfg.psi_list[i].label}~{cfg.psi_list[j].label}"] = (
-                        pair_rep.passed
-                    )
-        if N == cfg.n_ladder[-1]:
+                rhs = independence_rhs(cfg.covariance, cfg.t, p, q, N)
+                rows.append((N, f"{p.label}~{q.label}", pair_rep.observed, pair_rep.null_q99, rhs))
+                if N == last:
+                    flags[f"pair_ok|{p.label}~{q.label}"] = pair_rep.passed
+        if N == last:
             flags["joint_ok"] = rep.passed
-    monotone = all(
-        observed_by_n[k + 1] <= observed_by_n[k] + 2.0 * null_se_by_n[k + 1]
-        for k in range(len(observed_by_n) - 1)
-    )
     if len(cfg.n_ladder) > 1:
-        flags["monotone_along_ladder"] = monotone
+        flags["monotone_along_ladder"] = all(
+            observed_by_n[k + 1] <= observed_by_n[k] + 2.0 * null_se_by_n[k + 1]
+            for k in range(len(observed_by_n) - 1)
+        )
     _csv(out_dir, manifest, "independence",
          ("N", "pair", "max_ecf_gap", "null_q99", "rhs_bound"), rows)
     return _finish(out_dir, manifest, flags)
 
 
 def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
+    """Q(r) boxes and their increments inc(.,.) are the test functions; the
+    config's ``psi`` key is ignored."""
     raw = _load_config(args.config)
     n_perm = _positive_int(raw, "n_perm", 200)
     r_grid = _config_value(raw, "r_grid", lambda rs: [float(r) for r in rs], [0.25, 0.5, 1.0])
@@ -446,30 +442,23 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     for r in r_grid:
         hi_r = [lo[0] + r * (hi[0] - lo[0])] + hi[1:]
         boxes[r] = TestFunction.box(tuple(lo), tuple(hi_r), label=f"Q({r:g})")
-    edges = sorted(set(r_grid))
     inc_boxes = []
     prev = lo[0]
-    for r in edges:
+    for r in sorted(set(r_grid)):
         edge = lo[0] + r * (hi[0] - lo[0])
         inc_boxes.append(TestFunction.box((prev,) + tuple(lo[1:]), (edge,) + tuple(hi[1:]),
                                           label=f"inc({prev:g},{edge:g})"))
         prev = edge
-    raw_cfg = dict(raw)
-    raw_cfg["psi"] = [b.to_config() for b in list(boxes.values()) + inc_boxes]
-    cfg = _experiment_from_config(raw_cfg, seed, workers, replicas=args.replicas)
-    manifest = RunManifest("fdd", {"config": raw, "replicas": cfg.replicas}, seed)
-    result = run_experiment(cfg)
-    manifest.record_grids(result)
+    cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas,
+                                  psi_list=[*boxes.values(), *inc_boxes])
+    manifest, result = _run("fdd", raw, cfg)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
     ((b_t, b_src, _),) = _reference_bt(raw, cfg, [g])
     samples = {r: result.get(N, boxes[r], g).values for r in r_grid}
-    inc_cols = np.stack([result.get(N, b, g).values for b in inc_boxes], axis=1)
+    inc_cols = result.joint(N, [(b, g) for b in inc_boxes])
     vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])
-    rep = fdd_brownian_check(
-        samples, inc_cols, b_t=b_t, base_volume=vol,
-        n_perm=n_perm, seed=seed,
-    )
+    rep = fdd_brownian_check(samples, inc_cols, b_t=b_t, base_volume=vol, n_perm=n_perm, seed=seed)
     rows = []
     for i, r in enumerate(rep.r_grid):
         for j, s in enumerate(rep.r_grid):
@@ -488,9 +477,7 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
 def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
-    manifest = RunManifest("tails", {"config": raw, "replicas": cfg.replicas}, seed)
-    result = run_experiment(cfg)
-    manifest.record_grids(result)
+    manifest, result = _run("tails", raw, cfg)
     psi, g = cfg.psi_list[0], cfg.g_list[0]
     N = cfg.n_ladder[-1]
     values = result.get(N, psi, g).values
@@ -570,14 +557,14 @@ def cmd_entropy(args, out_dir: Path, seed: int) -> int:
         _csv(out_dir, manifest, "chaining", ("space", "empirical", "bound", "violated"), rows)
     elif args.check == "exponent":
         classes = {
-            "box": (BoxClass(m=1.0, d=1), np.geomspace(0.09, 0.42, 7), -2.0),
-            "shift": (ShiftClass(n=1.0), np.geomspace(0.02, 0.3, 7), -1.0),
-            "scale": (ScaleClass(), np.geomspace(0.12, 0.6, 7), -2.0),
+            "box": (BoxClass(m=1.0, d=1), np.geomspace(0.09, 0.42, 7)),
+            "shift": (ShiftClass(n=1.0), np.geomspace(0.02, 0.3, 7)),
+            "scale": (ScaleClass(), np.geomspace(0.12, 0.6, 7)),
         }
         chosen = [args.cls] if args.cls else list(classes)
         rows = []
         for name in chosen:
-            cls, r_grid, expected = classes[name]
+            cls, r_grid = classes[name]
             if args.r_grid:
                 try:
                     r_grid = np.array([float(v) for v in args.r_grid.split(",")])
@@ -586,7 +573,7 @@ def cmd_entropy(args, out_dir: Path, seed: int) -> int:
             fit = covering_exponent(cls, r_grid)
             for r, c in zip(fit.radii, fit.counts):
                 rows.append((name, r, c, fit.slope))
-            flags[f"slope_ok|{name}"] = abs(fit.slope - expected) < 0.3
+            flags[f"slope_ok|{name}"] = abs(fit.slope - cls.expected_exponent) < 0.3
         _csv(out_dir, manifest, "exponent", ("class", "r", "covering_number", "slope"), rows)
     else:
         raise ConfigError(f"entropy: unknown check {args.check!r}")

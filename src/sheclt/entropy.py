@@ -38,7 +38,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from .errors import ConfigError, CovarianceNotPSD, ResolutionTooCoarse
+from .errors import ConfigError, CovarianceNotPSD
 
 EXACT_LIMIT = 12
 # elements of the (n, k, n) triangle-inequality temporary per block of middle points
@@ -381,10 +381,9 @@ class PointCloud:
     contract in ``covering_number`` allows, or ignore it and stay exact.
     """
 
-    def __init__(self, dist_row_fn, n_points, resolution, diam):
+    def __init__(self, dist_row_fn, n_points, diam):
         self._row = dist_row_fn
         self.n_points = n_points
-        self.resolution = resolution
         self._diam = diam
 
     def dist_row(self, i: int, below=np.inf) -> np.ndarray:
@@ -422,7 +421,7 @@ class BoxClass:
             return np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
 
         diam = math.sqrt(self.m**self.d)
-        return PointCloud(row, pts.shape[0], metric_resolution, diam)
+        return PointCloud(row, pts.shape[0], diam)
 
 
 class ShiftClass:
@@ -446,13 +445,11 @@ class ShiftClass:
         def row(i, below=np.inf):
             return np.abs(np.sin(a) - np.sin(a[i])) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
 
-        diam = float(np.max(row(0))) if a.size else 0.0
         # true diameter needs the max over all pairs; shifts are 1-parameter
         # with an increasing metric in |a - b| up to the period, so endpoint
         # rows realize it for n <= pi/2
-        cloud = PointCloud(row, a.size, metric_resolution, diam)
-        cloud._diam = max(float(np.max(row(0))), float(np.max(row(a.size - 1))))
-        return cloud
+        diam = max(float(np.max(row(0))), float(np.max(row(a.size - 1))))
+        return PointCloud(row, a.size, diam)
 
 
 class ScaleClass:
@@ -510,7 +507,7 @@ class ScaleClass:
 
         probes = [0, len(Q) - 1, len(Q) // 2]
         diam = max(float(np.max(row(p))) for p in probes)
-        return PointCloud(row, Q.size, metric_resolution, diam)
+        return PointCloud(row, Q.size, diam)
 
 
 @dataclass
@@ -521,18 +518,13 @@ class ExponentFit:
     counts: np.ndarray
 
 
-def covering_exponent(cls, r_grid, metric_resolution=None) -> ExponentFit:
-    """Log-log least-squares slope of greedy covering numbers over r_grid."""
+def covering_exponent(cls, r_grid) -> ExponentFit:
+    """Log-log least-squares slope of greedy covering numbers over r_grid,
+    on the class sampled at metric resolution min(r)/4."""
     r_grid = np.sort(_radii(r_grid, "covering_exponent"))
     if np.unique(r_grid).size < 2:
         raise ConfigError("covering_exponent: need at least two distinct radii for a slope")
-    if metric_resolution is None:
-        metric_resolution = float(r_grid[0]) / 4.0
-    if metric_resolution > r_grid[0] / 4.0:
-        raise ResolutionTooCoarse(
-            f"sampler resolution {metric_resolution:g} exceeds min(r)/4 = {r_grid[0] / 4.0:g}"
-        )
-    cloud = cls.sample(metric_resolution)
+    cloud = cls.sample(float(r_grid[0]) / 4.0)
     counts = np.array(covering_number(cloud, r_grid), dtype=float)
     slope, intercept = np.polyfit(np.log(r_grid), np.log(counts), 1)
     return ExponentFit(slope=float(slope), intercept=float(intercept), radii=r_grid, counts=counts)

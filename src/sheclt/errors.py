@@ -34,10 +34,6 @@ class DegenerateVariance(ShecltError):
     """A reference variance is zero or negative."""
 
 
-class ResolutionTooCoarse(ShecltError):
-    """A function-class sampler is too coarse for the requested radii."""
-
-
 class ConfigError(ShecltError):
     """Invalid configuration value; the message names the offending key."""
 

@@ -38,9 +38,8 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import ConfigError, DegenerateVariance
-from .noise import Grid, spectral_weights
+from .noise import HALO_FACTOR, Grid, spectral_weights, stable_dt
 from .occupation import (
-    HALO_FACTOR,
     BaselineValue,
     PreparedTestFunction,
     TestFunction,
@@ -241,7 +240,7 @@ def marginal_variance_run(
     """Pooled per-cell variance of the field over replicas and cells."""
     d = covariance.dimension
     n = int(round(length / dx))
-    grid = Grid(d=d, length=n * dx, n=n, dt=dx * dx / (2.0 * d))
+    grid = Grid(d=d, length=n * dx, n=n, dt=stable_dt(dx, d))
     moments = (np.asarray, np.square)  # each replica's grid means of u and u^2
     parts = _map_chunks(
         _solve_chunk, replicas, workers, grid, sigma, covariance, t, seed, 0, moments
@@ -282,12 +281,9 @@ def ks_normal(samples, mu: float, sigma2: float) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def ks_critical(n: int, level: float = 0.01) -> float:
-    """Asymptotic two-sided critical value c(level)/sqrt(n); 1.63 at 1%."""
-    coeff = {0.01: 1.63, 0.05: 1.36, 0.10: 1.22}.get(level)
-    if coeff is None:
-        raise ConfigError("ks_critical: level must be one of 0.01, 0.05, 0.10")
-    return coeff / math.sqrt(n)
+def ks_critical(n: int) -> float:
+    """Asymptotic two-sided 1% critical value 1.63/sqrt(n)."""
+    return 1.63 / math.sqrt(n)
 
 
 class _EcfKernel:
@@ -452,56 +448,24 @@ class CltReport:
     predicted_variance: float
     ks_distance: float
     ks_critical: float
-    cov_matrix: np.ndarray | None
-    cov_predicted: np.ndarray | None
-    ecf_gaps: dict | None
-    n_samples: int
 
     @property
     def gaussian(self) -> bool:
         return self.ks_distance < self.ks_critical
 
 
-def clt_report(
-    values: np.ndarray,
-    psi_norm_sq: float,
-    b_t: float,
-    joint: dict | None = None,
-    gram: dict | None = None,
-) -> CltReport:
-    """Normality and covariance summary for one ensemble.
-
-    ``joint`` maps labels to paired sample columns and ``gram`` maps label
-    pairs to L2 inner products for the covariance-matrix comparison.
-    """
+def clt_report(values: np.ndarray, psi_norm_sq: float, b_t: float) -> CltReport:
+    """Mean, variance against psi_norm_sq * b_t, and KS normality of one ensemble."""
     values = np.asarray(values, dtype=float)
     var = float(np.var(values))
     if var <= 0.0:
         raise DegenerateVariance("clt_report: sample variance must be positive")
-    cov = cov_pred = None
-    gaps = None
-    if joint:
-        labels = sorted(joint)
-        cols = np.stack([joint[k] for k in labels], axis=1)
-        cov = np.cov(cols.T)
-        cov_pred = np.array(
-            [[gram[(a, b)] * b_t for b in labels] for a in labels]
-        )
-        gaps = {
-            (labels[i], labels[j]): ecf_gap(cols[:, [i, j]], np.array([1.0, -1.0]))
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        }
     return CltReport(
         mean=float(np.mean(values)),
         variance=var,
         predicted_variance=psi_norm_sq * b_t,
         ks_distance=ks_normal(values, 0.0, var),
         ks_critical=ks_critical(values.size),
-        cov_matrix=cov,
-        cov_predicted=cov_pred,
-        ecf_gaps=gaps,
-        n_samples=values.size,
     )
 
 
@@ -522,23 +486,23 @@ def fdd_brownian_check(
     increment_columns: np.ndarray,
     b_t: float,
     base_volume: float,
-    z_list=None,
     n_perm: int = 200,
     seed: int = 0,
 ) -> FddReport:
     """Compare Cov[X(r), X(r')] with b_t min(r, r') vol and test increments.
 
     ``samples_by_r`` maps r to replica-paired sample vectors;
-    ``increment_columns`` holds paired samples of disjoint increments.
+    ``increment_columns`` holds paired samples of disjoint increments, tested
+    over every z in ``default_z_tuples``.
     """
     rs = sorted(samples_by_r)
     cols = np.stack([samples_by_r[r] for r in rs], axis=1)
     cov_emp = np.cov(cols.T)
     cov_pred = np.array([[b_t * min(a, b) * base_volume for b in rs] for a in rs])
     rel = np.abs(cov_emp - cov_pred) / np.abs(cov_pred)
-    if z_list is None:
-        z_list = default_z_tuples(increment_columns.shape[1])
-    inc = independence_report(increment_columns, z_list, n_perm=n_perm, seed=seed)
+    inc = independence_report(
+        increment_columns, default_z_tuples(increment_columns.shape[1]), n_perm=n_perm, seed=seed
+    )
     return FddReport(
         r_grid=rs, cov_emp=cov_emp, cov_pred=cov_pred,
         max_rel_dev=float(np.max(rel)), increments=inc,
@@ -548,8 +512,9 @@ def fdd_brownian_check(
 # -- tail checks --
 
 
-def wilson_interval(k: int, n: int, z: float = 2.576) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (99% by default)."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
+    z = 2.576  # the two-sided 99% normal quantile
     if n <= 0:
         raise ConfigError("wilson_interval: n must be positive")
     p = k / n

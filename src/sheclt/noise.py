@@ -35,6 +35,13 @@ from .errors import ConfigError, SynthesisWarning
 from .spectral import CovarianceMeasure, dalang_check
 
 _WEIGHT_CLIP_REPORT = 1e-8
+# the diffusive halo is HALO_FACTOR sqrt(t): past it the field's covariance is below e^-16
+HALO_FACTOR = 8.0
+
+
+def stable_dt(dx: float, d: int) -> float:
+    """dx^2/(2d): the explicit scheme's stability limit and the default time step."""
+    return dx * dx / (2.0 * d)
 
 
 def _five_smooth_at_least(m: int) -> int:
@@ -81,7 +88,7 @@ class Grid:
             raise ConfigError("grid.length: must be positive")
         if not self.dt > 0.0:
             raise ConfigError("grid.dt: must be positive")
-        if self.dt > self.dx * self.dx / (2.0 * self.d) * (1.0 + 1e-12):
+        if self.dt > stable_dt(self.dx, self.d) * (1.0 + 1e-12):
             raise ConfigError("grid.dt: explicit-scheme stability needs dt <= dx^2/(2d)")
 
     @property
@@ -100,8 +107,8 @@ class Grid:
         return np.arange(self.n) * self.dx
 
     @classmethod
-    def for_support(cls, span: float, t: float, dx: float, d: int, dt: float | None = None) -> "Grid":
-        """Grid with the smallest 5-smooth n such that L = n dx > span + 8 sqrt(t).
+    def for_support(cls, span: float, t: float, dx: float, d: int) -> "Grid":
+        """Grid with the smallest 5-smooth n such that L = n dx > span + HALO_FACTOR sqrt(t).
 
         ``span`` is the largest per-axis width of the union of the scaled
         supports, so each support point lies more than the diffusive halo from
@@ -110,13 +117,11 @@ class Grid:
         """
         if dx <= 0.0:
             raise ConfigError("grid.dx: must be positive")
-        needed = max(span, 0.0) + 8.0 * math.sqrt(max(t, 0.0))
+        needed = max(span, 0.0) + HALO_FACTOR * math.sqrt(max(t, 0.0))
         n = _five_smooth_at_least(max(2, math.floor(needed / dx)))
         while n * dx <= needed:
             n = _five_smooth_at_least(n + 1)
-        if dt is None:
-            dt = dx * dx / (2.0 * d)
-        return cls(d=d, length=n * dx, n=n, dt=dt)
+        return cls(d=d, length=n * dx, n=n, dt=stable_dt(dx, d))
 
 
 def _splitmix64(x: int) -> int:

@@ -30,11 +30,10 @@ from .errors import (
     CutoffTooSmall,
     SupportOverflow,
 )
-from .noise import Grid
+from .noise import HALO_FACTOR, Grid  # noqa: F401  (HALO_FACTOR is re-exported)
 from .solver import PiecewiseLinear, SigmaFunction
 from .spectral import CovarianceMeasure
 
-HALO_FACTOR = 8.0
 MIN_BT_REPLICAS = 100
 
 
@@ -134,12 +133,6 @@ class TestFunction:
             label=f"{self.label}@N={N:g}",
         )
 
-    def to_config(self) -> dict:
-        return {
-            "label": self.label,
-            "boxes": [{"amp": a, "lo": list(b.lo), "hi": list(b.hi)} for a, b in self.terms],
-        }
-
     @classmethod
     def from_config(cls, record: dict) -> "TestFunction":
         try:
@@ -153,32 +146,28 @@ class TestFunction:
 
 
 class LipFunction:
-    """Real Lipschitz observable with its norm data |g(0)| + Lip(g)."""
+    """Real Lipschitz observable with its Lipschitz constant ``lip``."""
 
     def __init__(self, kind, params=(), label=None):
         self.kind = kind
         self.params = params
-        if kind == "identity":
-            self.lip, self.g0 = 1.0, 0.0
-        elif kind == "sin":
-            self.lip, self.g0 = 1.0, 0.0
+        if kind in ("identity", "sin"):
+            self.lip = 1.0
         elif kind == "shifted":
             base, a = params
             if not math.isfinite(a):
                 raise ConfigError("lip.shifted: shift a must be finite")
-            self.lip, self.g0 = base.lip, float(base(np.array(-a)))
+            self.lip = base.lip
         elif kind == "scaled":
             base, a, b = params
             if not (0.0 < a < math.inf and math.isfinite(b)):
                 raise ConfigError("lip.scaled: scale a must be positive, both a and b finite")
-            self.lip, self.g0 = abs(b) * base.lip / a, b * float(base(np.array(0.0)))
+            self.lip = abs(b) * base.lip / a
         elif kind == "tabulated":
             self._eval_tab = PiecewiseLinear(*params, "lip.tabulated")
             self.lip = self._eval_tab.lip
-            self.g0 = float(self(np.array(0.0)))
         else:
             raise ConfigError(f"lip.kind: unknown kind {kind!r}")
-        self.norm = abs(self.g0) + self.lip
         self.label = label or kind
 
     identity = classmethod(lambda cls: cls("identity"))
@@ -209,19 +198,6 @@ class LipFunction:
             base, a, b = self.params
             return b * base(u / a)
         return self._eval_tab(u)
-
-    def to_config(self) -> dict:
-        rec = {"kind": self.kind, "label": self.label}
-        if self.kind == "shifted":
-            rec["base"] = self.params[0].to_config()
-            rec["a"] = self.params[1]
-        elif self.kind == "scaled":
-            rec["base"] = self.params[0].to_config()
-            rec["a"], rec["b"] = self.params[1], self.params[2]
-        elif self.kind == "tabulated":
-            rec["xs"] = list(map(float, self.params[0]))
-            rec["ys"] = list(map(float, self.params[1]))
-        return rec
 
     @classmethod
     def from_config(cls, record: dict) -> "LipFunction":

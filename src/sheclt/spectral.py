@@ -188,15 +188,7 @@ class CovarianceMeasure:
                                 + np.expm1(-0.5 * rho * rho) / (rho * math.sqrt(2.0 * math.pi)))
         return self.mass * axis**self.dimension
 
-    # -- serialization --
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": {} if self.kind == "dirac" else {"param": self.param},
-            "dimension": self.dimension,
-            "mass": self.mass,
-        }
+    # -- parsing --
 
     @classmethod
     def from_config(cls, record: dict) -> "CovarianceMeasure":

@@ -25,6 +25,17 @@ def out_files(out_dir, prefix, suffix):
     return sorted(p for p in Path(out_dir).iterdir() if p.name.startswith(prefix) and p.name.endswith(suffix))
 
 
+# what turns the tiny clt config into one each experiment command accepts
+_TWO_BOXES = [{"label": "a", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]},
+              {"label": "b", "boxes": [{"amp": 1.0, "lo": [2.0], "hi": [3.0]}]}]
+EXPERIMENT_OVERRIDES = {
+    "clt": {},
+    "independence": {"psi": _TWO_BOXES, "n_ladder": [4, 8], "n_perm": 40},
+    "fdd": {"r_grid": [0.5, 1.0], "covariance_tolerance": 0.9, "n_perm": 40},
+    "tails": {"ell_points": 12},
+}
+
+
 def tiny_clt_config(tmp_path, **overrides):
     config = {
         "covariance": {"kind": "dirac", "dimension": 1, "mass": 1.0, "params": {}},
@@ -170,6 +181,22 @@ class TestDispatch:
                     values["b_t_boundary_cov"][g.label]) == (est.se, est.cutoff, est.boundary_cov)
             assert 0.0 < values["b_t_cutoff"][g.label] <= grid.length / 4.0
         assert predicted["sin"] != predicted["identity"]
+
+    def test_clt_flags_the_joint_covariance_of_overlapping_pairs(self, tmp_path):
+        # one cov_ok flag per overlapping pair: |Cov(X_a, X_b) / (<a, b> B_t) - 1| <= 0.15
+        psi = [{"label": label, "boxes": [{"amp": 1.0, "lo": [lo], "hi": [lo + 1.0]}]}
+               for label, lo in (("a", 0.0), ("b", 0.5), ("c", 3.0))]
+        out = tmp_path / "out"
+        cfg = tiny_clt_config(tmp_path, psi=psi, replicas=200)
+        assert dispatch(["--out-dir", str(out), "--seed", "7", "--workers", "1",
+                         "clt", "--config", str(cfg)]) in (0, 1)
+        summary = json.loads(out_files(out, "clt-summary", ".json")[0].read_text())
+        assert [k for k in summary["flags"] if k.startswith("cov_ok")] == ["cov_ok|N=4|a~b"]
+        header, rows = read_rows(out_files(out, "clt-samples", ".csv")[0])
+        cols = {label: np.array([float(r[header.index("value")]) for r in rows
+                                 if r[header.index("psi")] == label]) for label in "ab"}
+        ratio = np.cov(cols["a"], cols["b"])[0, 1] / (0.5 * summary["values"]["b_t"]["identity"])
+        assert summary["flags"]["cov_ok|N=4|a~b"] == (abs(ratio - 1.0) <= 0.15)
 
     def test_experiment_manifest_records_grids(self, tmp_path):
         from sheclt.montecarlo import ExperimentConfig
@@ -337,22 +364,44 @@ class TestDispatch:
         assert "config error" in capsys.readouterr().err
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
-        cfg = tiny_clt_config(tmp_path, replicas=150)
-        outs = []
-        for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        for cmd, overrides in EXPERIMENT_OVERRIDES.items():
+            cfg = tiny_clt_config(tmp_path, replicas=150, **overrides)
+            outs = []
+            for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+                out = tmp_path / f"{cmd}-{tag}"
+                code = dispatch(
+                    ["--out-dir", str(out), "--seed", "7", "--workers", workers,
+                     cmd, "--config", str(cfg)]
+                )
+                assert code == 0, cmd
+                outs.append(out)
+            # every CSV and the summary; the manifest differs in its wall clock only
+            names = [p.name for p in out_files(outs[0], cmd, "")]
+            assert any(n.endswith(".csv") for n in names) and any("-summary-" in n for n in names)
+            for name in names:
+                ref = (outs[0] / name).read_bytes()
+                assert (outs[1] / name).read_bytes() == ref, name
+                assert (outs[2] / name).read_bytes() == ref, name
+
+    def test_fdd_ignores_the_config_psi(self, tmp_path):
+        # fdd builds its own Q(r) and increment boxes: a malformed or missing
+        # psi key changes nothing but the config the manifest records
+        good = json.loads(tiny_clt_config(tmp_path, **EXPERIMENT_OVERRIDES["fdd"]).read_text())
+        variants = {"good": good, "malformed": dict(good, psi=[{"boxes": "not-a-list"}]),
+                    "missing": {k: v for k, v in good.items() if k != "psi"}}
+        results = []
+        for tag, raw in variants.items():
+            cfg = tmp_path / f"{tag}.json"
+            cfg.write_text(json.dumps(raw))
             out = tmp_path / f"out-{tag}"
-            code = dispatch(
-                ["--out-dir", str(out), "--seed", "7", "--workers", workers,
-                 "clt", "--config", str(cfg)]
-            )
-            assert code == 0
-            outs.append(out)
-        names = [p.name for p in out_files(outs[0], "clt-samples", ".csv")]
-        assert names
-        for name in names:
-            ref = (outs[0] / name).read_bytes()
-            assert (outs[1] / name).read_bytes() == ref
-            assert (outs[2] / name).read_bytes() == ref
+            code = dispatch(["--out-dir", str(out), "--seed", "7", "--workers", "1",
+                             "fdd", "--config", str(cfg)])
+            (csv,) = out_files(out, "fdd-cov", ".csv")
+            summary = json.loads(out_files(out, "fdd-summary", ".json")[0].read_text())
+            summary.pop("manifest_hash")
+            results.append((code, csv.read_bytes(), summary))
+        assert results[0][0] in (0, 1)
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_entropy_sandwich_smoke(self, tmp_path):
         out = tmp_path / "out"

@@ -25,7 +25,7 @@ from sheclt.entropy import (
     packing_number_exact,
     sandwich_check,
 )
-from sheclt.errors import ConfigError, ResolutionTooCoarse
+from sheclt.errors import ConfigError
 
 
 def line_space(n, spacing=1.0):
@@ -495,10 +495,6 @@ class TestCoveringExponents:
     def test_scale_class_slope(self):
         fit = covering_exponent(ScaleClass(), np.geomspace(0.15, 0.75, 7))
         assert abs(fit.slope - (-2.0)) < 0.3
-
-    def test_resolution_guard(self):
-        with pytest.raises(ResolutionTooCoarse):
-            covering_exponent(ShiftClass(n=1.0), [0.1, 0.2], metric_resolution=0.1)
 
     @pytest.mark.parametrize("r_grid", [[math.nan, 0.1, 0.2], [0.1, math.inf], [0.1], [0.2, 0.2],
                                         [0.0, 0.1], [-0.1, 0.2], []])

@@ -634,21 +634,6 @@ class TestCltReport:
         assert rep.predicted_variance == 1.0
         assert abs(rep.variance - 1.0) < 0.1
 
-    def test_joint_covariance_block(self):
-        rng = np.random.default_rng(7)
-        shared = rng.standard_normal(3000)
-        a = shared + 0.3 * rng.standard_normal(3000)
-        b = shared + 0.3 * rng.standard_normal(3000)
-        rep = clt_report(
-            a,
-            psi_norm_sq=1.0,
-            b_t=1.0,
-            joint={"a": a, "b": b},
-            gram={(x, y): 1.0 for x in "ab" for y in "ab"},
-        )
-        assert rep.cov_matrix.shape == (2, 2)
-        assert rep.ecf_gaps
-
 
 class TestWilsonAndTails:
     def test_wilson_basic(self):

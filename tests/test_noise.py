@@ -15,6 +15,7 @@ from sheclt.noise import (
     sample_noise_batch,
     sample_noise_slice,
     spectral_weights,
+    stable_dt,
 )
 from sheclt.spectral import CovarianceMeasure
 
@@ -59,6 +60,14 @@ class TestGrid:
         smaller = max(k for k in range(2, g.n) if five_smooth(k))
         assert smaller * g.dx <= needed
         assert g.dt == pytest.approx(g.dx**2 / 2.0)
+
+    @pytest.mark.parametrize("dx", [0.25, 0.125, 0.0625, 0.5, 1.0, 0.07, 1.0 / 16.0, 1.0 / 3.0])
+    def test_stable_dt(self, dx):
+        # bit for bit the dx**2 / (2 d) the commands used to write, at the --dx
+        # values of the command tests and defaults; a grid at the limit is accepted
+        for d in (1, 2, 3):
+            assert stable_dt(dx, d) == dx**2 / (2 * d) == dx * dx / (2.0 * d)
+            assert Grid(d=d, length=60 * dx, n=60, dt=stable_dt(dx, d)).dt == stable_dt(dx, d)
 
     @pytest.mark.parametrize("span, t, dx, d", [
         (0.0, 0.0, 1.0, 1), (1.0, 0.25, 0.25, 1), (4.0, 0.25, 0.25, 1), (16.0, 0.5, 0.5, 2),

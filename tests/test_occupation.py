@@ -86,18 +86,23 @@ class TestTestFunction:
         assert psi.l2_norm() ** 2 == pytest.approx(2.0)
 
     def test_config_roundtrip(self):
-        psi = TestFunction([(1.5, (0.0, 1.0), (2.0, 2.5)), (-0.5, (1.0, 0.0), (3.0, 1.0))])
-        back = TestFunction.from_config(psi.to_config())
+        # a literal config record parses to the function built in code
+        record = {"label": "two", "boxes": [{"amp": 1.5, "lo": [0, 1.0], "hi": [2.0, 2.5]},
+                                            {"amp": -0.5, "lo": [1.0, 0.0], "hi": [3, 1.0]}]}
+        psi = TestFunction([(1.5, (0.0, 1.0), (2.0, 2.5)), (-0.5, (1.0, 0.0), (3.0, 1.0))],
+                           label="two")
+        back = TestFunction.from_config(record)
         assert back.terms == psi.terms and back.label == psi.label
+        unlabelled = TestFunction.from_config({"boxes": record["boxes"]})
+        assert unlabelled.label == "1.5*[0,1;2,2.5]+-0.5*[1,0;3,1]"
 
 
 class TestLipFunction:
     def test_norms(self):
-        g = LipFunction.identity()
-        assert (g.lip, g.g0, g.norm) == (1.0, 0.0, 1.0)
+        assert LipFunction.identity().lip == 1.0
         s = LipFunction.shifted(LipFunction.sin(), 0.7)
         assert s.lip == 1.0
-        assert s.g0 == pytest.approx(math.sin(-0.7))
+        assert float(s(np.array(0.0))) == pytest.approx(math.sin(-0.7))
         sc = LipFunction.scaled(LipFunction.sin(), 2.0, 3.0)
         assert sc.lip == pytest.approx(1.5)
 
@@ -113,7 +118,6 @@ class TestLipFunction:
         u, v = rng.normal(size=500, scale=3), rng.normal(size=500, scale=3)
         for g in funcs:
             assert np.all(np.abs(g(u) - g(v)) <= g.lip * np.abs(u - v) + 1e-12)
-            assert g.norm == abs(g.g0) + g.lip
 
     def test_tabulated_shares_sigma_interpolant(self):
         xs, ys = [-2.0, 0.0, 1.0, 4.0], [1.0, 0.0, 2.0, 1.0]
@@ -125,7 +129,7 @@ class TestLipFunction:
         expected = y[idx] + slopes[idx] * (u - x[idx])
         g, sigma = LipFunction.tabulated(xs, ys), SigmaFunction.tabulated(xs, ys)
         assert np.array_equal(g(u), expected) and np.array_equal(sigma(u), expected)
-        assert g.lip == sigma.lip == 2.0 and g.g0 == 0.0
+        assert g.lip == sigma.lip == 2.0 and float(g(np.array(0.0))) == 0.0
 
     def test_tabulated_rejects_knot_count_mismatch(self):
         # ys one value short or long: the slopes would broadcast into a wrong table
@@ -135,10 +139,21 @@ class TestLipFunction:
                     cls.tabulated(xs, ys)
 
     def test_config_roundtrip(self):
-        g = LipFunction.scaled(LipFunction.sin(), 1.5, -2.0)
-        back = LipFunction.from_config(g.to_config())
+        # literal config records parse to the observables built in code
         u = np.linspace(-3, 3, 50)
-        assert np.allclose(back(u), g(u))
+        cases = [
+            ({"kind": "scaled", "base": {"kind": "sin"}, "a": 1.5, "b": -2.0},
+             LipFunction.scaled(LipFunction.sin(), 1.5, -2.0)),
+            ({"kind": "shifted", "base": {"kind": "identity"}, "a": 0.5},
+             LipFunction.shifted(LipFunction.identity(), 0.5)),
+            ({"kind": "tabulated", "xs": [-1.0, 0.0, 2.0], "ys": [1.0, 0.0, 3.0], "label": "v"},
+             LipFunction.tabulated([-1.0, 0.0, 2.0], [1.0, 0.0, 3.0], label="v")),
+            ({"kind": "sin", "label": "s"}, LipFunction("sin", label="s")),
+        ]
+        for record, g in cases:
+            back = LipFunction.from_config(record)
+            assert (back.kind, back.label, back.lip) == (g.kind, g.label, g.lip)
+            assert np.array_equal(back(u), g(u))
 
 
 class TestOccupationSample:

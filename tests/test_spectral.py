@@ -228,8 +228,19 @@ class TestCovarianceMeasure:
                 np.testing.assert_allclose(f.smoothed_origin(s), ref, rtol=1e-13, atol=0.0)
 
     def test_config_roundtrip(self):
-        for f in ALL_KINDS_1D + [CovarianceMeasure("gaussian", 3, 2.5, 0.7)]:
-            assert CovarianceMeasure.from_config(f.to_config()) == f
+        # literal config records parse to the measures built in code; the
+        # dimension, mass and param default to 1
+        cases = [
+            ({"kind": "dirac", "dimension": 1, "mass": 1.0, "params": {}}, ALL_KINDS_1D[0]),
+            ({"kind": "gaussian", "params": {"param": 1.0}}, ALL_KINDS_1D[1]),
+            ({"kind": "uniform"}, ALL_KINDS_1D[2]),
+            ({"kind": "exponential", "dimension": 1, "mass": 1, "params": {"param": 1}},
+             ALL_KINDS_1D[3]),
+            ({"kind": "gaussian", "dimension": 3, "mass": 2.5, "params": {"param": 0.7}},
+             CovarianceMeasure("gaussian", 3, 2.5, 0.7)),
+        ]
+        for record, f in cases:
+            assert CovarianceMeasure.from_config(record) == f
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigError):
