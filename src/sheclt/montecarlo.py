@@ -82,6 +82,11 @@ class ExperimentConfig:
             raise ConfigError("config: t must be finite and nonnegative, dx finite and positive")
         if not self.psi_list or not self.g_list:
             raise ConfigError("config: psi_list and g_list must be nonempty")
+        # results, prepared weights and summary flags are keyed by label
+        for what, items in (("psi", self.psi_list), ("g", self.g_list)):
+            labels = [item.label for item in items]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"config.{what}: labels must be distinct, got {labels}")
         for N in self.n_ladder:
             self.grid_for(N)  # support pre-check before any replica runs
 

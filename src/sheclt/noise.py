@@ -6,17 +6,22 @@ F_grid and whose slices at distinct steps are independent (white in time).
 
 Synthesis is circulant: the periodized covariance sampled on the grid has a
 nonnegative discrete Fourier transform, so filtering i.i.d. cell noise by
-the square root of that spectrum produces the exact target covariance.
-The spectrum is symmetric under m <-> -m, so the filter runs as a real FFT
-(``rfftn``/``irfftn``) over half the modes.  The
+the square root of that spectrum produces the exact target covariance.  The
 per-mode weights equal the alias-folded spectral density f_hat(2 pi m / L)
 summed over Brillouin copies, divided by L^d; the folding is evaluated in
 physical space where every kind periodizes in closed form (Poisson
 summation makes the two routes identical).  The Dirac kind is cell-averaged:
 F_grid(0) = mass / dx^d with no off-cell correlation, i.e. a flat spectrum.
 
+The weights are a product over axes of one axis factor, so the filter is a
+Kronecker product of one real symmetric n x n circulant matrix per axis.  In
+d = 1 the filter runs as a real FFT (``rfft``/``irfft``) over half the
+modes; in d = 2 and 3 it is one dense matrix product along each axis, which
+on these grid sizes beats the multi-axis FFT.
+
 Randomness is counter-based: every (seed, domain, replica, step) maps to an
-independent Philox key, and each replica is filtered on its own, so any
+independent Philox key, and each replica is filtered on its own: one real
+FFT, or per axis matrix products of one fixed shape per replica.  So any
 execution order, chunking, or process count reproduces bit-identical
 fields; the solver draws and filters each step's replicas in cache-sized
 blocks, which never changes output bits.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,15 +180,43 @@ class SpectralWeights:
     ``weights`` has the grid shape; ``flat`` marks the white-noise fast
     path (all modes equal); ``clipped_mass`` is the total negative mass
     removed (round-off guard, expected zero for the implemented kinds).
+    Unless flat, ``weights`` is ``mass`` times the outer power of ``axis``,
+    one axis's clipped unit-mass weights.
     """
 
     weights: np.ndarray
     flat: bool
     clipped_mass: float
+    axis: np.ndarray | None = None
+    mass: float = 1.0
+    _filters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def flat_value(self) -> float:
         return float(self.weights.flat[0])
+
+    def axis_filters(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(dt mass) C, C), C = circulant(ifft(sqrt(n axis)).real); built once per dt.
+
+        C is real and symmetric, and C @ v filters v along one axis, so the
+        grid filter sqrt(dt n^d w) is C on every axis with sqrt(dt mass)
+        folded into one of them.
+        """
+        if dt not in self._filters:
+            n = self.axis.size
+            c = np.fft.ifft(np.sqrt(n * self.axis)).real
+            c = 0.5 * (c + c[-np.arange(n) % n])
+            circ = c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+            self._filters[dt] = (math.sqrt(dt * self.mass) * circ, circ)
+        return self._filters[dt]
+
+
+def _outer_power(axis: np.ndarray, d: int) -> np.ndarray:
+    """axis x axis x ... (d factors) as a d-dimensional array."""
+    out = axis
+    for _ in range(d - 1):
+        out = np.multiply.outer(out, axis)
+    return out
 
 
 def periodized_axis_covariance(grid: Grid, f: CovarianceMeasure) -> np.ndarray:
@@ -221,10 +254,7 @@ def periodized_covariance(grid: Grid, f: CovarianceMeasure, lags=None) -> np.nda
         if grid.d > 1:
             vals = vals * axis[0] ** (grid.d - 1)
         return vals
-    out = axis
-    for _ in range(grid.d - 1):
-        out = np.multiply.outer(out, axis)
-    return f.mass * out
+    return f.mass * _outer_power(axis, grid.d)
 
 
 def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
@@ -244,14 +274,13 @@ def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
     # enforce exact m <-> -m symmetry; round-off asymmetry in modes that are
     # pure noise would otherwise leak imaginary parts through the sqrt filter
     axis_w = 0.5 * (axis_w + axis_w[(-np.arange(grid.n)) % grid.n])
-    out = axis_w
-    for _ in range(grid.d - 1):
-        out = np.multiply.outer(out, axis_w)
-    out = f.mass * out
+    out = f.mass * _outer_power(axis_w, grid.d)
     neg = out < 0.0
     clipped = float(-np.sum(out[neg])) if np.any(neg) else 0.0
     if clipped > 0.0:
-        out = np.where(neg, 0.0, out)
+        # clip each axis, so every filter matrix has a real square root
+        axis_w = np.where(axis_w < 0.0, 0.0, axis_w)
+        out = f.mass * _outer_power(axis_w, grid.d)
     total = float(np.sum(out))
     if total > 0.0 and clipped > _WEIGHT_CLIP_REPORT * total:
         warnings.warn(
@@ -259,13 +288,14 @@ def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
             SynthesisWarning,
             stacklevel=2,
         )
-    return SpectralWeights(weights=out, flat=False, clipped_mass=clipped)
+    return SpectralWeights(
+        weights=out, flat=False, clipped_mass=clipped, axis=axis_w, mass=f.mass
+    )
 
 
 def _filter_scale(grid: Grid, weights: SpectralWeights, dt: float) -> np.ndarray:
-    """sqrt(dt n^d w_m) on the real-FFT half spectrum (last axis m <= n/2)."""
-    half = weights.weights[..., : grid.n // 2 + 1]
-    return np.sqrt(dt * grid.n**grid.d * half)
+    """sqrt(dt n w_m) on the d = 1 real-FFT half spectrum (m <= n/2)."""
+    return np.sqrt(dt * grid.n * weights.weights[: grid.n // 2 + 1])
 
 
 class _KeyedPhilox:
@@ -303,24 +333,44 @@ def sample_noise_batch(
 ) -> np.ndarray:
     """Noise increments for several replicas at one step, shape (B, *grid).
 
-    Each replica's white noise comes from its own (replica, step) key, so
-    output bits do not depend on batching.  ``out``, a C-contiguous float64
-    array of that shape, receives the draws and the result.
+    Each replica's white noise comes from its own (replica, step) key.  Flat
+    weights scale the draws; in d = 1 the filter is a real FFT per replica;
+    in d = 2 and 3 it is the axis matrix C applied along each axis, the last
+    axis first, as one matrix product per replica slab.  Every replica's
+    slabs have one shape whatever the batch, so output bits do not depend on
+    batching.  ``out``, a C-contiguous float64 array of that shape, receives
+    the result.
     """
     xi = np.empty((len(streams),) + grid.shape) if out is None else out
     if dt == 0.0:
         xi.fill(0.0)
         return xi
+    if weights.flat or grid.d == 1:
+        _draw(streams, step, xi)
+        if weights.flat:
+            xi *= math.sqrt(dt * grid.n**grid.d * weights.flat_value)
+            return xi
+        spectrum = np.fft.rfft(xi, axis=-1)
+        spectrum *= _filter_scale(grid, weights, dt)
+        return np.fft.irfft(spectrum, n=grid.n, axis=-1, out=xi)
+    first, circ = weights.axis_filters(dt)
+    b, n = len(streams), grid.n
+    # d passes alternate between xi and a scratch array and end in xi
+    src, dst = (xi, np.empty_like(xi)) if grid.d % 2 == 0 else (np.empty_like(xi), xi)
+    _draw(streams, step, src)
+    np.matmul(src.reshape(b, -1, n, copy=False), first, out=dst.reshape(b, -1, n, copy=False))
+    for ax in range(grid.d - 1, 0, -1):
+        src, dst = dst, src
+        shape = (b * n ** (ax - 1), n, -1)
+        np.matmul(circ, src.reshape(shape, copy=False), out=dst.reshape(shape, copy=False))
+    return xi
+
+
+def _draw(streams: list[RngStream], step: int, out: np.ndarray) -> None:
+    """Standard normals from each stream's (replica, step) key into out[i]."""
     keyed = _KeyedPhilox()
     for i, stream in enumerate(streams):
-        keyed.rekey(stream.philox_key(step)).standard_normal(out=xi[i])
-    if weights.flat:
-        xi *= math.sqrt(dt * grid.n**grid.d * weights.flat_value)
-        return xi
-    axes = tuple(range(1, grid.d + 1))
-    spectrum = np.fft.rfftn(xi, axes=axes)
-    spectrum *= _filter_scale(grid, weights, dt)
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=xi)
+        keyed.rekey(stream.philox_key(step)).standard_normal(out=out[i])
 
 
 def sample_noise_slice(

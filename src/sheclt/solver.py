@@ -24,7 +24,7 @@ from .spectral import CovarianceMeasure
 
 BLOWUP_GUARD = 1e12
 # bytes per (block, *grid) array in solve_batch: a block's noise, filter
-# spectrum, Laplacian and fields then stay within a core's L2 cache
+# scratch, Laplacian and fields then stay within a core's L2 cache
 _BLOCK_BYTES = 1 << 20
 
 

@@ -336,6 +336,18 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [
+        ({"psi": [{"label": "x", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [hi]}]}
+                  for hi in (1.0, 2.0)]}, "config.psi"),
+        ({"g": [{"kind": "tabulated", "xs": [0.0, 1.0], "ys": [0.0, b]} for b in (1.0, 2.0)]},
+         "config.g"),
+    ])
+    def test_duplicate_labels_are_usage_errors(self, tmp_path, capsys, override, key):
+        # samples, baselines and flags are keyed by label: two alike would collide
+        cfg = tiny_clt_config(tmp_path, replicas=100, **override)
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd, override", [
         ("clt", {"t": "inf"}),
         ("clt", {"t": NAN}),

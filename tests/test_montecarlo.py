@@ -121,8 +121,9 @@ def signed_layouts(draw):
         hi = tuple(v + draw(st.integers(1, 8)) / 4.0 for v in lo)
         return draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])), lo, hi
 
-    psis = [TestFunction([term() for _ in range(draw(st.integers(1, 3)))])
-            for _ in range(draw(st.integers(1, 3)))]
+    # labelled apart: a config rejects two test functions labelled alike
+    psis = [TestFunction([term() for _ in range(draw(st.integers(1, 3)))], label=f"psi{i}")
+            for i in range(draw(st.integers(1, 3)))]
     N, t, dx = (draw(st.floats(lo, hi)) for lo, hi in ((0.25, 4.0), (0.0, 1.0), (0.25, 1.0)))
     return d, psis, N, t, dx
 
@@ -180,6 +181,8 @@ class TestChunkedSolves:
         "white-1d": (WHITE, Grid(d=1, length=8.0, n=32, dt=1.0 / 128.0)),
         "gaussian-2d": (CovarianceMeasure("gaussian", 2, 1.0, 1.0),
                         Grid(d=2, length=8.0, n=16, dt=1.0 / 16.0)),
+        "gaussian-3d": (CovarianceMeasure("gaussian", 3, 1.0, 1.0),
+                        Grid(d=3, length=6.0, n=12, dt=1.0 / 24.0)),
     }
 
     def test_chunks_in_order_and_empty_rejected(self):

@@ -147,9 +147,10 @@ class TestSampling:
         s = sample_noise_slice(g, w, 0.0, RngStream(seed=1), step=0)
         assert np.all(s.values == 0.0)
 
-    def test_reproducibility_across_batching(self):
-        g = small_grid()
-        f = CovarianceMeasure("gaussian", 1, 1.0, 0.8)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reproducibility_across_batching(self, d):
+        g = small_grid(n=16, L=4.0, d=d) if d > 1 else small_grid()
+        f = CovarianceMeasure("gaussian", d, 1.0, 0.8)
         w = spectral_weights(g, f)
         streams = [RngStream(seed=9, replica=r) for r in range(5)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=3)
@@ -192,10 +193,11 @@ class TestSampling:
         ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
         assert np.max(np.abs(batch - ref)) <= 1e-14
 
-    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (15, 3)])
+    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (45, 2), (15, 3), (32, 3)])
     @pytest.mark.parametrize("kind, param", [("gaussian", 0.8), ("exponential", 1.3), ("uniform", 1.2)])
     def test_real_fft_filter_on_mixed_radix_grid(self, kind, param, n, d):
-        # odd n has no Nyquist mode: the half spectrum keeps n // 2 + 1 modes
+        # odd n has no Nyquist mode: the half spectrum keeps n // 2 + 1 modes;
+        # 45^2 is the grid of the 2-d benchmark workload
         g = small_grid(n=n, L=0.25 * n, d=d)
         w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
         streams = [RngStream(seed=21, replica=r) for r in range(3)]

@@ -7,7 +7,7 @@ import pytest
 
 from sheclt import solver as solver_module
 from sheclt.errors import ConfigError, SolverBlowup
-from sheclt.noise import Grid, RngStream, SpectralWeights, spectral_weights
+from sheclt.noise import Grid, RngStream, SpectralWeights, sample_noise_batch, spectral_weights
 from sheclt.solver import (
     SigmaFunction,
     discrete_laplacian,
@@ -261,14 +261,11 @@ class TestEuler:
 
 
 def noise_reference(grid, weights, seed, domain, replicas, step):
-    """Keyed draws for each replica alone, filtered one replica at a time."""
-    xi = [RngStream(seed, domain, r).generator(step).standard_normal(grid.shape) for r in replicas]
-    if weights.flat:
-        return np.stack([math.sqrt(grid.dt * grid.n**grid.d * weights.flat_value) * x for x in xi])
-    half = weights.weights[..., : grid.n // 2 + 1]
-    scale = np.sqrt(grid.dt * grid.n**grid.d * half)
-    axes = tuple(range(grid.d))
-    return np.stack([np.fft.irfftn(np.fft.rfftn(x) * scale, s=grid.shape, axes=axes) for x in xi])
+    """Each replica's noise drawn and filtered alone, as a batch of one."""
+    return np.stack([
+        sample_noise_batch(grid, weights, grid.dt, [RngStream(seed, domain, r)], step)[0]
+        for r in replicas
+    ])
 
 
 def small_grid(d):
