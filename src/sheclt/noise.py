@@ -14,10 +14,13 @@ summation makes the two routes identical).  The Dirac kind is cell-averaged:
 F_grid(0) = mass / dx^d with no off-cell correlation, i.e. a flat spectrum.
 
 The weights are a product over axes of one axis factor, so the filter is a
-Kronecker product of one real symmetric n x n circulant matrix per axis.  In
-d = 1 the filter runs as a real FFT (``rfft``/``irfft``) over half the
-modes; in d = 2 and 3 it is one dense matrix product along each axis, which
-on these grid sizes beats the multi-axis FFT.
+Kronecker product of one real symmetric n x n circulant matrix per axis.
+The route follows the grid: in d = 2 and 3 with n at most ``_MATMUL_MAX_N[d]``
+the filter is one dense matrix product along each axis, which there beats
+the multi-axis FFT; otherwise (d = 1, and larger n, where the FFT's log n
+per cell wins over the products' n) it is a real FFT (``rfftn``/``irfftn``)
+over half the modes, exact because the weights are symmetric under
+m <-> -m.
 
 Randomness is counter-based: every (seed, domain, replica, step) maps to an
 independent Philox key, and each replica is filtered on its own: one real
@@ -32,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +45,11 @@ from .spectral import CovarianceMeasure, dalang_check
 _WEIGHT_CLIP_REPORT = 1e-8
 # the diffusive halo is HALO_FACTOR sqrt(t): past it the field's covariance is below e^-16
 HALO_FACTOR = 8.0
+# largest n at which the per-axis circulant products beat rfftn/irfftn, by d
+# (one BLAS thread, blocks of about 1 MiB): in d = 2 the two tie from about
+# n = 180 to 216 and the FFT leads from 240; in d = 3 the products still cost
+# 40 against 63 ns per cell at n = 256, the largest n measured
+_MATMUL_MAX_N = {2: 180, 3: 256}
 
 
 def stable_dt(dx: float, d: int) -> float:
@@ -180,35 +188,31 @@ class SpectralWeights:
     ``weights`` has the grid shape; ``flat`` marks the white-noise fast
     path (all modes equal); ``clipped_mass`` is the total negative mass
     removed (round-off guard, expected zero for the implemented kinds).
-    Unless flat, ``weights`` is ``mass`` times the outer power of ``axis``,
-    one axis's clipped unit-mass weights.
+    ``circ`` is set when the filter runs as per-axis matrix products: then
+    ``weights`` is ``mass`` times the outer power of one axis's clipped
+    unit-mass weights w_axis, and circ = circulant(ifft(sqrt(n w_axis)).real).
     """
 
     weights: np.ndarray
     flat: bool
     clipped_mass: float
-    axis: np.ndarray | None = None
+    circ: np.ndarray | None = None
     mass: float = 1.0
-    _filters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def flat_value(self) -> float:
         return float(self.weights.flat[0])
 
-    def axis_filters(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(dt mass) C, C), C = circulant(ifft(sqrt(n axis)).real); built once per dt.
 
-        C is real and symmetric, and C @ v filters v along one axis, so the
-        grid filter sqrt(dt n^d w) is C on every axis with sqrt(dt mass)
-        folded into one of them.
-        """
-        if dt not in self._filters:
-            n = self.axis.size
-            c = np.fft.ifft(np.sqrt(n * self.axis)).real
-            c = 0.5 * (c + c[-np.arange(n) % n])
-            circ = c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-            self._filters[dt] = (math.sqrt(dt * self.mass) * circ, circ)
-        return self._filters[dt]
+def _axis_circulant(axis_w: np.ndarray) -> np.ndarray:
+    """Real symmetric C with C @ v = ifft(sqrt(n axis_w) fft(v)) along one axis.
+
+    The grid filter sqrt(n^d w) is C on every axis times sqrt(mass).
+    """
+    n = axis_w.size
+    c = np.fft.ifft(np.sqrt(n * axis_w)).real
+    c = 0.5 * (c + c[-np.arange(n) % n])
+    return c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
 
 
 def _outer_power(axis: np.ndarray, d: int) -> np.ndarray:
@@ -288,14 +292,14 @@ def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
             SynthesisWarning,
             stacklevel=2,
         )
-    return SpectralWeights(
-        weights=out, flat=False, clipped_mass=clipped, axis=axis_w, mass=f.mass
-    )
+    circ = _axis_circulant(axis_w) if grid.n <= _MATMUL_MAX_N.get(grid.d, 0) else None
+    return SpectralWeights(weights=out, flat=False, clipped_mass=clipped, circ=circ, mass=f.mass)
 
 
 def _filter_scale(grid: Grid, weights: SpectralWeights, dt: float) -> np.ndarray:
-    """sqrt(dt n w_m) on the d = 1 real-FFT half spectrum (m <= n/2)."""
-    return np.sqrt(dt * grid.n * weights.weights[: grid.n // 2 + 1])
+    """sqrt(dt n^d w_m) on the real-FFT half spectrum (last axis m <= n/2)."""
+    half = weights.weights[..., : grid.n // 2 + 1]
+    return np.sqrt(dt * grid.n**grid.d * half)
 
 
 class _KeyedPhilox:
@@ -334,35 +338,40 @@ def sample_noise_batch(
     """Noise increments for several replicas at one step, shape (B, *grid).
 
     Each replica's white noise comes from its own (replica, step) key.  Flat
-    weights scale the draws; in d = 1 the filter is a real FFT per replica;
-    in d = 2 and 3 it is the axis matrix C applied along each axis, the last
-    axis first, as one matrix product per replica slab.  Every replica's
-    slabs have one shape whatever the batch, so output bits do not depend on
-    batching.  ``out``, a C-contiguous float64 array of that shape, receives
-    the result.
+    weights scale the draws.  With ``weights.circ`` set the filter is that
+    matrix applied along each axis, the last axis first, as one matrix
+    product per replica slab; otherwise it is a real FFT per replica.  Every
+    replica's slabs have one shape whatever the batch, so output bits do not
+    depend on batching.  ``out``, a C-contiguous float64 array of that
+    shape, receives the result.
     """
     xi = np.empty((len(streams),) + grid.shape) if out is None else out
+    if not xi.flags.c_contiguous:
+        raise ValueError("sample_noise_batch: out must be C-contiguous")
     if dt == 0.0:
         xi.fill(0.0)
         return xi
-    if weights.flat or grid.d == 1:
+    if weights.circ is None:
         _draw(streams, step, xi)
         if weights.flat:
             xi *= math.sqrt(dt * grid.n**grid.d * weights.flat_value)
             return xi
-        spectrum = np.fft.rfft(xi, axis=-1)
+        axes = tuple(range(1, grid.d + 1))
+        spectrum = np.fft.rfftn(xi, axes=axes)
         spectrum *= _filter_scale(grid, weights, dt)
-        return np.fft.irfft(spectrum, n=grid.n, axis=-1, out=xi)
-    first, circ = weights.axis_filters(dt)
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=xi)
+    circ = weights.circ
     b, n = len(streams), grid.n
     # d passes alternate between xi and a scratch array and end in xi
     src, dst = (xi, np.empty_like(xi)) if grid.d % 2 == 0 else (np.empty_like(xi), xi)
     _draw(streams, step, src)
-    np.matmul(src.reshape(b, -1, n, copy=False), first, out=dst.reshape(b, -1, n, copy=False))
+    # reshapes of C-contiguous arrays are views, so every product writes in place
+    np.matmul(src.reshape(b, -1, n), math.sqrt(dt * weights.mass) * circ,
+              out=dst.reshape(b, -1, n))
     for ax in range(grid.d - 1, 0, -1):
         src, dst = dst, src
         shape = (b * n ** (ax - 1), n, -1)
-        np.matmul(circ, src.reshape(shape, copy=False), out=dst.reshape(shape, copy=False))
+        np.matmul(circ, src.reshape(shape), out=dst.reshape(shape))
     return xi
 
 

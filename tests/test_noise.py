@@ -158,6 +158,22 @@ class TestSampling:
             single = sample_noise_slice(g, w, g.dt, stream, step=3)
             assert np.array_equal(batch[r], single.values)
 
+    @pytest.mark.parametrize("n, d, products", [
+        (45, 1, False), (180, 2, True), (192, 2, False), (32, 3, True),
+    ])
+    def test_filter_route_follows_grid(self, n, d, products):
+        # circulant products where they beat the FFT: d >= 2 and small n
+        g = small_grid(n=n, L=0.25 * n, d=d)
+        w = spectral_weights(g, CovarianceMeasure("gaussian", d, 1.0, 0.8))
+        assert (w.circ is not None) == products
+
+    def test_out_must_be_c_contiguous(self):
+        g = small_grid(n=16, L=4.0, d=2)
+        w = spectral_weights(g, CovarianceMeasure("gaussian", 2, 1.0, 0.8))
+        out = np.empty((1, 16, 32))[..., ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sample_noise_batch(g, w, g.dt, [RngStream(seed=1)], 0, out=out)
+
     def test_distinct_keys_differ(self):
         g = small_grid()
         f = CovarianceMeasure("dirac", 1, 1.0)
@@ -193,11 +209,12 @@ class TestSampling:
         ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
         assert np.max(np.abs(batch - ref)) <= 1e-14
 
-    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (45, 2), (15, 3), (32, 3)])
+    @pytest.mark.parametrize("n, d", [(45, 1), (15, 2), (45, 2), (192, 2), (15, 3), (32, 3)])
     @pytest.mark.parametrize("kind, param", [("gaussian", 0.8), ("exponential", 1.3), ("uniform", 1.2)])
     def test_real_fft_filter_on_mixed_radix_grid(self, kind, param, n, d):
         # odd n has no Nyquist mode: the half spectrum keeps n // 2 + 1 modes;
-        # 45^2 is the grid of the 2-d benchmark workload
+        # 45^2 is the grid of the 2-d benchmark workload, 192^2 the smallest
+        # 2-d grid filtered by rfftn/irfftn rather than circulant products
         g = small_grid(n=n, L=0.25 * n, d=d)
         w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
         streams = [RngStream(seed=21, replica=r) for r in range(3)]

@@ -261,11 +261,25 @@ class TestEuler:
 
 
 def noise_reference(grid, weights, seed, domain, replicas, step):
-    """Each replica's noise drawn and filtered alone, as a batch of one."""
-    return np.stack([
-        sample_noise_batch(grid, weights, grid.dt, [RngStream(seed, domain, r)], step)[0]
-        for r in replicas
-    ])
+    """Keyed draws for each replica alone, filtered one replica at a time.
+
+    Flat and real-FFT weights are applied here independently of the program;
+    a per-axis circulant filter is drawn through sample_noise_batch one
+    replica at a time, so the check is its invariance to blocking (its
+    accuracy is checked against the complex FFT in test_noise).
+    """
+    if weights.circ is not None:
+        return np.stack([
+            sample_noise_batch(grid, weights, grid.dt, [RngStream(seed, domain, r)], step)[0]
+            for r in replicas
+        ])
+    xi = [RngStream(seed, domain, r).generator(step).standard_normal(grid.shape) for r in replicas]
+    if weights.flat:
+        return np.stack([math.sqrt(grid.dt * grid.n**grid.d * weights.flat_value) * x for x in xi])
+    half = weights.weights[..., : grid.n // 2 + 1]
+    scale = np.sqrt(grid.dt * grid.n**grid.d * half)
+    axes = tuple(range(grid.d))
+    return np.stack([np.fft.irfftn(np.fft.rfftn(x) * scale, s=grid.shape, axes=axes) for x in xi])
 
 
 def small_grid(d):
