@@ -28,6 +28,7 @@ from . import __version__
 from .errors import ConfigError, ShecltError
 from .io import save_array, write_csv
 from .montecarlo import (
+    MIN_KS_SAMPLES,
     ExperimentConfig,
     ExperimentResult,
     clt_report,
@@ -42,7 +43,8 @@ from .montecarlo import (
 )
 from .noise import (Grid, RngStream, empirical_noise_covariance, periodized_covariance,
                     sample_noise_slice, spectral_weights, stable_dt)
-from .occupation import BtEstimate, LipFunction, TestFunction, estimate_Bt, exact_Bt_constant_sigma
+from .occupation import (MIN_BT_REPLICAS, BtEstimate, LipFunction, TestFunction, estimate_Bt,
+                         exact_Bt_constant_sigma)
 from .solver import SigmaFunction, solve_batch
 from .spectral import (
     CovarianceMeasure,
@@ -213,11 +215,21 @@ def _run(command: str, raw: dict, cfg: ExperimentConfig) -> tuple[RunManifest, E
     return manifest, result
 
 
-def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float, str, BtEstimate | None]]:
+def _bt_replicas(raw: dict) -> int:
+    """The config's ``bt_replicas``, checked before any replica is solved."""
+    n = _config_value(raw, "bt_replicas", int, 400)
+    if n < MIN_BT_REPLICAS:
+        raise ConfigError(f"config.bt_replicas: estimate_Bt needs at least {MIN_BT_REPLICAS} "
+                          f"replicas, got {n}")
+    return n
+
+
+def _reference_bt(cfg: ExperimentConfig, g_list, bt_replicas) -> list[tuple[float, str, BtEstimate | None]]:
     """(B_t, source, Monte Carlo estimate or None) for each observable in ``g_list``.
 
     Exact for constant sigma with the identity observable; every other
-    observable gets its own estimate from one shared dedicated field run.
+    observable gets its own estimate from one shared dedicated field run of
+    ``bt_replicas`` replicas.
     """
     sigma = cfg.sigma
     fields = None
@@ -230,7 +242,7 @@ def _reference_bt(raw: dict, cfg: ExperimentConfig, g_list) -> list[tuple[float,
         if fields is None:
             grid = cfg.grid_for(cfg.n_ladder[0])
             fields = field_run(
-                cfg.covariance, sigma, cfg.t, grid, _config_value(raw, "bt_replicas", int, 400),
+                cfg.covariance, sigma, cfg.t, grid, bt_replicas,
                 cfg.seed, domain=20_000, workers=cfg.workers,
             )
         est = estimate_Bt(fields, grid, g, t=cfg.t, f=cfg.covariance)
@@ -290,18 +302,26 @@ def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
     slices = [sample_noise_slice(grid, weights, grid.dt, stream, step=k) for k in range(args.slices)]
     rep = empirical_noise_covariance(slices, max_lag=args.max_lag)
     targets = grid.dt * periodized_covariance(grid, f, lags=range(args.max_lag + 1))
-    n_samp = args.slices * grid.n**grid.d
-    se0 = targets[0] * math.sqrt(2.0 / n_samp)
-    se_cov = targets[0] / math.sqrt(n_samp)
+    # standard errors of the pooled estimators for a stationary Gaussian field
+    # with covariance C = dt F_grid: at lag h, sum_r [C(r)^2 + C(r+h) C(r-h)]
+    # over cells and slices; across time, sum_r C(r)^2
+    cov = grid.dt * periodized_covariance(grid, f)
+    n_samp = args.slices * cov.size
+    sq = float(np.sum(cov * cov))
+    se_lag = np.array([
+        math.sqrt((sq + float(np.sum(np.roll(cov, -h, axis=0) * np.roll(cov, h, axis=0)))) / n_samp)
+        for h in range(args.max_lag + 1)
+    ])
+    se_cross = math.sqrt(sq / n_samp)
     rows = [
         (lag, rep.spatial_cov[lag], targets[lag], rep.cross_time_cov[lag])
         for lag in range(args.max_lag + 1)
     ]
     _csv(out_dir, manifest, "noise-cov", ("lag", "spatial_cov", "target", "cross_time_cov"), rows)
     flags = {
-        "variance_matches": abs(rep.spatial_cov[0] - targets[0]) < 4 * se0,
-        "lags_match": bool(np.all(np.abs(rep.spatial_cov[1:] - targets[1:]) < 5 * se_cov)),
-        "white_in_time": bool(np.all(np.abs(rep.cross_time_cov) < 5 * se_cov)),
+        "variance_matches": abs(rep.spatial_cov[0] - targets[0]) < 4 * se_lag[0],
+        "lags_match": bool(np.all(np.abs(rep.spatial_cov[1:] - targets[1:]) < 5 * se_lag[1:])),
+        "white_in_time": bool(np.all(np.abs(rep.cross_time_cov) < 5 * se_cross)),
         "not_degenerate": not rep.degenerate,
     }
     return _finish(out_dir, manifest, flags)
@@ -339,8 +359,12 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
     var_tol = _positive_float(raw, "variance_tolerance", 0.10)
     cov_tol = _positive_float(raw, "covariance_tolerance", 0.15)
+    if cfg.replicas < MIN_KS_SAMPLES:
+        raise ConfigError(f"replicas: the KS normality check needs at least {MIN_KS_SAMPLES}, "
+                          f"got {cfg.replicas}")
+    bt_replicas = _bt_replicas(raw)
     manifest, result = _run("clt", raw, cfg)
-    bts = _reference_bt(raw, cfg, cfg.g_list)
+    bts = _reference_bt(cfg, cfg.g_list, bt_replicas)
     b_t = bts[0][0]  # the joint covariance flags pair g_list[0] samples
     flags = {}
     rows = []
@@ -451,10 +475,11 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
         prev = edge
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas,
                                   psi_list=[*boxes.values(), *inc_boxes])
+    bt_replicas = _bt_replicas(raw)
     manifest, result = _run("fdd", raw, cfg)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
-    ((b_t, b_src, _),) = _reference_bt(raw, cfg, [g])
+    ((b_t, b_src, _),) = _reference_bt(cfg, [g], bt_replicas)
     samples = {r: result.get(N, boxes[r], g).values for r in r_grid}
     inc_cols = result.joint(N, [(b, g) for b in inc_boxes])
     vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])

@@ -47,10 +47,9 @@ _TRIANGLE_BLOCK = 1 << 20
 
 @dataclass
 class FiniteMetricSpace:
-    """Point labels plus a validated distance matrix."""
+    """A validated distance matrix; points are its row indices."""
 
     dist: np.ndarray
-    labels: list | None = None
 
     def __post_init__(self):
         m = np.asarray(self.dist, dtype=float)
@@ -76,8 +75,6 @@ class FiniteMetricSpace:
             if np.any(m[:, None, :] > via + bound):
                 raise ConfigError("metric space: triangle inequality violated")
         self.dist = m
-        if self.labels is None:
-            self.labels = list(range(n))
 
     @property
     def n_points(self) -> int:
@@ -348,7 +345,7 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     # no packing separates two points at distance 0, so no net reaches all n
     same = np.argwhere(np.triu(space.dist == 0.0, k=1))
     if same.size:
-        pairs = ", ".join(f"{space.labels[i]!r} = {space.labels[j]!r}" for i, j in same)
+        pairs = ", ".join(f"{i} = {j}" for i, j in same)
         raise ConfigError(f"chain_construct: coincident points (distance 0): {pairs}")
     nets = []
     eps_list = []
@@ -472,13 +469,7 @@ class ScaleClass:
     """
 
     expected_exponent = -2.0
-
-    def __init__(self, m: float = 2.0, n: float = 3.0, b_lo: float | None = None, n_u: int = 10):
-        if m <= 1.0 or n <= 0.0:
-            raise ConfigError("scale class: need m > 1 and n > 0")
-        self.m, self.n = float(m), float(n)
-        self.b_lo = self.n / 3.0 if b_lo is None else float(b_lo)
-        self.n_u = int(n_u)
+    m, n, b_lo, n_u = 2.0, 3.0, 1.0, 10  # n_u: points of the logarithmic u-grid
 
     def sample(self, metric_resolution: float) -> PointCloud:
         # metric is <= 1.2 n Lipschitz in q = 1/a and <= (1 + m) in b

@@ -8,10 +8,9 @@ class ShecltError(Exception):
 class SolverBlowup(ShecltError):
     """A field value exceeded the blow-up guard during time stepping."""
 
-    def __init__(self, message, step=None, replica=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-        self.replica = replica
 
 
 class NonConvergence(ShecltError):

@@ -51,6 +51,8 @@ from .spectral import CovarianceMeasure, DalangProfile, moment_constants, tail_b
 
 BASELINE_DOMAIN_OFFSET = 10_000
 DEFAULT_CHUNK = 64
+# the fewest samples ks_normal accepts
+MIN_KS_SAMPLES = 50
 
 
 @dataclass
@@ -170,7 +172,7 @@ def estimate_baseline(grid, sigma, f, t, g_list, n_replicas, seed, domain, worke
 
 def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dict:
     """Closed-form baselines where they exist; one Monte Carlo solve for the rest."""
-    exact = [exact_baseline(g, config.sigma) for g in config.g_list]
+    exact = [exact_baseline(g) for g in config.g_list]
     mc = [g for g, base in zip(config.g_list, exact) if base is None]
     estimates = iter(estimate_baseline(
         grid, config.sigma, config.covariance, config.t, mc,
@@ -278,8 +280,8 @@ def ks_normal(samples, mu: float, sigma2: float) -> float:
     n = samples.size
     if sigma2 <= 0.0:
         raise DegenerateVariance("ks_normal: reference variance must be positive")
-    if n < 50:
-        raise ConfigError("ks_normal: need at least 50 samples")
+    if n < MIN_KS_SAMPLES:
+        raise ConfigError(f"ks_normal: need at least {MIN_KS_SAMPLES} samples")
     cdf = ndtr((samples - mu) / math.sqrt(sigma2))
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
@@ -340,10 +342,6 @@ class _EcfKernel:
 def ecf_gap(columns: np.ndarray, z) -> float:
     """|E exp(i sum z_j X_j) - prod_j E exp(i z_j X_j)| from paired samples."""
     return float(_EcfKernel(columns, [z]).gaps()[0])
-
-
-def max_ecf_gap(columns: np.ndarray, z_list) -> float:
-    return float(_EcfKernel(columns, z_list).gaps().max())
 
 
 def ecf_permutation_null(columns: np.ndarray, z_list, n_perm: int, seed: int) -> np.ndarray:

@@ -86,10 +86,11 @@ class TestFunction:
         self.label = label or self._default_label()
 
     @classmethod
-    def box(cls, lo, hi, amp=1.0, label=None):
+    def box(cls, lo, hi, label=None):
+        """The indicator 1_{[lo, hi]}; scalar bounds give a 1-d box."""
         lo = (lo,) if np.isscalar(lo) else tuple(lo)
         hi = (hi,) if np.isscalar(hi) else tuple(hi)
-        return cls([(amp, lo, hi)], label=label)
+        return cls([(1.0, lo, hi)], label=label)
 
     def _default_label(self):
         bits = []
@@ -291,17 +292,14 @@ class BaselineValue:
     n_replicas: int | None = None
 
 
-def exact_baseline(g: LipFunction, sigma: SigmaFunction) -> BaselineValue | None:
+def exact_baseline(g: LipFunction) -> BaselineValue | None:
     """Closed-form E[g(u(t,0))] where available.
 
     The stochastic integral has mean zero, so E u = 1 for every diffusion
-    coefficient; the identity observable always has baseline 1.  Degenerate
-    sigma freezes the field at 1, making any g exact.
+    coefficient; the identity observable always has baseline 1.
     """
     if g.kind == "identity":
         return BaselineValue(value=1.0, provenance="exact-mean-one")
-    if sigma.sigma1 == 0.0 and sigma.kind == "constant":
-        return BaselineValue(value=float(g(np.array(1.0))), provenance="exact-flat-field")
     return None
 
 

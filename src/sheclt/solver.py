@@ -1,4 +1,4 @@
-"""Time stepping for the mild-form stochastic heat equation on the torus.
+"""Time stepping for the stochastic heat equation on the torus.
 
 The field starts flat at 1 and evolves under
 
@@ -6,19 +6,18 @@ The field starts flat at 1 and evolves under
 
 with the discrete Laplacian (periodic, 2d+1 points, dx^-2 scaling) and the
 noise increments of :mod:`sheclt.noise`.  The multiplicative factor is
-evaluated at the pre-step value (Ito reading, predictable integrand).  A
-Picard fixed-point scheme driven by the exact heat kernel on the same noise
-realization cross-validates the Euler path.
+evaluated at the pre-step value (Ito reading, predictable integrand).  The
+Picard scheme on the mild form that cross-validates this Euler path is a
+test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, SolverBlowup
+from .errors import ConfigError, SolverBlowup
 from .noise import Grid, RngStream, sample_noise_batch, spectral_weights
 from .spectral import CovarianceMeasure
 
@@ -49,20 +48,15 @@ class PiecewiseLinear:
         return self.ys[idx] + self.slopes[idx] * (u - self.xs[idx])
 
 
-# parameter count of each sigma kind, named after its SigmaFunction constructor
-_SIGMA_ARITY = {"constant": 1, "linear": 1, "affine": 2, "tabulated": 2}
-
-
 class SigmaFunction:
     """Lipschitz diffusion coefficient with its structural constants.
 
     Kinds: constant c, linear c*u, affine a + b*u, and tabulated
-    (:class:`PiecewiseLinear`).  sigma(1) != 0 is required unless
-    ``allow_degenerate`` is set; the identically-zero coefficient makes the
-    equation deterministic and is admitted only for flat-state checks.
+    (:class:`PiecewiseLinear`).  sigma(1) != 0 is required: at sigma(1) = 0
+    the flat state never moves and the equation is deterministic.
     """
 
-    def __init__(self, kind, params, allow_degenerate=False):
+    def __init__(self, kind, params):
         self.kind = kind
         self.params = params
         if kind in ("constant", "linear", "affine") and not all(map(math.isfinite, params)):
@@ -83,12 +77,12 @@ class SigmaFunction:
             self.sigma1 = float(self._eval_tab(np.array(1.0)))
         else:
             raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
-        if not allow_degenerate and self.sigma1 == 0.0:
-            raise ConfigError("sigma: sigma(1) must be nonzero (pass allow_degenerate to override)")
+        if self.sigma1 == 0.0:
+            raise ConfigError("sigma: sigma(1) must be nonzero")
 
     @classmethod
-    def constant(cls, c, allow_degenerate=False):
-        return cls("constant", (float(c),), allow_degenerate)
+    def constant(cls, c):
+        return cls("constant", (float(c),))
 
     @classmethod
     def linear(cls, c):
@@ -99,8 +93,8 @@ class SigmaFunction:
         return cls("affine", (float(a), float(b)))
 
     @classmethod
-    def tabulated(cls, xs, ys, allow_degenerate=False):
-        return cls("tabulated", (xs, ys), allow_degenerate)
+    def tabulated(cls, xs, ys):
+        return cls("tabulated", (xs, ys))
 
     @classmethod
     def from_config(cls, record) -> "SigmaFunction":
@@ -110,13 +104,16 @@ class SigmaFunction:
             params = record.get("params", [])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"sigma: malformed record ({exc})") from exc
-        if not isinstance(kind, str) or kind not in _SIGMA_ARITY:
+        # kind -> (parameter count, constructor)
+        kinds = {"constant": (1, cls.constant), "linear": (1, cls.linear),
+                 "affine": (2, cls.affine), "tabulated": (2, cls.tabulated)}
+        if not isinstance(kind, str) or kind not in kinds:
             raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
-        arity = _SIGMA_ARITY[kind]
+        arity, make = kinds[kind]
         if not isinstance(params, (list, tuple)) or len(params) != arity:
             raise ConfigError(f"sigma.params: {kind} takes {arity} parameter(s), got {params!r}")
         try:
-            return getattr(cls, kind)(*params)
+            return make(*params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sigma.params: invalid {kind} parameters ({exc})") from exc
 
@@ -167,19 +164,6 @@ class SigmaFunction:
         if self.kind == "affine":
             return f"affine({self.params[0]:g},{self.params[1]:g})"
         return f"tabulated({self._eval_tab.xs.size} knots)"
-
-
-@dataclass
-class SolutionField:
-    """One realization of the field at a fixed time, with solver metadata."""
-
-    grid: Grid
-    time: float
-    values: np.ndarray
-    scheme: str
-    seed: int
-    replica: int
-    domain: int = 0
 
 
 def discrete_laplacian(
@@ -296,104 +280,3 @@ def solve_batch(
         if step + 1 in snap_steps:
             snapshots[snap_steps[step + 1]] = u.copy()
     return u, snapshots
-
-
-def solve(
-    grid: Grid,
-    sigma: SigmaFunction,
-    f: CovarianceMeasure,
-    t_final: float,
-    seed: int,
-    replica: int,
-    domain: int = 0,
-) -> SolutionField:
-    """One replica's Euler field at t_final from the flat initial state."""
-    try:
-        values, _ = solve_batch(grid, sigma, f, t_final, seed, [replica], domain=domain)
-    except SolverBlowup as exc:
-        exc.replica = replica
-        raise
-    return SolutionField(
-        grid=grid, time=t_final, values=values[0], scheme="euler",
-        seed=seed, replica=replica, domain=domain,
-    )
-
-
-def _heat_kernel_grid(grid: Grid, t: float) -> np.ndarray:
-    """Continuum heat kernel periodized on the grid, unit discrete mass."""
-    x = grid.axis_coordinates()
-    k_max = int(math.ceil(8.0 * math.sqrt(t) / grid.length)) + 1
-    axis = np.zeros(grid.n)
-    for k in range(-k_max, k_max + 1):
-        y = x + k * grid.length
-        axis += np.exp(-y * y / (2.0 * t))
-    axis /= math.sqrt(2.0 * math.pi * t)
-    kern = axis
-    for _ in range(grid.d - 1):
-        kern = np.multiply.outer(kern, axis)
-    return kern / (np.sum(kern) * grid.cell_volume)
-
-
-def picard_solve(
-    grid: Grid,
-    sigma: SigmaFunction,
-    f: CovarianceMeasure,
-    t_final: float,
-    seed: int,
-    replica: int,
-    n_iter: int,
-    domain: int = 0,
-) -> SolutionField:
-    """Fixed-point iteration of the mild equation on a frozen noise path.
-
-    Every iterate convolves sigma(previous iterate) times the noise
-    increments with the exact heat kernel (sampled on the grid and
-    renormalized to unit discrete mass), using the same (replica, step)
-    noise keys as the Euler scheme.  The kernel lag follows the right
-    endpoint of each step, so the newest increment enters unsmoothed,
-    matching the propagation structure of the explicit scheme.  Raises
-    NonConvergence when the sup distance between iterates fails to decrease
-    over three iterations.
-    """
-    if n_iter < 1:
-        raise ConfigError("picard_solve: n_iter must be at least 1")
-    weights = spectral_weights(grid, f)
-    stream = RngStream(seed=seed, domain=domain, replica=replica)
-    n_steps = _steps_for(grid, t_final)
-
-    slices = np.empty((n_steps,) + grid.shape)
-    for step in range(n_steps):
-        slices[step] = sample_noise_batch(grid, weights, grid.dt, [stream], step)[0]
-    kern_hat = np.empty((max(n_steps - 1, 0),) + grid.shape, dtype=complex)
-    for lag in range(1, n_steps):
-        kern_hat[lag - 1] = np.fft.fftn(_heat_kernel_grid(grid, lag * grid.dt))
-
-    u = np.ones((n_steps + 1,) + grid.shape)
-    slices_hat = np.empty((n_steps,) + grid.shape, dtype=complex)
-    history = []
-    for _ in range(n_iter):
-        q_new = np.empty_like(slices)
-        for step in range(n_steps):
-            q_new[step] = sigma(u[step]) * slices[step]
-            slices_hat[step] = np.fft.fftn(q_new[step])
-        u_next = np.ones_like(u)
-        acc = np.zeros(grid.shape, dtype=complex)
-        for k in range(1, n_steps + 1):
-            acc[...] = 0.0
-            for j in range(k - 1):
-                acc += kern_hat[k - 2 - j] * slices_hat[j]
-            u_next[k] = 1.0 + q_new[k - 1] + grid.cell_volume * np.fft.ifftn(acc).real
-        diff = float(np.max(np.abs(u_next - u)))
-        history.append(diff)
-        u = u_next
-        if diff <= 1e-13 * max(1.0, float(np.max(np.abs(u)))):
-            break
-        if len(history) >= 3 and history[-1] >= history[-2] >= history[-3]:
-            raise NonConvergence(
-                f"picard iterates stopped contracting: last diffs {history[-3:]}"
-            )
-    return SolutionField(
-        grid=grid, time=t_final, values=u[n_steps], scheme=f"picard({n_iter})",
-        seed=seed, replica=replica, domain=domain,
-    )
-

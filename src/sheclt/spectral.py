@@ -15,9 +15,9 @@ usable as covariances of a stationary Gaussian field.  A plain uniform
 density is *not* nonnegative-definite (its transform is a signed sinc), so
 the "uniform" kind is realized through the box autocorrelation.
 
-Per axis the heat-smoothed covariance p_s * f and its ramp transform
-E[(X - a)^+] are closed form for every kind.  On top of the measure this
-module evaluates the spectral integral
+The heat-smoothed covariance p_s * f at the origin and, per axis, its ramp
+transform E[(X - a)^+] are closed form for every kind.  On top of the
+measure this module evaluates the spectral integral
 
     upsilon(lam) = (2/(2 pi)^d) * int f_hat(z) / (2 lam + |z|^2) dz,
 
@@ -26,8 +26,8 @@ the product kinds (exponential, uniform) in d >= 2 as the time-domain
 integral int_0^inf e^{-lam s} (p_s * f)(0) ds, by the trapezoid rule in
 y = log s over one vectorised evaluation of the closed-form (p_s * f)(0) per
 step size; its inverse ``lambda_of``, closed form for dirac and the d = 1
-exponential kind, a root find otherwise; the heat kernel/resolvent identity,
-whose time side is the same trapezoid rule; and the explicit moment and
+exponential kind, a root find otherwise; the resolvent identity, whose
+time side is the same trapezoid rule; and the explicit moment and
 tail bounds whose constants feed the Monte Carlo non-violation checks.
 """
 
@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import erf, erfcx, exp1, ndtr
 
@@ -74,25 +73,6 @@ class CovarianceMeasure:
         if self.kind != "dirac" and not (0.0 < self.param < math.inf):
             raise ConfigError("covariance.param: shape parameter must be positive and finite")
 
-    # -- Fourier transform, convention f_hat(z) = int exp(i x.z) f(dx) --
-
-    def fourier_axis(self, z):
-        """One-axis factor of f_hat at frequency z (unit mass)."""
-        z = np.asarray(z, dtype=float)
-        if self.kind == "dirac":
-            return np.ones_like(z)
-        if self.kind == "gaussian":
-            return np.exp(-0.5 * (self.param * z) ** 2)
-        if self.kind == "uniform":
-            # sinc^2: transform of the triangle (1-|x|/h)+ / h
-            u = 0.5 * self.param * z
-            out = np.ones_like(z)
-            nz = u != 0
-            out[nz] = (np.sin(u[nz]) / u[nz]) ** 2
-            return out
-        r = self.param
-        return r * r / (r * r + z * z)
-
     # -- physical-space evaluations --
 
     def density_axis(self, x):
@@ -108,29 +88,11 @@ class CovarianceMeasure:
         r = self.param
         return 0.5 * r * np.exp(-r * np.abs(x))
 
-    def smoothed_axis(self, s, x):
-        """One-axis factor of the heat-smoothed covariance (p_s * f)(x).
-
-        Unit-mass normalization; the product over axes times ``mass`` gives
-        the d-dimensional value.  Closed form for every kind.
-        """
-        x = np.asarray(x, dtype=float)
-        if s <= 0.0:
-            raise ConfigError("smoothed_axis: s must be positive")
-        if self.kind == "dirac":
-            return _norm_pdf(x, s)
-        if self.kind == "gaussian":
-            return _norm_pdf(x, s + self.param**2)
-        if self.kind == "uniform":
-            return _triangle_smooth(np.abs(x), self.param, s, 1)
-        r = self.param
-        return 0.5 * r * (_exp_gauss_halfline(r, s, x) + _exp_gauss_halfline(r, s, -x))
-
     def ramp_axis(self, s, a):
         """One-axis ramp transform R(a) = int (x - a)^+ (p_s * f)(x) dx = E[(X - a)^+].
 
-        X has the unit-mass one-axis law ``smoothed_axis(s, .)``, so R'' is
-        that density.  The law is symmetric, so R(a) = (-a)^+ + R(|a|), and
+        X has the unit-mass one-axis law of p_s * f, so R'' is that
+        density.  The law is symmetric, so R(a) = (-a)^+ + R(|a|), and
         R(|a|) is a sum of nonnegative tails.  Closed form for every kind,
         with R_v(a) = E[(G - a)^+], G ~ N(0, v):
 
@@ -154,13 +116,6 @@ class CovarianceMeasure:
         return _normal_ramp(a, s) + (
             _exp_gauss_halfline(r, s, a) + _exp_gauss_halfline(r, s, -a)
         ) / (2.0 * r)
-
-    def smoothed_at(self, s, x=None):
-        """(p_s * f)(x); x defaults to the origin."""
-        if x is None:
-            x = np.zeros(self.dimension)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.mass * float(np.prod(self.smoothed_axis(s, x)))
 
     def smoothed_origin(self, s):
         """(p_s * f)(0) over an array of s > 0, the d-th power of the one-axis
@@ -317,17 +272,6 @@ def _triangle_smooth(b, h, v, k):
     if k == 3:
         out = out + _normal_ramp(b, v)
     return out
-
-
-def heat_kernel(t: float, x, d: int | None = None) -> float:
-    """Gaussian heat kernel p_t(x) = (2 pi t)^{-d/2} exp(-|x|^2 / 2t)."""
-    if t <= 0.0:
-        raise ConfigError("heat_kernel: t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = x.size
-    sq = float(np.dot(x.ravel(), x.ravel()))
-    return (2.0 * math.pi * t) ** (-d / 2.0) * math.exp(-sq / (2.0 * t))
 
 
 def dalang_check(f: CovarianceMeasure) -> None:
@@ -535,19 +479,6 @@ def resolvent_identity_check(profile: DalangProfile, lam: float) -> tuple[float,
     f = profile.measure
     dalang_check(f)
     return _time_domain_integral(f, lam), upsilon(profile, lam)
-
-
-def time_integrated_cov(f: CovarianceMeasure, t: float, x=None) -> float:
-    """int_0^t (p_{2s} * f)(x) ds, the constant-sigma spatial covariance profile."""
-    if t < 0.0:
-        raise ConfigError("time_integrated_cov: t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    val, _ = integrate.quad(
-        lambda w: 2.0 * w * f.smoothed_at(2.0 * w * w, x), 0.0, math.sqrt(t),
-        epsabs=0.0, epsrel=1e-10, limit=200,
-    )
-    return val
 
 
 # -- explicit bound evaluators --

@@ -118,6 +118,14 @@ class TestDispatch:
         summary = json.loads(out_files(out, "noise-check-summary", ".json")[0].read_text())
         assert summary["pass"]
 
+    def test_noise_check_correlated_d2_defaults_pass(self, tmp_path):
+        # neighbouring cells of the gaussian field are correlated: the
+        # standard errors must count that, or correct noise fails its flags
+        out = tmp_path / "out"
+        code = dispatch(["--out-dir", str(out), "--seed", "1", "noise-check", "--kind", "gaussian",
+                         "--d", "2"])
+        assert code == 0
+
     def test_solve_with_dump(self, tmp_path):
         out = tmp_path / "out"
         code = dispatch(
@@ -374,6 +382,29 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "--workers", "1",
                          cmd, "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, override, flags, key", [
+        ("clt", {}, ["--replicas", "40"], "replicas"),
+        ("clt", {"g": [{"kind": "sin"}], "bt_replicas": 50}, [], "config.bt_replicas"),
+        ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "sigma": {"kind": "affine", "params": [1.0, 0.5]},
+                 "bt_replicas": 99}, [], "config.bt_replicas"),
+    ])
+    def test_statistics_minimum_checked_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       cmd, override, flags, key):
+        # a replica count the KS check or estimate_Bt would reject after the
+        # whole experiment is rejected before any replica is solved
+        from sheclt import cli
+
+        def no_solve(cfg):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_solve)
+        cfg = tiny_clt_config(tmp_path, **override)
+        out = tmp_path / "o"
+        assert dispatch(["--out-dir", str(out), "--workers", "1", cmd, "--config", str(cfg),
+                         *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
         for cmd, overrides in EXPERIMENT_OVERRIDES.items():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtri
 
+from oracles import smoothed_axis
 from sheclt import montecarlo
 from sheclt.errors import ConfigError, DegenerateVariance
 from sheclt.montecarlo import (
@@ -28,7 +29,6 @@ from sheclt.montecarlo import (
     ks_critical,
     ks_normal,
     marginal_variance_run,
-    max_ecf_gap,
     run_experiment,
     tail_check,
     wilson_interval,
@@ -90,7 +90,7 @@ class TestExperiment:
 
         grid = res.grids[4.0]
         fields, _ = solve_batch(grid, cfg.sigma, WHITE, cfg.t, cfg.seed, [3], domain=0)
-        base = exact_baseline(LipFunction.identity(), cfg.sigma)
+        base = exact_baseline(LipFunction.identity())
         for psi in (psi1, psi2):
             prep = PreparedTestFunction(grid, psi.scaled(4.0), halo=8 * math.sqrt(cfg.t))
             val = occupation_values(prep, fields, base.value, 4.0)[0]
@@ -366,7 +366,9 @@ class TestEcf:
             ref = [self.cos_sin_gap(cols, z) for z in z_list]
             for z, r in zip(z_list, ref):
                 assert abs(ecf_gap(cols, z) - r) <= 1e-12
-            assert abs(max_ecf_gap(cols, z_list) - max(ref)) <= 1e-12
+            rep = independence_report(cols, z_list, n_perm=1, seed=0)
+            assert all(abs(rep.gaps[tuple(z)] - r) <= 1e-12 for z, r in zip(z_list, ref))
+            assert abs(rep.observed - max(ref)) <= 1e-12
 
     def test_permutation_null_matches_loop(self):
         irregular = [np.array([0.5, 0.0, -2.0]), np.array([0.5, 0.0, -2.0]), np.array([1.5, 1.0, 0.25])]
@@ -401,7 +403,7 @@ class TestEcf:
         with pytest.raises(ConfigError):
             ecf_gap(cols, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ConfigError):
-            max_ecf_gap(cols[:, :1], [np.array([1.0])])
+            independence_report(cols[:, :1], [np.array([1.0])], n_perm=10, seed=0)
 
     def test_default_z_tuples_cover_pm_1_2(self):
         zs = default_z_tuples(2)
@@ -447,7 +449,7 @@ def independence_rhs_nested(f, t, psi, phi, N):
 
                     def integrand(eta):
                         ov = max(0.0, min(q, w + eta / N) - max(p, r + eta / N))
-                        return float(f.smoothed_axis(2.0 * s, np.array([eta]))[0]) * ov
+                        return float(smoothed_axis(f, 2.0 * s, np.array([eta]))[0]) * ov
 
                     prod *= sum(
                         integrate.quad(integrand, a0, b0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
@@ -604,7 +606,7 @@ class TestIndependenceRhs:
         psi = TestFunction.box(0.0, 1.0)
         tri = CovarianceMeasure("uniform", 1, 1.0, 1.0)
         oracle, _ = integrate.quad(
-            lambda w: 2.0 * w * float(tri.smoothed_axis(2.0 * w * w, np.array([0.0]))[0]),
+            lambda w: 2.0 * w * float(smoothed_axis(tri, 2.0 * w * w, np.array([0.0]))[0]),
             0.0,
             1.0,
         )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fourier_axis
 from sheclt.errors import ConfigError
 from sheclt.noise import (
     Grid,
@@ -135,7 +136,7 @@ class TestSpectralWeights:
             m[m > g.n // 2] -= g.n
             q = np.arange(-q_max, q_max + 1, dtype=float)
             z = 2.0 * math.pi * (m[:, None] + q[None, :] * g.n) / g.length
-            folded = f.mass * np.sum(f.fourier_axis(z), axis=1) / g.length
+            folded = f.mass * np.sum(fourier_axis(f, z), axis=1) / g.length
             assert np.max(np.abs(w - folded)) < tol * folded[0]
 
 

@@ -14,7 +14,6 @@ from sheclt.errors import (
 from sheclt.noise import Grid, periodized_covariance, spectral_weights
 from sheclt.occupation import (
     HALO_FACTOR,
-    BaselineValue,
     LipFunction,
     PreparedTestFunction,
     TestFunction,
@@ -171,19 +170,7 @@ class TestOccupationSample:
         grid = grid_1d()
         vals = self.make_values(grid, SigmaFunction.linear(1.0))
         g = LipFunction.tabulated([-1.0, 1.0], [2.0, 2.0], label="const2")
-        base = exact_baseline(g, SigmaFunction.constant(0.0, allow_degenerate=True))
-        assert base == BaselineValue(2.0, "exact-flat-field")
-        assert abs(self.sample(grid, TestFunction.box(0.0, 1.0), g(vals), base.value, 4.0)) < 1e-12
-
-    def test_flat_field_exact_zero(self):
-        grid = grid_1d()
-        sigma0 = SigmaFunction.constant(0.0, allow_degenerate=True)
-        vals = self.make_values(grid, sigma0, seed=1)
-        g = LipFunction.sin()
-        base = exact_baseline(g, sigma0)
-        assert base.provenance == "exact-flat-field"
-        s = self.sample(grid, TestFunction.box(0.0, 2.0), g(vals), base.value, 2.0)
-        assert s == pytest.approx(0.0, abs=1e-12)
+        assert abs(self.sample(grid, TestFunction.box(0.0, 1.0), g(vals), 2.0, 4.0)) < 1e-12
 
     def test_bilinear_in_psi_exact(self):
         grid = grid_1d()
@@ -432,11 +419,11 @@ class TestNondegeneracy:
 
 class TestBaseline:
     def test_identity_baseline_exact(self):
-        base = exact_baseline(LipFunction.identity(), SigmaFunction.linear(2.0))
+        base = exact_baseline(LipFunction.identity())
         assert base.value == 1.0 and base.provenance == "exact-mean-one"
 
     def test_general_g_needs_estimation(self):
-        assert exact_baseline(LipFunction.sin(), SigmaFunction.linear(1.0)) is None
+        assert exact_baseline(LipFunction.sin()) is None
 
     def test_estimated_baseline_deterministic(self):
         grid = grid_1d(L=8.0)
@@ -456,7 +443,7 @@ class TestL2Continuity:
         grid = grid_1d(dx=1.0 / 8.0, L=32.0)
         fields, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 1.0, 48, range(400))
         g = LipFunction.identity()
-        base = exact_baseline(g, SigmaFunction.constant(1.0))
+        base = exact_baseline(g)
         rng = np.random.default_rng(10)
         from sheclt.occupation import PreparedTestFunction, occupation_values
         from sheclt.spectral import (
