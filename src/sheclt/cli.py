@@ -688,12 +688,14 @@ def dispatch(argv) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "20260810"))
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = default_workers()
     out_dir = Path(getattr(args, "out_dir", "./out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        workers = getattr(args, "workers", None)
+        if workers is None:
+            workers = default_workers()
+        elif workers < 1:
+            raise ConfigError("--workers: must be positive")
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "bounds":
             return cmd_bounds(args, out_dir)
         if args.command == "noise-check":

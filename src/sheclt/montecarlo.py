@@ -7,8 +7,9 @@ Replicas are independent tasks keyed by counter-based streams; chunking and
 process count never change the output bits, and per-N seed domains keep the
 ladder runs independent.  Every replicated solve (experiment, Monte Carlo
 baseline, B_t fields, marginal variance) runs through ``_map_chunks``, which
-solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool of
-at most one worker per block.  At each N one baseline solve serves every
+solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool,
+forked at the first map that needs it and reused by every later one until
+the interpreter exits (``_pool``).  At each N one baseline solve serves every
 observable without a closed-form baseline.
 
 Statistics: one-sample Kolmogorov-Smirnov distance against a reference
@@ -27,9 +28,11 @@ computed once rather than once per permutation.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -78,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("config.n_ladder: must be a strictly increasing list")
         if self.replicas < 1:
             raise ConfigError("config.replicas: must be positive")
+        if self.workers < 1:
+            raise ConfigError("config.workers: must be positive")
         if not all(0.0 < N < math.inf for N in self.n_ladder):
             raise ConfigError("config.n_ladder: every N must be positive and finite")
         if not (0.0 <= self.t < math.inf and 0.0 < self.dx < math.inf):
@@ -133,17 +138,53 @@ class ExperimentResult:
         return np.stack(cols, axis=1)
 
 
+# the process pool every pooled map reuses, as (executor, processes, pid of
+# the process that forked it), or None until a map needs one; maps run from
+# one thread, so the slot takes no lock
+_POOL = None
+
+
+def _pool(workers: int, chunks: int):
+    """This process's pool, with between min(workers, chunks) and workers
+    processes.  A pool outside that range is shut down, its threads joined,
+    before one of min(workers, chunks) processes is forked in its place; a
+    forked child leaves the pool it inherited to its parent."""
+    global _POOL
+    need = min(workers, chunks)
+    if _POOL is not None and _POOL[2] == os.getpid():
+        if need <= _POOL[1] <= workers:
+            return _POOL[0]
+        _drop_pool()
+    _POOL = (ProcessPoolExecutor(max_workers=need), need, os.getpid())
+    return _POOL[0]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Shut this process's pool down and forget it."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[0].shutdown(wait=True)
+
+
 def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
     """``task(*args, replicas)`` for each ``DEFAULT_CHUNK`` block of
-    ``range(n_replicas)`` in order, in this process or on one process pool."""
+    ``range(n_replicas)`` in order: in this process, or, when ``workers`` and
+    the block count both exceed one, on the pool ``_pool`` keeps.  A worker
+    that dies takes the pool with it, and the next map forks a new one; an
+    exception raised by ``task`` leaves the pool in place."""
     if n_replicas < 1:
         raise ConfigError("replicas: need at least one replica")
     starts = range(0, n_replicas, DEFAULT_CHUNK)
     chunks = [range(s, min(s + DEFAULT_CHUNK, n_replicas)) for s in starts]
     call = partial(task, *args)
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            return list(pool.map(call, chunks))
+        try:
+            return list(_pool(workers, len(chunks)).map(call, chunks))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     return [call(chunk) for chunk in chunks]
 
 
@@ -572,10 +613,18 @@ def tail_check(
 
 
 def default_workers() -> int:
+    """``SHECLT_WORKERS`` if set, else the CPUs this process may run on, at most 4."""
     env = os.environ.get("SHECLT_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError as exc:
             raise ConfigError("SHECLT_WORKERS: must be an integer") from exc
-    return max(1, min(4, os.cpu_count() or 1))
+        if workers < 1:
+            raise ConfigError("SHECLT_WORKERS: must be positive")
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(4, cpus))

@@ -111,7 +111,7 @@ class CovarianceMeasure:
         if self.kind == "gaussian":
             return _normal_ramp(a, s + self.param**2)
         if self.kind == "uniform":
-            return _triangle_smooth(np.abs(a), self.param, s, 3) + np.maximum(-a, 0.0)
+            return _triangle_smooth(np.abs(a), self.param, s) + np.maximum(-a, 0.0)
         r = self.param
         return _normal_ramp(a, s) + (
             _exp_gauss_halfline(r, s, a) + _exp_gauss_halfline(r, s, -a)
@@ -238,40 +238,37 @@ _SERIES_TERMS = 18
 _PHI_ZERO = 40.0
 
 
-def _triangle_smooth(b, h, v, k):
-    """(F(b - h) - 2 F(b) + F(b + h)) / h^2 for F(c) = E[(G - c)^{+k}] / k!,
-    G ~ N(0, v), k = 1 or 3, at b >= 0.
+def _triangle_smooth(b, h, v):
+    """(F(b - h) - 2 F(b) + F(b + h)) / h^2 for F(c) = E[(G - c)^{+3}] / 6,
+    G ~ N(0, v), at b >= 0.
 
-    F'' is the normal density (k = 1) or ramp (k = 3), so this is F'' smoothed
-    by the triangle density (1 - |x|/h)+ / h: the uniform kind's smoothed
-    covariance and its ramp transform.  Where h < 0.1 sqrt(v) the difference
-    would cancel to about v / h^2 ulps, so it is summed as the Taylor series
-    sum_{j>=1} 2 h^{2j-2} F^{(2j)}(b) / (2j)!, whose terms past the ramp are
-    normal-density derivatives He_{2i}(z) phi(z) / sd^{2i+1} (z = b / sd,
-    rho = h / sd): sd^{k-2} phi(z) rho^{k-1} sum_i 2 rho^{2i} He_{2i}(z) /
-    (2i + k + 1)!, 18 terms (rho z < 4 wherever phi(z) > 0).
+    F'' is the normal ramp, so this is the ramp smoothed by the triangle
+    density (1 - |x|/h)+ / h: the uniform kind's ramp transform.  Where
+    h < 0.1 sqrt(v) the difference would cancel to about v / h^2 ulps, so it
+    is summed as the Taylor series sum_{j>=1} 2 h^{2j-2} F^{(2j)}(b) / (2j)!,
+    whose terms past the ramp are normal-density derivatives
+    He_{2i}(z) phi(z) / sd^{2i+1} (z = b / sd, rho = h / sd):
+    sd phi(z) rho^2 sum_i 2 rho^{2i} He_{2i}(z) / (2i + 4)!, 18 terms
+    (rho z < 4 wherever phi(z) > 0).
     """
     b = np.asarray(b, dtype=float)
     sd = math.sqrt(v)
     rho = h / sd
     if rho >= _SERIES_RHO:
-        scale = 1.0 if k == 1 else 6.0
-        lo, mid, hi = (_normal_ramp(c, v, k) for c in (b - h, b, b + h))
-        return (lo - 2.0 * mid + hi) / (scale * h * h)
+        lo, mid, hi = (_normal_ramp(c, v, 3) for c in (b - h, b, b + h))
+        return (lo - 2.0 * mid + hi) / (6.0 * h * h)
     z = np.minimum(b / sd, _PHI_ZERO)
     he_prev, he = np.zeros_like(z), np.ones_like(z)  # He_{-1}, He_0
     total = np.zeros_like(z)
-    coef = 2.0 / math.factorial(k + 1)
+    coef = 2.0 / math.factorial(4)
     for i in range(_SERIES_TERMS):
         total += coef * he
         n = 2 * i
         he_prev, he = he, z * he - n * he_prev  # He_{2i+1}
         he_prev, he = he, z * he - (n + 1) * he_prev  # He_{2i+2}
-        coef *= rho * rho / ((n + k + 2) * (n + k + 3))
-    out = sd ** (k - 2) * rho ** (k - 1) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * total
-    if k == 3:
-        out = out + _normal_ramp(b, v)
-    return out
+        coef *= rho * rho / ((n + 5) * (n + 6))
+    out = sd * rho ** 2 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * total
+    return out + _normal_ramp(b, v)
 
 
 def dalang_check(f: CovarianceMeasure) -> None:

@@ -15,7 +15,41 @@ from scipy import integrate
 
 from sheclt.noise import RngStream, sample_noise_batch, spectral_weights
 from sheclt.solver import _steps_for
-from sheclt.spectral import _exp_gauss_halfline, _norm_pdf, _triangle_smooth
+from sheclt.spectral import (
+    _PHI_ZERO,
+    _SERIES_RHO,
+    _SERIES_TERMS,
+    _exp_gauss_halfline,
+    _norm_pdf,
+    _normal_ramp,
+)
+
+
+def _triangle_smoothed_density(b, h, v):
+    """The N(0, v) density smoothed by the triangle density (1 - |x|/h)+ / h
+    at b >= 0: (F(b - h) - 2 F(b) + F(b + h)) / h^2 for F(c) = E[(G - c)^+].
+
+    Below h / sqrt(v) = 0.1 it is summed as the Taylor series
+    phi(z) / sd sum_i 2 rho^{2i} He_{2i}(z) / (2i + 2)! (z = b / sd,
+    rho = h / sd), as ``spectral._triangle_smooth`` sums its ramp.
+    """
+    b = np.asarray(b, dtype=float)
+    sd = math.sqrt(v)
+    rho = h / sd
+    if rho >= _SERIES_RHO:
+        lo, mid, hi = (_normal_ramp(c, v) for c in (b - h, b, b + h))
+        return (lo - 2.0 * mid + hi) / (h * h)
+    z = np.minimum(b / sd, _PHI_ZERO)
+    he_prev, he = np.zeros_like(z), np.ones_like(z)  # He_{-1}, He_0
+    total = np.zeros_like(z)
+    coef = 1.0
+    for i in range(_SERIES_TERMS):
+        total += coef * he
+        n = 2 * i
+        he_prev, he = he, z * he - n * he_prev  # He_{2i+1}
+        he_prev, he = he, z * he - (n + 1) * he_prev  # He_{2i+2}
+        coef *= rho * rho / ((n + 3) * (n + 4))
+    return sd ** -1 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * total
 
 
 def fourier_axis(f, z):
@@ -48,7 +82,7 @@ def smoothed_axis(f, s, x):
     if f.kind == "gaussian":
         return _norm_pdf(x, s + f.param**2)
     if f.kind == "uniform":
-        return _triangle_smooth(np.abs(x), f.param, s, 1)
+        return _triangle_smoothed_density(np.abs(x), f.param, s)
     r = f.param
     return 0.5 * r * (_exp_gauss_halfline(r, s, x) + _exp_gauss_halfline(r, s, -x))
 

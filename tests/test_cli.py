@@ -406,6 +406,25 @@ class TestDispatch:
         assert key in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("flags, env", [
+        (["--workers", "0"], None),
+        (["--workers", "-3"], None),
+        ([], "0"),
+        ([], "-2"),
+    ])
+    def test_nonpositive_worker_count_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     flags, env):
+        if env is None:
+            monkeypatch.delenv("SHECLT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SHECLT_WORKERS", env)
+        cfg = tiny_clt_config(tmp_path)
+        out = tmp_path / "o"
+        assert dispatch(["--out-dir", str(out), *flags, "clt", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "workers" in err.lower()
+        assert not out.exists()
+
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
         for cmd, overrides in EXPERIMENT_OVERRIDES.items():
             cfg = tiny_clt_config(tmp_path, replicas=150, **overrides)

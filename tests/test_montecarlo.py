@@ -1,7 +1,12 @@
 """Experiment orchestration and limit-theorem statistics."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,13 @@ from scipy.special import ndtri
 
 from oracles import smoothed_axis
 from sheclt import montecarlo
-from sheclt.errors import ConfigError, DegenerateVariance
+from sheclt.errors import ConfigError, DegenerateVariance, SolverBlowup
 from sheclt.montecarlo import (
     DEFAULT_CHUNK,
     ExperimentConfig,
     _map_chunks,
     clt_report,
+    default_workers,
     default_z_tuples,
     ecf_gap,
     ecf_permutation_null,
@@ -61,6 +67,11 @@ class TestExperiment:
     def test_ladder_must_increase(self):
         with pytest.raises(ConfigError):
             tiny_config(n_ladder=[8.0, 4.0])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            tiny_config(workers=workers)
 
     def test_deterministic_across_runs_and_workers(self):
         a = run_experiment(tiny_config(replicas=70))
@@ -171,6 +182,31 @@ class TestMarginalVarianceRun:
         assert abs(out.mean - 1.0) < 4 * out.mean_se
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty pool slot for one test; the pool the test forks is shut down after it."""
+    monkeypatch.setattr(montecarlo, "_POOL", None)
+    yield
+    montecarlo._drop_pool()
+
+
+# chunk tasks for the pool tests; module level, so that workers can unpickle them
+def _worker_pid(replicas):
+    return os.getpid()
+
+
+def _chunk_length(replicas):
+    return len(replicas)
+
+
+def _blow_up(replicas):
+    raise SolverBlowup("planted")
+
+
+def _exit_worker(replicas):
+    os._exit(1)
+
+
 class TestChunkedSolves:
     """Every replicated solve goes through ``_map_chunks``: blocks of
     DEFAULT_CHUNK replicas, serial or pooled, with the same output bits."""
@@ -193,27 +229,106 @@ class TestChunkedSolves:
         with pytest.raises(ConfigError):
             _map_chunks(lambda *a: None, 0, 1)
 
-    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
-        sizes = []
+    def test_pool_never_larger_than_the_chunk_count(self, fresh_pool, monkeypatch):
+        sizes, shut = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
+                self.size = max_workers
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, items):
                 return map(fn, items)
+
+            def shutdown(self, wait=True):
+                assert wait
+                shut.append(self.size)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
         for workers, n in ((8, 130), (2, 130), (8, 64)):
             lengths = _map_chunks(lambda replicas: len(replicas), n, workers)
             assert sum(lengths) == n
         assert sizes == [3, 2]  # one chunk runs in this process, no pool
+        assert shut == [3]  # the 3-process pool went before the 2-process one came
+
+    def test_consecutive_experiments_share_one_pool(self, fresh_pool, monkeypatch):
+        created = []
+        real = montecarlo.ProcessPoolExecutor
+
+        def counting(max_workers):
+            created.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting)
+        configs = [tiny_config(sigma=self.AFFINE, g_list=[LipFunction.sin()], replicas=70,
+                               baseline_replicas=self.REPLICAS, workers=w) for w in (2, 2, 1)]
+        runs = [run_experiment(cfg) for cfg in configs]
+        assert created == [2]  # two baselines and two experiments, one pool
+        key = (4.0, runs[0].config.psi_list[0].label, "sin")
+        for run in runs[:2]:
+            assert run.ensembles[key].baseline.value == runs[2].ensembles[key].baseline.value
+            assert np.array_equal(run.ensembles[key].values, runs[2].ensembles[key].values)
+
+    def test_pool_grows_and_is_replaced_for_fewer_workers(self, fresh_pool):
+        seen = []
+        for chunks, workers in ((2, 8), (3, 8), (3, 2), (2, 8)):
+            pids = _map_chunks(_worker_pid, chunks * DEFAULT_CHUNK, workers)
+            assert len(pids) == chunks and os.getpid() not in pids
+            seen.append(montecarlo._POOL)
+        assert [size for _, size, _ in seen] == [2, 3, 2, 2]
+        assert all(owner == os.getpid() for _, _, owner in seen)
+        pools = [pool for pool, _, _ in seen]
+        assert pools[1] is not pools[0]  # grown for three chunks
+        assert pools[2] is not pools[1]  # replaced: three processes exceed workers = 2
+        assert pools[3] is pools[2]  # two processes lie within [min(8, 2), 8]: reused
+
+    def test_dead_worker_drops_the_pool_task_error_keeps_it(self, fresh_pool):
+        assert _map_chunks(_chunk_length, 2 * DEFAULT_CHUNK, 2) == [DEFAULT_CHUNK] * 2
+        pool = montecarlo._POOL[0]
+        with pytest.raises(SolverBlowup):
+            _map_chunks(_blow_up, 2 * DEFAULT_CHUNK, 2)
+        assert montecarlo._POOL[0] is pool
+        with pytest.raises(BrokenProcessPool):
+            _map_chunks(_exit_worker, 2 * DEFAULT_CHUNK, 2)
+        assert montecarlo._POOL is None
+        assert _map_chunks(_chunk_length, 2 * DEFAULT_CHUNK, 2) == [DEFAULT_CHUNK] * 2
+        assert montecarlo._POOL[0] is not pool
+
+    def test_inherited_pool_left_to_the_parent(self, fresh_pool):
+        # a forked child finds its parent's pool in the slot, owned by another pid
+        class ParentPool:
+            def map(self, fn, items):
+                raise AssertionError("a child used its parent's pool")
+
+            def shutdown(self, wait=True):
+                raise AssertionError("a child shut its parent's pool down")
+
+        montecarlo._POOL = (ParentPool(), 2, os.getpid() + 1)
+        assert _map_chunks(_chunk_length, 2 * DEFAULT_CHUNK, 2) == [DEFAULT_CHUNK] * 2
+        assert montecarlo._POOL[2] == os.getpid()
+        montecarlo._drop_pool()
+        montecarlo._POOL = (ParentPool(), 2, os.getpid() + 1)
+        montecarlo._drop_pool()
+        assert montecarlo._POOL is None
+
+    def test_no_worker_outlives_the_process(self):
+        script = (
+            "import multiprocessing\n"
+            "from test_montecarlo import tiny_config\n"
+            "from sheclt.montecarlo import run_experiment\n"
+            "run_experiment(tiny_config(replicas=70, workers=2))\n"
+            "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 2  # the pool outlived the experiment, inside the process
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_field_run_matches_one_solve_batch(self, case):
@@ -682,3 +797,22 @@ class TestFdd:
         rep = fdd_brownian_check(samples, inc, b_t=1.0, base_volume=1.0, n_perm=60, seed=10)
         assert rep.max_rel_dev < 0.15
         assert rep.increments.passed
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("cpus, expected", [({0}, 1), ({0, 1}, 2), (set(range(8)), 4)])
+    def test_cpu_affinity_capped_at_four(self, monkeypatch, cpus, expected):
+        monkeypatch.delenv("SHECLT_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert default_workers() == expected
+
+    @pytest.mark.parametrize("env", ["0", "-2", "two"])
+    def test_env_must_be_a_positive_integer(self, monkeypatch, env):
+        monkeypatch.setenv("SHECLT_WORKERS", env)
+        with pytest.raises(ConfigError, match="SHECLT_WORKERS"):
+            default_workers()
+
+    def test_env_sets_the_count(self, monkeypatch):
+        monkeypatch.setenv("SHECLT_WORKERS", "6")
+        assert default_workers() == 6
