@@ -41,8 +41,7 @@ from .montecarlo import (
     run_experiment,
     tail_check,
 )
-from .noise import (Grid, RngStream, empirical_noise_covariance, periodized_covariance,
-                    sample_noise_slice, spectral_weights, stable_dt)
+from .noise import Grid, RngStream, periodized_covariance, sample_noise_batch, spectral_weights
 from .occupation import (MIN_BT_REPLICAS, BtEstimate, LipFunction, TestFunction, estimate_Bt,
                          exact_Bt_constant_sigma)
 from .solver import SigmaFunction, solve_batch
@@ -90,21 +89,6 @@ def _positive_float(raw: dict, key: str, default: float) -> float:
     if not 0.0 < value < math.inf:
         raise ConfigError(f"config.{key}: must be positive and finite, got {value}")
     return value
-
-
-def _cells_per_axis(length: float, dx: float) -> int:
-    if not dx > 0.0:
-        raise ConfigError(f"--dx: cell width must be positive, got {dx}")
-    if not 0.0 < length < math.inf:
-        raise ConfigError(f"--L/--length: must be positive and finite, got {length}")
-    cells = length / dx
-    if not cells < math.inf:
-        raise ConfigError(f"--dx: {dx} gives more cells than can be counted for length {length}")
-    n = round(cells)
-    if abs(cells - n) > 1e-9 * cells:
-        raise ConfigError(f"--L/--length: {length} is not a whole number of cells of width "
-                          f"--dx {dx}; the nearest whole-cell length is {max(n, 1) * dx:g}")
-    return n
 
 
 def _canonical(obj) -> str:
@@ -289,23 +273,48 @@ def cmd_bounds(args, out_dir: Path) -> int:
     return _finish(out_dir, manifest, {"evaluated": True})
 
 
+def _lag_covariances(fields: np.ndarray, max_lag: int):
+    """Covariances of ``fields`` (slices, *grid), at cell lags 0..max_lag
+    along the first grid axis: within each slice and between consecutive
+    slices, averaged over cells and slice pairs.  Returned with whether every
+    slice equals the first, which would read as temporal correlation."""
+    degenerate = bool(np.all(fields[1:] == fields[0]))
+    fields = fields - fields.mean()
+    axes = tuple(range(1, fields.ndim))
+    ncells = fields[0].size
+    spatial = np.empty(max_lag + 1)
+    cross = np.empty(max_lag + 1)
+    for lag in range(max_lag + 1):
+        shifted = np.roll(fields, -lag, axis=1)
+        spatial[lag] = float(np.mean(np.sum(fields * shifted, axis=axes))) / ncells
+        pair = fields[:-1] * np.roll(fields[1:], -lag, axis=1)
+        cross[lag] = float(np.mean(np.sum(pair, axis=axes))) / ncells
+    return spatial, cross, degenerate
+
+
 def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
-    n = _cells_per_axis(args.length, args.dx)
-    grid = Grid(d=args.d, length=n * args.dx, n=n, dt=stable_dt(args.dx, args.d))
+    grid = Grid.for_length(args.length, args.dx, args.d)
+    if args.slices < 2:
+        raise ConfigError(f"--slices: need at least 2, got {args.slices}")
+    if args.max_lag < 0:
+        raise ConfigError(f"--max-lag: must be nonnegative, got {args.max_lag}")
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
               "dx": args.dx, "length": args.length, "slices": args.slices,
               "max_lag": args.max_lag}
     manifest = RunManifest("noise-check", params, seed)
     weights = spectral_weights(grid, f)
-    stream = RngStream(seed=seed)
-    slices = [sample_noise_slice(grid, weights, grid.dt, stream, step=k) for k in range(args.slices)]
-    rep = empirical_noise_covariance(slices, max_lag=args.max_lag)
-    targets = grid.dt * periodized_covariance(grid, f, lags=range(args.max_lag + 1))
+    # the solver's draw path: step k of replica 0, one step per call
+    streams = [RngStream(seed=seed)]
+    fields = np.empty((args.slices,) + grid.shape)
+    for k in range(args.slices):
+        sample_noise_batch(grid, weights, grid.dt, streams, k, out=fields[k : k + 1])
+    spatial, cross, degenerate = _lag_covariances(fields, args.max_lag)
     # standard errors of the pooled estimators for a stationary Gaussian field
     # with covariance C = dt F_grid: at lag h, sum_r [C(r)^2 + C(r+h) C(r-h)]
     # over cells and slices; across time, sum_r C(r)^2
     cov = grid.dt * periodized_covariance(grid, f)
+    targets = cov[(np.arange(args.max_lag + 1) % grid.n,) + (0,) * (grid.d - 1)]
     n_samp = args.slices * cov.size
     sq = float(np.sum(cov * cov))
     se_lag = np.array([
@@ -313,16 +322,13 @@ def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
         for h in range(args.max_lag + 1)
     ])
     se_cross = math.sqrt(sq / n_samp)
-    rows = [
-        (lag, rep.spatial_cov[lag], targets[lag], rep.cross_time_cov[lag])
-        for lag in range(args.max_lag + 1)
-    ]
+    rows = [(lag, spatial[lag], targets[lag], cross[lag]) for lag in range(args.max_lag + 1)]
     _csv(out_dir, manifest, "noise-cov", ("lag", "spatial_cov", "target", "cross_time_cov"), rows)
     flags = {
-        "variance_matches": abs(rep.spatial_cov[0] - targets[0]) < 4 * se_lag[0],
-        "lags_match": bool(np.all(np.abs(rep.spatial_cov[1:] - targets[1:]) < 5 * se_lag[1:])),
-        "white_in_time": bool(np.all(np.abs(rep.cross_time_cov) < 5 * se_cross)),
-        "not_degenerate": not rep.degenerate,
+        "variance_matches": abs(spatial[0] - targets[0]) < 4 * se_lag[0],
+        "lags_match": bool(np.all(np.abs(spatial[1:] - targets[1:]) < 5 * se_lag[1:])),
+        "white_in_time": bool(np.all(np.abs(cross) < 5 * se_cross)),
+        "not_degenerate": not degenerate,
     }
     return _finish(out_dir, manifest, flags)
 
@@ -330,11 +336,9 @@ def cmd_noise_check(args, out_dir: Path, seed: int) -> int:
 def cmd_solve(args, out_dir: Path, seed: int) -> int:
     f = CovarianceMeasure(kind=args.kind, dimension=args.d, mass=args.mass, param=args.param)
     sigma = parse_sigma_flag(args.sigma)
-    n = _cells_per_axis(args.length, args.dx)
-    dt = args.dt if args.dt is not None else stable_dt(args.dx, args.d)
-    grid = Grid(d=args.d, length=n * args.dx, n=n, dt=dt)
+    grid = Grid.for_length(args.length, args.dx, args.d, dt=args.dt)
     params = {"kind": args.kind, "d": args.d, "mass": args.mass, "param": args.param,
-              "sigma": args.sigma, "t": args.t, "dx": args.dx, "dt": dt,
+              "sigma": args.sigma, "t": args.t, "dx": args.dx, "dt": grid.dt,
               "L": grid.length, "replicas": args.replicas}
     manifest = RunManifest("solve", params, seed)
     fields, _ = solve_batch(grid, sigma, f, args.t, seed, range(args.replicas))
@@ -516,8 +520,7 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     sd = float(np.std(values))
     ell_grid = np.geomspace(0.25 * sd, 100.0 * B, n_ell)
     rows = tail_check(
-        values, ell_grid, profile, eps=eps, delta=delta, T=cfg.t,
-        lip_g=g.lip, psi_norm=psi.l2_norm(), sigma_scale=sigma_scale,
+        values, ell_grid, profile, eps=eps, delta=delta, T=cfg.t, B=B, sigma_scale=sigma_scale
     )
     _csv(out_dir, manifest, "tails",
          ("ell", "empirical", "ci_low", "ci_high", "bound", "violated"),
@@ -685,11 +688,14 @@ def dispatch(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "20260810"))
     out_dir = Path(getattr(args, "out_dir", "./out"))
     try:
+        seed = getattr(args, "seed", None)
+        if seed is None:
+            try:
+                seed = int(os.environ.get(SEED_ENV, "20260810"))
+            except ValueError as exc:
+                raise ConfigError(f"{SEED_ENV}: must be an integer") from exc
         workers = getattr(args, "workers", None)
         if workers is None:
             workers = default_workers()

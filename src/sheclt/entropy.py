@@ -504,7 +504,6 @@ class ScaleClass:
 @dataclass
 class ExponentFit:
     slope: float
-    intercept: float
     radii: np.ndarray
     counts: np.ndarray
 
@@ -517,8 +516,8 @@ def covering_exponent(cls, r_grid) -> ExponentFit:
         raise ConfigError("covering_exponent: need at least two distinct radii for a slope")
     cloud = cls.sample(float(r_grid[0]) / 4.0)
     counts = np.array(covering_number(cloud, r_grid), dtype=float)
-    slope, intercept = np.polyfit(np.log(r_grid), np.log(counts), 1)
-    return ExponentFit(slope=float(slope), intercept=float(intercept), radii=r_grid, counts=counts)
+    slope, _ = np.polyfit(np.log(r_grid), np.log(counts), 1)
+    return ExponentFit(slope=float(slope), radii=r_grid, counts=counts)
 
 
 # -- empirical check of the chaining bound --

@@ -41,7 +41,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import ConfigError, DegenerateVariance
-from .noise import HALO_FACTOR, Grid, spectral_weights, stable_dt
+from .noise import HALO_FACTOR, Grid, spectral_weights
 from .occupation import (
     BaselineValue,
     PreparedTestFunction,
@@ -50,7 +50,7 @@ from .occupation import (
     occupation_values,
 )
 from .solver import SigmaFunction, solve_batch
-from .spectral import CovarianceMeasure, DalangProfile, moment_constants, tail_bound
+from .spectral import CovarianceMeasure, DalangProfile, tail_bound
 
 BASELINE_DOMAIN_OFFSET = 10_000
 DEFAULT_CHUNK = 64
@@ -115,9 +115,6 @@ class SampleEnsemble:
     """Replica-paired values of the normalized samples for one (N, psi, g)."""
 
     values: np.ndarray
-    N: float
-    psi_label: str
-    g_label: str
     baseline: BaselineValue
 
 
@@ -222,14 +219,13 @@ def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dic
     return {g.label: base or next(estimates) for g, base in zip(config.g_list, exact)}
 
 
-def _chunk_task(config, N, grid, baselines, replicas):
+def _chunk_task(config, N, domain, grid, baselines, replicas):
     weights = spectral_weights(grid, config.covariance)
     halo = HALO_FACTOR * math.sqrt(max(config.t, 0.0))
     prepared = {
         psi.label: PreparedTestFunction(grid, psi.scaled(N), halo=halo)
         for psi in config.psi_list
     }
-    domain = config.n_ladder.index(N)
     out = {}
     fields, _ = solve_batch(
         grid, config.sigma, config.covariance, config.t,
@@ -252,23 +248,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     ensembles = {}
     grids = {}
-    for N in config.n_ladder:
+    for domain, N in enumerate(config.n_ladder):
         grid = config.grid_for(N)
         grids[N] = grid
-        domain = config.n_ladder.index(N)
         baselines = _resolve_baselines(config, grid, BASELINE_DOMAIN_OFFSET + domain)
         results = _map_chunks(
-            _chunk_task, config.replicas, config.workers, config, N, grid, baselines
+            _chunk_task, config.replicas, config.workers, config, N, domain, grid, baselines
         )
         for g in config.g_list:
             for psi in config.psi_list:
                 parts = [chunk_out[(psi.label, g.label)] for chunk_out in results]
                 ensembles[(N, psi.label, g.label)] = SampleEnsemble(
-                    values=np.concatenate(parts),
-                    N=N,
-                    psi_label=psi.label,
-                    g_label=g.label,
-                    baseline=baselines[g.label],
+                    values=np.concatenate(parts), baseline=baselines[g.label]
                 )
     return ExperimentResult(ensembles=ensembles, config=config, grids=grids)
 
@@ -285,10 +276,10 @@ class MarginalVarianceResult:
 def marginal_variance_run(
     covariance, sigma, t, dx, length, replicas, seed, workers=1
 ) -> MarginalVarianceResult:
-    """Pooled per-cell variance of the field over replicas and cells."""
-    d = covariance.dimension
-    n = int(round(length / dx))
-    grid = Grid(d=d, length=n * dx, n=n, dt=stable_dt(dx, d))
+    """Pooled per-cell variance of the field over replicas and cells, on the
+    torus [0, length)^d with cells of width dx and the stable time step;
+    length must be a whole number of cells (``Grid.for_length``)."""
+    grid = Grid.for_length(length, dx, covariance.dimension)
     moments = (np.asarray, np.square)  # each replica's grid means of u and u^2
     parts = _map_chunks(
         _solve_chunk, replicas, workers, grid, sigma, covariance, t, seed, 0, moments
@@ -585,19 +576,17 @@ def tail_check(
     eps: float,
     delta: float,
     T: float,
-    lip_g: float,
-    psi_norm: float,
+    B: float,
     sigma_scale: float = 1.0,
 ) -> list[TailCheckRow]:
-    """Empirical tails with Wilson intervals against the analytic bound.
+    """Empirical tails with Wilson intervals against the analytic bound, for
+    B = A(eps) Lip(g) ||psi||_2 sqrt(T) with A(eps) from ``moment_constants``.
 
     A violation is flagged only when the interval's lower end exceeds a
     non-vacuous bound.
     """
     values = np.abs(np.asarray(values, dtype=float))
     n = values.size
-    big, _ = moment_constants(eps, sigma_scale, sigma_scale, profile.measure)
-    B = big * lip_g * psi_norm * math.sqrt(T)
     rows = []
     for ell in ell_grid:
         k = int(np.sum(values > ell))

@@ -1,8 +1,9 @@
 """Discrete space-time Gaussian noise on a periodic grid.
 
-Each time step consumes one ``NoiseSlice``: a real Gaussian field over the
-grid cells whose spatial covariance is dt times the periodized covariance
-F_grid and whose slices at distinct steps are independent (white in time).
+Each time step draws, for every replica, a real Gaussian field over the
+grid cells (``sample_noise_batch``) whose spatial covariance is dt times the
+periodized covariance F_grid and whose draws at distinct steps are
+independent (white in time).
 
 Synthesis is circulant: the periodized covariance sampled on the grid has a
 nonnegative discrete Fourier transform, so filtering i.i.d. cell noise by
@@ -120,6 +121,26 @@ class Grid:
         return np.arange(self.n) * self.dx
 
     @classmethod
+    def for_length(cls, length: float, dx: float, d: int, dt: float | None = None) -> "Grid":
+        """Grid of cells of width dx on [0, length)^d, with dt defaulting to ``stable_dt``.
+
+        length must be a whole number of cells; the messages name the
+        command-line flags that carry both values.
+        """
+        if not dx > 0.0:
+            raise ConfigError(f"--dx: cell width must be positive, got {dx}")
+        if not 0.0 < length < math.inf:
+            raise ConfigError(f"--L/--length: must be positive and finite, got {length}")
+        cells = length / dx
+        if not cells < math.inf:
+            raise ConfigError(f"--dx: {dx} gives more cells than can be counted for length {length}")
+        n = round(cells)
+        if abs(cells - n) > 1e-9 * cells:
+            raise ConfigError(f"--L/--length: {length} is not a whole number of cells of width "
+                              f"--dx {dx}; the nearest whole-cell length is {max(n, 1) * dx:g}")
+        return cls(d=d, length=n * dx, n=n, dt=stable_dt(dx, d) if dt is None else dt)
+
+    @classmethod
     def for_support(cls, span: float, t: float, dx: float, d: int) -> "Grid":
         """Grid with the smallest 5-smooth n such that L = n dx > span + HALO_FACTOR sqrt(t).
 
@@ -165,20 +186,6 @@ class RngStream:
         if not (0 <= self.replica < 2**32 and 0 <= step < 2**32):
             raise ConfigError("rng: replica and step indices must fit in 32 bits")
         return [self._k0, (self.replica << 32) | step]
-
-    def generator(self, step: int) -> np.random.Generator:
-        # uint64 explicitly: a list of Python ints above 2**63 becomes float64
-        key = np.asarray(self.philox_key(step), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass
-class NoiseSlice:
-    """One time step of noise increments over the grid cells."""
-
-    values: np.ndarray
-    dt: float
-    step: int = 0
 
 
 @dataclass
@@ -250,15 +257,9 @@ def periodized_axis_covariance(grid: Grid, f: CovarianceMeasure) -> np.ndarray:
     return out
 
 
-def periodized_covariance(grid: Grid, f: CovarianceMeasure, lags=None) -> np.ndarray:
-    """F_grid on the full grid (or at integer cell ``lags`` along axis 0)."""
-    axis = periodized_axis_covariance(grid, f)
-    if lags is not None:
-        vals = f.mass * axis[np.asarray(lags) % grid.n]
-        if grid.d > 1:
-            vals = vals * axis[0] ** (grid.d - 1)
-        return vals
-    return f.mass * _outer_power(axis, grid.d)
+def periodized_covariance(grid: Grid, f: CovarianceMeasure) -> np.ndarray:
+    """F_grid on the full grid, indexed by cell lag along each axis."""
+    return f.mass * _outer_power(periodized_axis_covariance(grid, f), grid.d)
 
 
 def spectral_weights(grid: Grid, f: CovarianceMeasure) -> SpectralWeights:
@@ -380,48 +381,3 @@ def _draw(streams: list[RngStream], step: int, out: np.ndarray) -> None:
     keyed = _KeyedPhilox()
     for i, stream in enumerate(streams):
         keyed.rekey(stream.philox_key(step)).standard_normal(out=out[i])
-
-
-def sample_noise_slice(
-    grid: Grid, weights: SpectralWeights, dt: float, stream: RngStream, step: int = 0
-) -> NoiseSlice:
-    """One replica's noise increments for one step."""
-    values = sample_noise_batch(grid, weights, dt, [stream], step)[0]
-    return NoiseSlice(values=values, dt=dt, step=step)
-
-
-@dataclass
-class NoiseCovarianceReport:
-    spatial_cov: np.ndarray  # lag 0..max_lag along axis 0
-    cross_time_cov: np.ndarray  # same lags, consecutive slice pairs
-    n_slices: int
-    degenerate: bool
-
-
-def empirical_noise_covariance(slices: list[NoiseSlice], max_lag: int) -> NoiseCovarianceReport:
-    """Averaged spatial covariance by lag plus across-time cross-covariance.
-
-    Identical repeated slices are flagged as degenerate input rather than
-    reported as genuine temporal correlation.
-    """
-    if len(slices) < 2:
-        raise ConfigError("empirical_noise_covariance: need at least 2 slices")
-    if max_lag < 0:
-        raise ConfigError("empirical_noise_covariance: max_lag must be nonnegative")
-    fields = np.stack([s.values for s in slices])
-    degenerate = bool(
-        all(np.array_equal(slices[0].values, s.values) for s in slices[1:])
-    )
-    fields = fields - fields.mean()
-    lags = np.arange(max_lag + 1)
-    ncells = fields[0].size
-    spatial = np.empty(max_lag + 1)
-    cross = np.empty(max_lag + 1)
-    for lag in lags:
-        shifted = np.roll(fields, -int(lag), axis=1)
-        spatial[lag] = float(np.mean(np.sum(fields * shifted, axis=tuple(range(1, fields.ndim))))) / ncells
-        pair = fields[:-1] * np.roll(fields[1:], -int(lag), axis=1)
-        cross[lag] = float(np.mean(np.sum(pair, axis=tuple(range(1, fields.ndim))))) / ncells
-    return NoiseCovarianceReport(
-        spatial_cov=spatial, cross_time_cov=cross, n_slices=len(slices), degenerate=degenerate
-    )

@@ -325,7 +325,6 @@ class BtEstimate:
     value: float
     se: float
     cutoff: float
-    cutoff_cells: int
     boundary_cov: float
     n_replicas: int
 
@@ -389,7 +388,7 @@ def estimate_Bt(
             f"boundary covariance {boundary:.3e} exceeds 5% of estimate {value:.3e}"
         )
     return BtEstimate(
-        value=value, se=se, cutoff=cutoff, cutoff_cells=c, boundary_cov=boundary, n_replicas=n
+        value=value, se=se, cutoff=cutoff, boundary_cov=boundary, n_replicas=n
     )
 
 

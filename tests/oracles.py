@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the program against.
 
 None of these runs in a command: each is an independent route to a quantity
-the program computes another way (the Picard scheme against the Euler path,
+the program computes another way (a freshly keyed Philox generator against
+the noise layer's rekeyed one, the Picard scheme against the Euler path,
 quadratures of the heat-smoothed covariance against its closed forms, the
 spectral density against the physical-space weights).
 """
@@ -23,6 +24,14 @@ from sheclt.spectral import (
     _norm_pdf,
     _normal_ramp,
 )
+
+
+def keyed_generator(stream: RngStream, step: int) -> np.random.Generator:
+    """A fresh Philox generator on ``stream``'s key at ``step``, which the
+    noise layer's rekeyed generator must match bit for bit."""
+    # uint64 explicitly: a list of Python ints above 2**63 becomes float64
+    key = np.asarray(stream.philox_key(step), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _triangle_smoothed_density(b, h, v):

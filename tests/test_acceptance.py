@@ -294,8 +294,7 @@ def test_criterion_08_tail_bound(benchmark_result):
     big, _ = moment_constants(0.5, 1.0, 1.0, WHITE)
     B = big  # Lip(g) = |psi|_2 = sqrt(T) = 1
     ell_grid = np.geomspace(0.25 * float(np.std(values)), 100.0 * B, 20)
-    rows = tail_check(values, ell_grid, prof, eps=0.5, delta=0.5, T=1.0,
-                      lip_g=1.0, psi_norm=1.0)
+    rows = tail_check(values, ell_grid, prof, eps=0.5, delta=0.5, T=1.0, B=B)
     n_violations = sum(r.violated for r in rows)
     check("8", n_violations == 0, f"0 flagged violations over {len(rows)} ell points (B = {B:.2f})")
 

@@ -267,6 +267,28 @@ class TestDispatch:
                          "--dx", "1e-320", length, "16"]) == 2
         assert "config error: --dx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--slices", "1"), ("--max-lag", "-1")])
+    def test_noise_check_counts_are_usage_errors(self, tmp_path, capsys, monkeypatch, flag, value):
+        from sheclt import cli
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(cli, "sample_noise_batch", no_draw)
+        out = tmp_path / "o"
+        assert dispatch(["--out-dir", str(out), "noise-check", "--kind", "dirac", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}" in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
+    def test_non_integer_seed_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHECLT_SEED", "abc")
+        out = tmp_path / "o"
+        assert dispatch(["--out-dir", str(out), "bounds", "--kind", "dirac", "--lambda", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: SHECLT_SEED" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt"]) == 2
         assert dispatch(["--out-dir", str(tmp_path / "o"), "clt", "--config", "/nope.json"]) == 2

@@ -42,7 +42,7 @@ from sheclt.montecarlo import (
 from sheclt.occupation import HALO_FACTOR, LipFunction, PreparedTestFunction, TestFunction
 from sheclt.noise import Grid
 from sheclt.solver import SigmaFunction, solve_batch
-from sheclt.spectral import CovarianceMeasure, DalangProfile
+from sheclt.spectral import CovarianceMeasure, DalangProfile, moment_constants
 
 WHITE = CovarianceMeasure("dirac", 1, 1.0)
 
@@ -180,6 +180,13 @@ class TestMarginalVarianceRun:
         )
         assert out.variance == par.variance  # bit-identical under workers
         assert abs(out.mean - 1.0) < 4 * out.mean_se
+
+    def test_length_not_whole_cells_rejected(self, monkeypatch):
+        # 5.1 / 0.25 = 20.4 cells: rejected before any replica is solved,
+        # where it used to round silently to L = 5
+        monkeypatch.setattr(montecarlo, "_map_chunks", None)
+        with pytest.raises(ConfigError, match="nearest whole-cell length is 5"):
+            marginal_variance_run(WHITE, SigmaFunction.constant(1.0), 0.5, 0.25, 5.1, 10, seed=5)
 
 
 @pytest.fixture
@@ -766,10 +773,8 @@ class TestWilsonAndTails:
         rng = np.random.default_rng(8)
         vals = rng.standard_normal(4000)
         prof = DalangProfile(WHITE)
-        rows = tail_check(
-            vals, np.geomspace(0.1, 500.0, 20), prof,
-            eps=0.5, delta=0.5, T=1.0, lip_g=1.0, psi_norm=1.0,
-        )
+        B, _ = moment_constants(0.5, 1.0, 1.0, WHITE)  # Lip(g) = |psi|_2 = sqrt(T) = 1
+        rows = tail_check(vals, np.geomspace(0.1, 500.0, 20), prof, eps=0.5, delta=0.5, T=1.0, B=B)
         assert len(rows) == 20
         assert not any(r.violated for r in rows)
         # clamped region reports the vacuous bound
@@ -779,9 +784,8 @@ class TestWilsonAndTails:
         # giant constant samples exceed any sub-unit bound
         vals = np.full(5000, 1e9)
         prof = DalangProfile(WHITE)
-        rows = tail_check(
-            vals, [1e8], prof, eps=0.5, delta=0.5, T=1.0, lip_g=1.0, psi_norm=1.0
-        )
+        B, _ = moment_constants(0.5, 1.0, 1.0, WHITE)
+        rows = tail_check(vals, [1e8], prof, eps=0.5, delta=0.5, T=1.0, B=B)
         assert rows[0].violated
 
 

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fourier_axis
+from oracles import fourier_axis, keyed_generator
+from sheclt.cli import _lag_covariances
 from sheclt.errors import ConfigError
 from sheclt.noise import (
     Grid,
-    NoiseSlice,
     RngStream,
-    empirical_noise_covariance,
     periodized_covariance,
     sample_noise_batch,
-    sample_noise_slice,
     spectral_weights,
     stable_dt,
 )
@@ -145,8 +143,8 @@ class TestSampling:
         g = small_grid()
         f = CovarianceMeasure("gaussian", 1, 1.0, 0.8)
         w = spectral_weights(g, f)
-        s = sample_noise_slice(g, w, 0.0, RngStream(seed=1), step=0)
-        assert np.all(s.values == 0.0)
+        (s,) = sample_noise_batch(g, w, 0.0, [RngStream(seed=1)], 0)
+        assert np.all(s == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reproducibility_across_batching(self, d):
@@ -156,8 +154,8 @@ class TestSampling:
         streams = [RngStream(seed=9, replica=r) for r in range(5)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=3)
         for r, stream in enumerate(streams):
-            single = sample_noise_slice(g, w, g.dt, stream, step=3)
-            assert np.array_equal(batch[r], single.values)
+            (single,) = sample_noise_batch(g, w, g.dt, [stream], 3)
+            assert np.array_equal(batch[r], single)
 
     @pytest.mark.parametrize("n, d, products", [
         (45, 1, False), (180, 2, True), (192, 2, False), (32, 3, True),
@@ -179,19 +177,19 @@ class TestSampling:
         g = small_grid()
         f = CovarianceMeasure("dirac", 1, 1.0)
         w = spectral_weights(g, f)
-        a = sample_noise_slice(g, w, g.dt, RngStream(seed=1, replica=0), step=0)
-        b = sample_noise_slice(g, w, g.dt, RngStream(seed=1, replica=1), step=0)
-        c = sample_noise_slice(g, w, g.dt, RngStream(seed=1, replica=0), step=1)
-        d = sample_noise_slice(g, w, g.dt, RngStream(seed=2, replica=0), step=0)
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-        assert not np.array_equal(a.values, d.values)
+        (a,) = sample_noise_batch(g, w, g.dt, [RngStream(seed=1, replica=0)], 0)
+        (b,) = sample_noise_batch(g, w, g.dt, [RngStream(seed=1, replica=1)], 0)
+        (c,) = sample_noise_batch(g, w, g.dt, [RngStream(seed=1, replica=0)], 1)
+        (d,) = sample_noise_batch(g, w, g.dt, [RngStream(seed=2, replica=0)], 0)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert not np.array_equal(a, d)
 
     def test_hermitian_symmetry_real_output(self):
         g = small_grid()
         f = CovarianceMeasure("gaussian", 1, 1.0, 0.8)
         w = spectral_weights(g, f)
-        xi = RngStream(seed=4).generator(0).standard_normal(g.shape)
+        xi = keyed_generator(RngStream(seed=4), 0).standard_normal(g.shape)
         scale = np.sqrt(g.dt * g.n * w.weights)
         full = np.fft.ifft(scale * np.fft.fft(xi))
         assert np.max(np.abs(full.imag)) < 1e-12 * max(np.max(np.abs(full.real)), 1e-30)
@@ -204,7 +202,7 @@ class TestSampling:
         w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
         streams = [RngStream(seed=11, replica=r) for r in range(3)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=2)
-        xi = np.stack([s.generator(2).standard_normal(g.shape) for s in streams])
+        xi = np.stack([keyed_generator(s, 2).standard_normal(g.shape) for s in streams])
         scale = np.sqrt(g.dt * g.n**g.d * w.weights)
         axes = tuple(range(1, d + 1))
         ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
@@ -220,7 +218,7 @@ class TestSampling:
         w = spectral_weights(g, CovarianceMeasure(kind, d, 1.0, param))
         streams = [RngStream(seed=21, replica=r) for r in range(3)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=4)
-        xi = np.stack([s.generator(4).standard_normal(g.shape) for s in streams])
+        xi = np.stack([keyed_generator(s, 4).standard_normal(g.shape) for s in streams])
         scale = np.sqrt(g.dt * g.n**g.d * w.weights)
         axes = tuple(range(1, d + 1))
         ref = np.fft.ifftn(scale * np.fft.fftn(xi, axes=axes), axes=axes).real
@@ -234,7 +232,7 @@ class TestSampling:
         R = 3000
         batch = sample_noise_batch(g, w, g.dt, [RngStream(seed=14, replica=r) for r in range(R)], 1)
         lags = range(5)
-        targets = g.dt * periodized_covariance(g, f, lags=lags)
+        targets = g.dt * periodized_covariance(g, f)[:5]
         for lag, target in zip(lags, targets):
             per_rep = np.mean(batch * np.roll(batch, -lag, axis=1), axis=1)
             se = float(np.std(per_rep)) / math.sqrt(R)
@@ -258,7 +256,8 @@ class TestSampling:
         stream = RngStream(seed=3, replica=2)
         out = np.empty((1,) + g.shape)
         batch = sample_noise_batch(g, w, g.dt, [stream], step=5, out=out)
-        ref = math.sqrt(g.dt * g.n * w.flat_value) * stream.generator(5).standard_normal(g.shape)
+        scale = math.sqrt(g.dt * g.n * w.flat_value)
+        ref = scale * keyed_generator(stream, 5).standard_normal(g.shape)
         assert batch is out and np.array_equal(batch[0], ref)
 
     @pytest.mark.slow
@@ -283,7 +282,7 @@ class TestSampling:
         w = spectral_weights(g, f)
         streams = [RngStream(seed=12, replica=r) for r in range(4000)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=0)
-        target = g.dt * float(periodized_covariance(g, f, lags=[1])[0])
+        target = g.dt * float(periodized_covariance(g, f)[1])
         prods = batch * np.roll(batch, -1, axis=1)
         est = float(np.mean(prods))
         se = float(np.std(np.mean(prods, axis=1))) / math.sqrt(len(streams))
@@ -307,37 +306,28 @@ class TestSampling:
 class TestEmpiricalCovariance:
     def test_degenerate_input_flagged(self):
         g = small_grid()
-        values = RngStream(seed=5).generator(0).standard_normal(g.shape)
-        slices = [NoiseSlice(values=values.copy(), dt=g.dt, step=i) for i in range(4)]
-        rep = empirical_noise_covariance(slices, max_lag=3)
-        assert rep.degenerate
-        assert rep.cross_time_cov[0] == pytest.approx(rep.spatial_cov[0], rel=1e-10)
-
-    def test_requires_two_slices(self):
-        g = small_grid()
-        s = sample_noise_slice(
-            g, spectral_weights(g, CovarianceMeasure("dirac", 1, 1.0)), g.dt, RngStream(seed=1)
-        )
-        with pytest.raises(ConfigError):
-            empirical_noise_covariance([s], max_lag=2)
+        values = keyed_generator(RngStream(seed=5), 0).standard_normal(g.shape)
+        spatial, cross, degenerate = _lag_covariances(np.stack([values] * 4), 3)
+        assert degenerate
+        assert cross[0] == pytest.approx(spatial[0], rel=1e-10)
 
     @pytest.mark.slow
     def test_white_in_time_and_space(self):
         g = small_grid(n=256, L=16.0)
         f = CovarianceMeasure("dirac", 1, 1.0)
         w = spectral_weights(g, f)
-        stream = RngStream(seed=6)
-        slices = [sample_noise_slice(g, w, g.dt, stream, step=k) for k in range(400)]
-        rep = empirical_noise_covariance(slices, max_lag=3)
-        assert not rep.degenerate
+        stream = [RngStream(seed=6)]
+        fields = np.stack([sample_noise_batch(g, w, g.dt, stream, k)[0] for k in range(400)])
+        spatial, cross, degenerate = _lag_covariances(fields, 3)
+        assert not degenerate
         var_target = g.dt * f.mass / g.dx
         n_eff = 400 * g.n
         se = var_target * math.sqrt(2.0 / n_eff)
-        assert abs(rep.spatial_cov[0] - var_target) < 4 * se
+        assert abs(spatial[0] - var_target) < 4 * se
         # off-cell spatial correlation and across-time correlation are zero
         se_cov = var_target / math.sqrt(n_eff)
-        assert np.all(np.abs(rep.spatial_cov[1:]) < 4 * se_cov)
-        assert np.all(np.abs(rep.cross_time_cov) < 4 * se_cov)
+        assert np.all(np.abs(spatial[1:]) < 4 * se_cov)
+        assert np.all(np.abs(cross) < 4 * se_cov)
 
 
 class TestRegression:
@@ -353,12 +343,12 @@ class TestRegression:
         for kind, param in (("dirac", 1.0), ("gaussian", 0.8)):
             f = CovarianceMeasure(kind, 1, 1.0, param)
             w = spectral_weights(g, f)
-            s = sample_noise_slice(g, w, g.dt, RngStream(seed=2026, replica=3), step=17)
+            (s,) = sample_noise_batch(g, w, g.dt, [RngStream(seed=2026, replica=3)], 17)
             path = tmp_path / f"{kind}.bin"
-            save_array(path, s.values, meta={"kind": kind, "step": 17})
+            save_array(path, s, meta={"kind": kind, "step": 17})
             back, meta = load_array(path)
-            assert np.array_equal(back, s.values) and meta["step"] == 17
+            assert np.array_equal(back, s) and meta["step"] == 17
             digest = hashlib.sha256(
-                np.ascontiguousarray(s.values, dtype="<f8").tobytes()
+                np.ascontiguousarray(s, dtype="<f8").tobytes()
             ).hexdigest()[:16]
             assert digest == expected[kind]

@@ -8,7 +8,7 @@ import pytest
 from sheclt import solver as solver_module
 from sheclt.errors import ConfigError, SolverBlowup
 from sheclt.noise import Grid, RngStream, SpectralWeights, sample_noise_batch, spectral_weights
-from oracles import picard_solve, time_integrated_cov
+from oracles import keyed_generator, picard_solve, time_integrated_cov
 from sheclt.solver import SigmaFunction, discrete_laplacian, solve_batch, step_euler
 from sheclt.spectral import CovarianceMeasure
 
@@ -157,7 +157,7 @@ class TestEuler:
         ref_snap = None
         for step in range(round(t_final / g.dt)):
             dW = np.stack([
-                scale * RngStream(seed, domain, r).generator(step).standard_normal(g.shape)
+                scale * keyed_generator(RngStream(seed, domain, r), step).standard_normal(g.shape)
                 for r in replicas
             ])
             u = step_reference(u, g, sigma, dW)
@@ -274,7 +274,8 @@ def noise_reference(grid, weights, seed, domain, replicas, step):
             sample_noise_batch(grid, weights, grid.dt, [RngStream(seed, domain, r)], step)[0]
             for r in replicas
         ])
-    xi = [RngStream(seed, domain, r).generator(step).standard_normal(grid.shape) for r in replicas]
+    xi = [keyed_generator(RngStream(seed, domain, r), step).standard_normal(grid.shape)
+          for r in replicas]
     if weights.flat:
         return np.stack([math.sqrt(grid.dt * grid.n**grid.d * weights.flat_value) * x for x in xi])
     half = weights.weights[..., : grid.n // 2 + 1]
@@ -451,7 +452,7 @@ class TestTwoDimensional:
         assert w.weights.shape == (32, 32)
         streams = [RngStream(seed=5, replica=r) for r in range(300)]
         batch = sample_noise_batch(g, w, g.dt, streams, step=0)
-        target = g.dt * float(periodized_covariance(g, f2, lags=[0])[0])
+        target = g.dt * float(periodized_covariance(g, f2)[0, 0])
         est = float(np.var(batch))
         se = target * math.sqrt(2.0 / batch.size) * 3  # cells correlated: inflate
         assert abs(est - target) < 6 * se
