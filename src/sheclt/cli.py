@@ -220,8 +220,7 @@ def _reference_bt(cfg: ExperimentConfig, g_list, bt_replicas) -> list[tuple[floa
     out = []
     for g in g_list:
         if sigma.is_constant and g.kind == "identity":
-            c0 = float(sigma(np.array(1.0)))
-            out.append((exact_Bt_constant_sigma(c0, cfg.t, cfg.covariance), "exact", None))
+            out.append((exact_Bt_constant_sigma(sigma.a, cfg.t, cfg.covariance), "exact", None))
             continue
         if fields is None:
             grid = cfg.grid_for(cfg.n_ladder[0])

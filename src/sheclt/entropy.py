@@ -23,9 +23,9 @@ X over pairs at distance <= delta by
     32 * int_0^{delta/4} tau(N(r)^2) dr,
 
 with tau(lambda) = int_0^inf (lambda Psi(u) ^ 1) du built from the tail
-function Psi of the normalized increments.  The one-sided version built
-from an explicit chain of nested nets carries the constant 8 and the
-plain covering number.
+function Psi of the normalized increments.  The explicit chain of nested
+nets behind the bound is built separately and checked by its telescoping
+identity.
 """
 
 from __future__ import annotations
@@ -278,48 +278,32 @@ class TailFunctional:
         return u_star + lam * tail
 
 
-def _covering_breakpoints(space, upper: float) -> np.ndarray:
-    if isinstance(space, FiniteMetricSpace):
-        dists = np.unique(space.dist)
-    else:
-        dists = np.unique(np.concatenate([space.dist_row(i) for i in range(space.n_points)]))
-    dists = dists[(dists > 0.0) & (dists < upper)]
-    return np.concatenate([[0.0], dists, [upper]])
-
-
-def _step_integral(space, tail: TailFunctional, upper: float, power: int) -> float:
-    """int_0^upper tau(N(r)^power) dr, exact for the piecewise-constant N.
+def chaining_bound(space: FiniteMetricSpace, tail: TailFunctional, delta: float) -> float:
+    """32 * int_0^{delta/4} tau(N(r)^2) dr, exact for the piecewise-constant N.
 
     N is constant between sorted pairwise distances, so the integral is a
     finite sum given the covering evaluator (exact N on small spaces, greedy
     above, which only enlarges it, with every breakpoint from one traversal).
     """
-    edges = _covering_breakpoints(space, upper)
-    if isinstance(space, FiniteMetricSpace) and space.n_points <= EXACT_LIMIT:
-        counts = covering_number_exact(space, edges[1:])
-    else:
-        counts = covering_number(space, edges[1:])
-    total = 0.0
-    for a, b, nb in zip(edges[:-1], edges[1:], counts):
-        total += (b - a) * tail.tau(float(nb) ** power)
-    return total
-
-
-def chaining_bound(space, tail: TailFunctional, delta: float) -> float:
-    """32 * int_0^{delta/4} tau(N(r)^2) dr by step integration."""
     if not 0.0 < delta <= space.diameter():
         raise ConfigError("chaining_bound: need 0 < delta <= diameter")
-    return 32.0 * _step_integral(space, tail, delta / 4.0, 2)
+    upper = delta / 4.0
+    dists = np.unique(space.dist)
+    edges = np.concatenate([[0.0], dists[(dists > 0.0) & (dists < upper)], [upper]])
+    count = covering_number_exact if space.n_points <= EXACT_LIMIT else covering_number
+    total = 0.0
+    for a, b, nb in zip(edges[:-1], edges[1:], count(space, edges[1:])):
+        total += (b - a) * tail.tau(float(nb) ** 2)
+    return 32.0 * total
 
 
 @dataclass
 class Chain:
-    """Nested nets, nearest-point projections, and the one-sided bound."""
+    """Nested nets, their scales ``eps``, and each net's nearest-point projection."""
 
     nets: list[list[int]]
     projections: list[np.ndarray]
     eps: list[float]
-    bound: float
 
     def chain_of(self, t: int) -> list[int]:
         """Indices t_0, ..., t_M = t walking the projections down to the root."""
@@ -331,8 +315,7 @@ class Chain:
 
 def chain_construct(space: FiniteMetricSpace) -> Chain:
     """Nets at scales 2^{-n} diameter with separation, covering, and
-    eventual-equality properties, plus the bound 8 int_0^{diam/4} tau(N(r)) dr
-    evaluated for Gaussian increments.
+    eventual-equality properties.
 
     Each net is an inclusion-maximal greedy packing, so its covering radius
     is at most its separation scale; once the scale drops below the smallest
@@ -341,7 +324,7 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     n = space.n_points
     diam = space.diameter()
     if diam == 0.0 or n == 1:
-        return Chain(nets=[[0]], projections=[], eps=[0.0], bound=0.0)
+        return Chain(nets=[[0]], projections=[], eps=[0.0])
     # no packing separates two points at distance 0, so no net reaches all n
     same = np.argwhere(np.triu(space.dist == 0.0, k=1))
     if same.size:
@@ -364,8 +347,7 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
     for net in nets:
         sub = space.dist[:, net]
         projections.append(np.asarray(net)[np.argmin(sub, axis=1)])  # lowest index wins ties
-    bound = 8.0 * _step_integral(space, TailFunctional.gaussian_increments(), diam / 4.0, 1)
-    return Chain(nets=nets, projections=projections, eps=eps_list, bound=bound)
+    return Chain(nets=nets, projections=projections, eps=eps_list)
 
 
 # -- function classes with parameter-space samplers --

@@ -124,20 +124,20 @@ class Grid:
     def for_length(cls, length: float, dx: float, d: int, dt: float | None = None) -> "Grid":
         """Grid of cells of width dx on [0, length)^d, with dt defaulting to ``stable_dt``.
 
-        length must be a whole number of cells; the messages name the
-        command-line flags that carry both values.
+        length must be a whole number of cells; otherwise the message names
+        the nearest length that is.
         """
         if not dx > 0.0:
-            raise ConfigError(f"--dx: cell width must be positive, got {dx}")
+            raise ConfigError(f"grid.dx: cell width must be positive, got {dx}")
         if not 0.0 < length < math.inf:
-            raise ConfigError(f"--L/--length: must be positive and finite, got {length}")
+            raise ConfigError(f"grid.length: must be positive and finite, got {length}")
         cells = length / dx
         if not cells < math.inf:
-            raise ConfigError(f"--dx: {dx} gives more cells than can be counted for length {length}")
+            raise ConfigError(f"grid.dx: {dx} gives more cells than can be counted for length {length}")
         n = round(cells)
         if abs(cells - n) > 1e-9 * cells:
-            raise ConfigError(f"--L/--length: {length} is not a whole number of cells of width "
-                              f"--dx {dx}; the nearest whole-cell length is {max(n, 1) * dx:g}")
+            raise ConfigError(f"grid.length: {length} is not a whole number of cells of width "
+                              f"{dx}; the nearest whole-cell length is {max(n, 1) * dx:g}")
         return cls(d=d, length=n * dx, n=n, dt=stable_dt(dx, d) if dt is None else dt)
 
     @classmethod
@@ -349,9 +349,6 @@ def sample_noise_batch(
     xi = np.empty((len(streams),) + grid.shape) if out is None else out
     if not xi.flags.c_contiguous:
         raise ValueError("sample_noise_batch: out must be C-contiguous")
-    if dt == 0.0:
-        xi.fill(0.0)
-        return xi
     if weights.circ is None:
         _draw(streams, step, xi)
         if weights.flat:

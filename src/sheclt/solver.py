@@ -51,32 +51,31 @@ class PiecewiseLinear:
 class SigmaFunction:
     """Lipschitz diffusion coefficient with its structural constants.
 
-    Kinds: constant c, linear c*u, affine a + b*u, and tabulated
-    (:class:`PiecewiseLinear`).  sigma(1) != 0 is required: at sigma(1) = 0
-    the flat state never moves and the equation is deterministic.
+    sigma is a + b*u or a table (:class:`PiecewiseLinear`).  The kinds
+    constant c, linear c*u and affine a + b*u are that one family, held as
+    (a, b) = (c, 0), (0, c) and (a, b); tabulated holds the table, with a and
+    b None.  sigma(1) != 0 is required: at sigma(1) = 0 the flat state never
+    moves and the equation is deterministic.
     """
 
     def __init__(self, kind, params):
+        if kind not in _SIGMA_KINDS:
+            raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
         self.kind = kind
         self.params = params
-        if kind in ("constant", "linear", "affine") and not all(map(math.isfinite, params)):
-            raise ConfigError(f"sigma.params: {kind} parameters must be finite")
-        if kind == "constant":
-            (c,) = params
-            self.sigma0, self.lip, self.sigma1 = abs(c), 0.0, c
-        elif kind == "linear":
-            (c,) = params
-            self.sigma0, self.lip, self.sigma1 = 0.0, abs(c), c
-        elif kind == "affine":
-            a, b = params
-            self.sigma0, self.lip, self.sigma1 = abs(a), abs(b), a + b
-        elif kind == "tabulated":
+        to_ab = _SIGMA_KINDS[kind][2]
+        if to_ab is None:
             self._eval_tab = PiecewiseLinear(*params, "sigma.tabulated")
+            self.a = self.b = None
             self.lip = self._eval_tab.lip
             self.sigma0 = abs(float(self._eval_tab(np.array(0.0))))
             self.sigma1 = float(self._eval_tab(np.array(1.0)))
         else:
-            raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
+            if not all(map(math.isfinite, params)):
+                raise ConfigError(f"sigma.params: {kind} parameters must be finite")
+            self._eval_tab = None
+            self.a, self.b = to_ab(*params)
+            self.sigma0, self.lip, self.sigma1 = abs(self.a), abs(self.b), self.a + self.b
         if self.sigma1 == 0.0:
             raise ConfigError("sigma: sigma(1) must be nonzero")
 
@@ -104,12 +103,9 @@ class SigmaFunction:
             params = record.get("params", [])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"sigma: malformed record ({exc})") from exc
-        # kind -> (parameter count, constructor)
-        kinds = {"constant": (1, cls.constant), "linear": (1, cls.linear),
-                 "affine": (2, cls.affine), "tabulated": (2, cls.tabulated)}
-        if not isinstance(kind, str) or kind not in kinds:
+        if not isinstance(kind, str) or kind not in _SIGMA_KINDS:
             raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
-        arity, make = kinds[kind]
+        arity, make, _ = _SIGMA_KINDS[kind]
         if not isinstance(params, (list, tuple)) or len(params) != arity:
             raise ConfigError(f"sigma.params: {kind} takes {arity} parameter(s), got {params!r}")
         try:
@@ -121,49 +117,49 @@ class SigmaFunction:
         """sigma(u) as a float array; ``out``, if given, receives it."""
         u = np.asarray(u)
         out = np.empty(u.shape) if out is None else out
-        if self.kind == "constant":
-            out.fill(self.params[0])
-        elif self.kind == "linear":
-            np.multiply(u, self.params[0], out=out)
-        elif self.kind == "affine":
-            np.multiply(u, self.params[1], out=out)
-            out += self.params[0]
-        else:
+        if self._eval_tab is not None:
             out[...] = self._eval_tab(u)
+        elif self.b == 0.0:
+            out.fill(self.a)
+        else:
+            np.multiply(u, self.b, out=out)
+            if self.a != 0.0:
+                out += self.a
         return out
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant" or (self.kind == "affine" and self.params[1] == 0.0)
+        return self._eval_tab is None and self.b == 0.0
 
     def nondegeneracy_condition(self):
         """(condition index, constant) for the positivity conditions, or None.
 
-        Condition 1: sigma bounded away from 0 on (0, inf) with one sign;
-        condition 2: sigma(0) = 0 and |sigma(w)| >= c1 w there.
+        Condition 1: sigma bounded away from 0 on (0, inf) with one sign, here
+        a != 0 with b = 0 or of a's sign; condition 2: sigma(0) = 0 and
+        |sigma(w)| >= c1 w there, here a = 0.  The signs are compared, not
+        multiplied: a*b can underflow to 0.
         """
-        if self.kind == "constant":
-            c = self.params[0]
-            return (1, abs(c)) if c != 0.0 else None
-        if self.kind == "linear":
-            c = self.params[0]
-            return (2, abs(c)) if c != 0.0 else None
-        if self.kind == "affine":
-            a, b = self.params
-            if a > 0.0 and b >= 0.0:
-                return (1, a)
-            if a < 0.0 and b <= 0.0:
-                return (1, -a)
-            if a == 0.0 and b != 0.0:
-                return (2, abs(b))
+        if self._eval_tab is not None:
+            return None
+        if self.a == 0.0:
+            return (2, abs(self.b))
+        if self.b == 0.0 or (self.a > 0.0) == (self.b > 0.0):
+            return (1, abs(self.a))
         return None
 
     def describe(self) -> str:
-        if self.kind in ("constant", "linear"):
-            return f"{self.kind}({self.params[0]:g})"
-        if self.kind == "affine":
-            return f"affine({self.params[0]:g},{self.params[1]:g})"
-        return f"tabulated({self._eval_tab.xs.size} knots)"
+        if self._eval_tab is not None:
+            return f"tabulated({self._eval_tab.xs.size} knots)"
+        return f"{self.kind}({','.join(format(p, 'g') for p in self.params)})"
+
+
+# kind -> (parameter count, constructor, (a, b) of the parameters; None for a table)
+_SIGMA_KINDS = {
+    "constant": (1, SigmaFunction.constant, lambda c: (c, 0.0)),
+    "linear": (1, SigmaFunction.linear, lambda c: (0.0, c)),
+    "affine": (2, SigmaFunction.affine, lambda a, b: (a, b)),
+    "tabulated": (2, SigmaFunction.tabulated, None),
+}
 
 
 def discrete_laplacian(

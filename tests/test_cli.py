@@ -259,13 +259,13 @@ class TestDispatch:
         assert dispatch(["--out-dir", str(out), command, "--kind", "dirac",
                          "--dx", "0.25", length, "5.1"]) == 2
         err = capsys.readouterr().err
-        assert "config error: --L/--length: 5.1" in err
+        assert "config error: grid.length: 5.1" in err
         assert "nearest whole-cell length is 5" in err and "Traceback" not in err
         assert not list(out.glob("manifest-*.json"))
         # a cell count that overflows used to escape as an OverflowError
         assert dispatch(["--out-dir", str(out), command, "--kind", "dirac",
                          "--dx", "1e-320", length, "16"]) == 2
-        assert "config error: --dx" in capsys.readouterr().err
+        assert "config error: grid.dx" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--slices", "1"), ("--max-lag", "-1")])
     def test_noise_check_counts_are_usage_errors(self, tmp_path, capsys, monkeypatch, flag, value):
@@ -305,12 +305,12 @@ class TestDispatch:
     def test_zero_dx_solve_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
                          "--dx", "0", "--replicas", "2"]) == 2
-        assert "--dx" in capsys.readouterr().err
+        assert "config error: grid.dx" in capsys.readouterr().err
 
     def test_zero_dx_noise_check_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "noise-check", "--kind", "dirac",
                          "--dx", "0"]) == 2
-        assert "--dx" in capsys.readouterr().err
+        assert "config error: grid.dx" in capsys.readouterr().err
 
     def test_zero_replicas_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
@@ -340,12 +340,12 @@ class TestDispatch:
     def test_nan_length_solve_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "solve", "--kind", "dirac",
                          "--L", "nan", "--replicas", "1"]) == 2
-        assert "--L" in capsys.readouterr().err
+        assert "config error: grid.length" in capsys.readouterr().err
 
     def test_infinite_length_noise_check_is_usage_error(self, tmp_path, capsys):
         assert dispatch(["--out-dir", str(tmp_path / "o"), "noise-check", "--kind", "dirac",
                          "--length", "inf"]) == 2
-        assert "--length" in capsys.readouterr().err
+        assert "config error: grid.length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [
         ({"t": "abc"}, "config.t"),

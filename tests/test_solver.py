@@ -103,6 +103,26 @@ class TestSigmaFunction:
         assert SigmaFunction.linear(-1.5).nondegeneracy_condition() == (2, 1.5)
         assert SigmaFunction.affine(0.5, 1.0).nondegeneracy_condition() == (1, 0.5)
         assert SigmaFunction.affine(1.0, -2.0).nondegeneracy_condition() is None
+        assert SigmaFunction.affine(0.0, -0.8).nondegeneracy_condition() == (2, 0.8)
+        assert SigmaFunction.affine(1.2, 0.0).nondegeneracy_condition() == (1, 1.2)
+        assert SigmaFunction.affine(-1.2, 0.0).nondegeneracy_condition() == (1, 1.2)
+        assert SigmaFunction.affine(-1.0, -0.5).nondegeneracy_condition() == (1, 1.0)
+        # opposite signs whose product underflows to 0 are still opposite
+        assert SigmaFunction.affine(1e-200, -1e-180).nondegeneracy_condition() is None
+        assert SigmaFunction.affine(-1e-200, 1e-180).nondegeneracy_condition() is None
+        assert SIGMAS["tabulated"].nondegeneracy_condition() is None
+
+    @pytest.mark.parametrize("d, kind", [(1, "dirac"), (2, "gaussian")])
+    @pytest.mark.parametrize("c", [1.3, -0.7])
+    def test_kinds_of_one_affine_family_solve_alike(self, d, kind, c):
+        # constant(c) is affine(c, 0) and linear(c) is affine(0, c), bit for bit
+        grid = Grid.for_length(4.0, 0.25, d)
+        f = CovarianceMeasure(kind, d, 1.0, None if kind == "dirac" else 0.8)
+        pairs = [(SigmaFunction.constant(c), SigmaFunction.affine(c, 0.0)),
+                 (SigmaFunction.linear(c), SigmaFunction.affine(0.0, c))]
+        for left, right in pairs:
+            fields = [solve_batch(grid, s, f, 8 * grid.dt, 3, range(3))[0] for s in (left, right)]
+            assert fields[0].tobytes() == fields[1].tobytes()
 
 
 class TestEuler:
