@@ -28,9 +28,11 @@ from . import __version__
 from .errors import ConfigError, ShecltError
 from .io import save_array, write_csv
 from .montecarlo import (
+    BT_REFERENCE_DOMAIN,
     MIN_KS_SAMPLES,
     ExperimentConfig,
     ExperimentResult,
+    check_disjoint_boxes,
     clt_report,
     default_workers,
     default_z_tuples,
@@ -38,6 +40,7 @@ from .montecarlo import (
     field_run,
     independence_report,
     independence_rhs,
+    map_jobs,
     run_experiment,
     tail_check,
 )
@@ -226,7 +229,7 @@ def _reference_bt(cfg: ExperimentConfig, g_list, bt_replicas) -> list[tuple[floa
             grid = cfg.grid_for(cfg.n_ladder[0])
             fields = field_run(
                 cfg.covariance, sigma, cfg.t, grid, bt_replicas,
-                cfg.seed, domain=20_000, workers=cfg.workers,
+                cfg.seed, domain=BT_REFERENCE_DOMAIN, workers=cfg.workers,
             )
         est = estimate_Bt(fields, grid, g, t=cfg.t, f=cfg.covariance)
         out.append((est.value, "mc", est))
@@ -411,33 +414,44 @@ def cmd_clt(args, out_dir: Path, seed: int, workers: int) -> int:
 
 
 def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
+    """The joint and pairwise ECF reports and each pair's bound at every N,
+    computed as one ``map_jobs`` on the experiment's workers."""
     raw = _load_config(args.config)
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
-    if len(cfg.psi_list) < 2:
+    psis = cfg.psi_list
+    if len(psis) < 2:
         raise ConfigError("independence: need at least two test functions")
+    for psi in psis:  # the bound needs them; checked before any replica is solved
+        check_disjoint_boxes(psi)
     n_perm = _positive_int(raw, "n_perm", 200)
     manifest, result = _run("independence", raw, cfg)
     g = cfg.g_list[0]
+    pairs = [(i, j) for i in range(len(psis)) for j in range(i + 1, len(psis))]
+    jobs = []
+    for N in cfg.n_ladder:
+        cols = result.joint(N, [(p, g) for p in psis])
+        jobs.append((independence_report, (cols, default_z_tuples(cols.shape[1]), n_perm, seed)))
+        for i, j in pairs:
+            jobs.append((independence_report,
+                         (cols[:, [i, j]], default_z_tuples(2), n_perm, seed + 1)))
+            jobs.append((independence_rhs, (cfg.covariance, cfg.t, psis[i], psis[j], N)))
+    done = iter(map_jobs(jobs, cfg.workers))
     last = cfg.n_ladder[-1]
     rows = []
     flags = {}
     observed_by_n = []
     null_se_by_n = []
     for N in cfg.n_ladder:
-        cols = result.joint(N, [(p, g) for p in cfg.psi_list])
-        rep = independence_report(cols, default_z_tuples(cols.shape[1]), n_perm=n_perm, seed=seed)
+        rep = next(done)
         observed_by_n.append(rep.observed)
         null_se_by_n.append(rep.null_se)
         rows.append((N, "all", rep.observed, rep.null_q99, float("nan")))
-        for i, p in enumerate(cfg.psi_list):
-            for j, q in enumerate(cfg.psi_list[i + 1:], start=i + 1):
-                pair_rep = independence_report(
-                    cols[:, [i, j]], default_z_tuples(2), n_perm=n_perm, seed=seed + 1
-                )
-                rhs = independence_rhs(cfg.covariance, cfg.t, p, q, N)
-                rows.append((N, f"{p.label}~{q.label}", pair_rep.observed, pair_rep.null_q99, rhs))
-                if N == last:
-                    flags[f"pair_ok|{p.label}~{q.label}"] = pair_rep.passed
+        for i, j in pairs:
+            pair_rep, rhs = next(done), next(done)
+            label = f"{psis[i].label}~{psis[j].label}"
+            rows.append((N, label, pair_rep.observed, pair_rep.null_q99, rhs))
+            if N == last:
+                flags[f"pair_ok|{label}"] = pair_rep.passed
         if N == last:
             flags["joint_ok"] = rep.passed
     if len(cfg.n_ladder) > 1:

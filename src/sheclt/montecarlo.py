@@ -5,12 +5,15 @@ every requested (test function, observable) pair on that realization, so
 joint statistics across test functions are measured on coupled samples.
 Replicas are independent tasks keyed by counter-based streams; chunking and
 process count never change the output bits, and per-N seed domains keep the
-ladder runs independent.  Every replicated solve (experiment, Monte Carlo
-baseline, B_t fields, marginal variance) runs through ``_map_chunks``, which
-solves ``DEFAULT_CHUNK``-replica blocks serially or on one process pool,
-forked at the first map that needs it and reused by every later one until
-the interpreter exits (``_pool``).  At each N one baseline solve serves every
-observable without a closed-form baseline.
+ladder runs independent.  Work goes to processes through one job map,
+``map_jobs``: an ordered list of ``(function, args)`` jobs run serially or on
+one process pool, forked at the first map that needs it and reused by every
+later one until the interpreter exits (``_pool``).  Every replicated solve
+(experiment, Monte Carlo baseline, B_t fields, marginal variance) is the
+replica-chunk case, ``_map_chunks``, with one job per ``DEFAULT_CHUNK``
+replicas; ``sheclt independence`` maps its per-(N, pair) ECF reports and
+bounds as one list on the same pool.  At each N one baseline solve serves
+every observable without a closed-form baseline.
 
 Statistics: one-sample Kolmogorov-Smirnov distance against a reference
 normal, empirical characteristic-function gaps with a permutation null
@@ -34,7 +37,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import integrate
@@ -53,6 +55,8 @@ from .solver import SigmaFunction, solve_batch
 from .spectral import CovarianceMeasure, DalangProfile, tail_bound
 
 BASELINE_DOMAIN_OFFSET = 10_000
+# the seed domain of the reference B_t field run of the experiment commands
+BT_REFERENCE_DOMAIN = 20_000
 DEFAULT_CHUNK = 64
 # the fewest samples ks_normal accepts
 MIN_KS_SAMPLES = 50
@@ -141,13 +145,13 @@ class ExperimentResult:
 _POOL = None
 
 
-def _pool(workers: int, chunks: int):
-    """This process's pool, with between min(workers, chunks) and workers
+def _pool(workers: int, jobs: int):
+    """This process's pool, with between min(workers, jobs) and workers
     processes.  A pool outside that range is shut down, its threads joined,
-    before one of min(workers, chunks) processes is forked in its place; a
+    before one of min(workers, jobs) processes is forked in its place; a
     forked child leaves the pool it inherited to its parent."""
     global _POOL
-    need = min(workers, chunks)
+    need = min(workers, jobs)
     if _POOL is not None and _POOL[2] == os.getpid():
         if need <= _POOL[1] <= workers:
             return _POOL[0]
@@ -165,24 +169,35 @@ def _drop_pool() -> None:
         pool[0].shutdown(wait=True)
 
 
-def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
-    """``task(*args, replicas)`` for each ``DEFAULT_CHUNK`` block of
-    ``range(n_replicas)`` in order: in this process, or, when ``workers`` and
-    the block count both exceed one, on the pool ``_pool`` keeps.  A worker
-    that dies takes the pool with it, and the next map forks a new one; an
-    exception raised by ``task`` leaves the pool in place."""
-    if n_replicas < 1:
-        raise ConfigError("replicas: need at least one replica")
-    starts = range(0, n_replicas, DEFAULT_CHUNK)
-    chunks = [range(s, min(s + DEFAULT_CHUNK, n_replicas)) for s in starts]
-    call = partial(task, *args)
-    if workers > 1 and len(chunks) > 1:
+def _run_job(job):
+    fn, args = job
+    return fn(*args)
+
+
+def map_jobs(jobs: list, workers: int) -> list:
+    """``fn(*args)`` for each ``(fn, args)`` in ``jobs``, in order: in this
+    process, or, when ``workers`` and the job count both exceed one, on the
+    pool ``_pool`` keeps.  A worker that dies takes the pool with it, and the
+    next map forks a new one; an exception raised by a job leaves the pool in
+    place."""
+    if workers > 1 and len(jobs) > 1:
         try:
-            return list(_pool(workers, len(chunks)).map(call, chunks))
+            return list(_pool(workers, len(jobs)).map(_run_job, jobs))
         except BrokenProcessPool:
             _drop_pool()
             raise
-    return [call(chunk) for chunk in chunks]
+    return [fn(*args) for fn, args in jobs]
+
+
+def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
+    """``task(*args, replicas)`` for each ``DEFAULT_CHUNK`` block of
+    ``range(n_replicas)`` in order, as one ``map_jobs``."""
+    if n_replicas < 1:
+        raise ConfigError("replicas: need at least one replica")
+    starts = range(0, n_replicas, DEFAULT_CHUNK)
+    return map_jobs(
+        [(task, (*args, range(s, min(s + DEFAULT_CHUNK, n_replicas)))) for s in starts], workers
+    )
 
 
 def _solve_chunk(grid, sigma, f, t, seed, domain, observables, replicas):
@@ -376,15 +391,19 @@ def ecf_gap(columns: np.ndarray, z) -> float:
     return float(_EcfKernel(columns, [z]).gaps()[0])
 
 
-def ecf_permutation_null(columns: np.ndarray, z_list, n_perm: int, seed: int) -> np.ndarray:
+def ecf_permutation_null(
+    columns: np.ndarray, z_list, n_perm: int, seed: int, kernel=None
+) -> np.ndarray:
     """Null distribution of the max ECF gap under shuffled replica pairing.
 
     Column 0 stays in place; each permutation draws ``rng.permutation(n)``
-    for columns 1..m-1 in order from ``default_rng(seed)``.
+    for columns 1..m-1 in order from ``default_rng(seed)``.  ``kernel``, when
+    given, is the ``_EcfKernel`` of ``columns`` and ``z_list``, already built.
     """
     if not isinstance(n_perm, (int, np.integer)) or n_perm < 1:
         raise ConfigError("ecf_permutation_null: n_perm must be a positive integer")
-    kernel = _EcfKernel(columns, z_list)
+    if kernel is None:
+        kernel = _EcfKernel(columns, z_list)
     rng = np.random.default_rng(seed)
     out = np.empty(n_perm)
     for p in range(n_perm):
@@ -403,9 +422,10 @@ class IndependenceReport:
 
 
 def independence_report(columns, z_list, n_perm=200, seed=0) -> IndependenceReport:
-    gaps = _EcfKernel(columns, z_list).gaps()
+    kernel = _EcfKernel(columns, z_list)
+    gaps = kernel.gaps()
     observed = float(gaps.max())
-    null = ecf_permutation_null(columns, z_list, n_perm, seed)
+    null = ecf_permutation_null(columns, z_list, n_perm, seed, kernel=kernel)
     q99 = float(np.quantile(null, 0.99))
     return IndependenceReport(
         observed=observed,
@@ -423,15 +443,15 @@ def default_z_tuples(m: int) -> list:
     return [np.array(z, dtype=float) for z in product((-2.0, -1.0, 1.0, 2.0), repeat=m)]
 
 
-def _abs_disjoint_terms(psi: TestFunction):
-    # |psi| for essentially-disjoint box combinations is sum |a_i| 1_box
-    for a1, b1 in psi.terms:
-        for a2, b2 in psi.terms:
+def check_disjoint_boxes(psi: TestFunction) -> None:
+    """ConfigError unless the boxes of ``psi`` are pairwise essentially
+    disjoint, so that |psi| = sum |a_i| 1_box_i, as ``independence_rhs`` needs."""
+    for _, b1 in psi.terms:
+        for _, b2 in psi.terms:
             if b1 is not b2 and b1.overlap_volume(b2) > 1e-12:
                 raise ConfigError(
                     "independence_rhs: boxes within each test function must be disjoint"
                 )
-    return [(abs(a), b) for a, b in psi.terms]
 
 
 def independence_rhs(
@@ -453,13 +473,14 @@ def independence_rhs(
     if t <= 0.0:
         return 0.0
     d = f.dimension
-    terms_psi = _abs_disjoint_terms(psi)
+    check_disjoint_boxes(psi)
+    check_disjoint_boxes(phi)
     weights, knots, overlaps = [], [], []
-    for a_phi, box_phi in _abs_disjoint_terms(phi):
+    for a_phi, box_phi in phi.terms:
         p, q = np.asarray(box_phi.lo[:d]), np.asarray(box_phi.hi[:d])
-        for a_psi, box_psi in terms_psi:
+        for a_psi, box_psi in psi.terms:
             r, w = np.asarray(box_psi.lo[:d]), np.asarray(box_psi.hi[:d])
-            weights.append(a_phi * a_psi)
+            weights.append(abs(a_phi) * abs(a_psi))
             knots.append(np.stack([p - w, p - r, q - w, q - r], axis=-1))
             overlaps.append(np.maximum(0.0, np.minimum(q, w) - np.maximum(p, r)))
     weights, overlaps = np.array(weights), np.array(overlaps)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheclt import cli, montecarlo
 from sheclt.cli import dispatch
 from sheclt.io import load_array, save_array, write_csv
 
@@ -554,6 +555,70 @@ class TestStatisticalSubcommands:
         assert dispatch(["--out-dir", str(out3), "--seed", "7", "tails", "--config", str(cfg3)]) == 0
         summary = json.loads(out_files(out3, "tails-summary", ".json")[0].read_text())
         assert summary["flags"]["no_violations"]
+
+
+_THREE_BOXES = [{"label": f"b{lo}", "boxes": [{"amp": 1.0, "lo": [float(lo)], "hi": [lo + 1.0]}]}
+                for lo in (0, 2, 4)]
+
+
+class TestIndependenceJobs:
+    """``sheclt independence`` maps its reports and bounds as one job list on
+    the experiment's pool; the outputs do not depend on the worker count."""
+
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_POOL", None)
+        yield
+        montecarlo._drop_pool()
+
+    def run(self, tmp_path, tag, workers):
+        cfg = tiny_clt_config(tmp_path, psi=_THREE_BOXES, n_ladder=[4, 8], n_perm=40,
+                              replicas=2 * montecarlo.DEFAULT_CHUNK + 2)
+        out = tmp_path / f"out-{tag}"
+        code = dispatch(["--out-dir", str(out), "--seed", "7", "--workers", str(workers),
+                         "independence", "--config", str(cfg)])
+        return code, out
+
+    def test_outputs_identical_for_one_and_two_workers(self, tmp_path, fresh_pool):
+        runs = [self.run(tmp_path, f"w{w}", w) for w in (1, 2)]
+        assert runs[0][0] == runs[1][0] and runs[0][0] in (0, 1)
+        for prefix, suffix in (("independence-", ".csv"), ("independence-summary", ".json")):
+            (a,), (b,) = (out_files(out, prefix, suffix) for _, out in runs)
+            assert a.name == b.name and a.read_bytes() == b.read_bytes()
+        _, rows = read_rows(out_files(runs[0][1], "independence-", ".csv")[0])
+        assert [(r[0], r[1]) for r in rows] == [
+            (n, pair) for n in ("4", "8") for pair in ("all", "b0~b2", "b0~b4", "b2~b4")]
+
+    def test_statistics_reuse_the_experiment_pool(self, tmp_path, fresh_pool, monkeypatch):
+        created, mapped = [], []
+
+        class Counting(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                mapped.append(len(jobs))
+                return super().map(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Counting)
+        code, _ = self.run(tmp_path, "pool", 2)
+        assert code in (0, 1)
+        assert created == [2]  # forked once, for the first N's solve
+        assert mapped == [3, 3, 2 * (1 + 3 + 3)]  # two solves, then every report and bound
+
+    def test_overlapping_boxes_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        def no_solve(cfg):
+            raise AssertionError("solved before the boxes were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_solve)
+        overlapping = {"label": "c", "boxes": [{"amp": 1.0, "lo": [6.0], "hi": [8.0]},
+                                               {"amp": 1.0, "lo": [7.0], "hi": [9.0]}]}
+        cfg = tiny_clt_config(tmp_path, psi=_THREE_BOXES + [overlapping], n_ladder=[4, 8])
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "independence",
+                         "--config", str(cfg)]) == 2
+        assert "boxes within each test function must be disjoint" in capsys.readouterr().err
 
 
 # Malformed values only: letters cannot spell a number other than nan/inf,

@@ -22,6 +22,7 @@ from sheclt.montecarlo import (
     DEFAULT_CHUNK,
     ExperimentConfig,
     _map_chunks,
+    check_disjoint_boxes,
     clt_report,
     default_workers,
     default_z_tuples,
@@ -34,6 +35,7 @@ from sheclt.montecarlo import (
     independence_rhs,
     ks_critical,
     ks_normal,
+    map_jobs,
     marginal_variance_run,
     run_experiment,
     tail_check,
@@ -212,6 +214,10 @@ def _blow_up(replicas):
 
 def _exit_worker(replicas):
     os._exit(1)
+
+
+def _label_and_pid(label, replicas):
+    return label, list(replicas), os.getpid()
 
 
 class TestChunkedSolves:
@@ -393,6 +399,40 @@ class TestChunkedSolves:
         assert np.array_equal(a.values, b.values)
 
 
+class TestJobMap:
+    """``map_jobs`` runs an ordered list of ``(function, args)`` jobs, serially
+    or on the one pool; ``_map_chunks`` is its replica-chunk case."""
+
+    JOBS = [(_label_and_pid, (k, range(k))) for k in range(5)] + [(divmod, (17, 5))]
+
+    def test_results_in_job_order(self, fresh_pool):
+        serial = map_jobs(self.JOBS, 1)
+        assert montecarlo._POOL is None  # one worker: every job runs in this process
+        pooled = map_jobs(self.JOBS, 2)
+        assert montecarlo._POOL[1] == 2
+        for out in (serial, pooled):
+            assert [o[:2] for o in out[:-1]] == [(k, list(range(k))) for k in range(5)]
+            assert out[-1] == (3, 2)
+        assert {o[2] for o in serial[:-1]} == {os.getpid()}
+        assert os.getpid() not in {o[2] for o in pooled[:-1]}
+        assert map_jobs([], 2) == [] and map_jobs(self.JOBS[:1], 2) == serial[:1]
+
+    def test_job_error_keeps_the_pool_dead_worker_drops_it(self, fresh_pool):
+        with pytest.raises(SolverBlowup):
+            map_jobs([(_chunk_length, (range(3),)), (_blow_up, (None,))], 1)
+        assert montecarlo._POOL is None
+        assert map_jobs(self.JOBS, 2)[-1] == (3, 2)
+        pool = montecarlo._POOL[0]
+        with pytest.raises(SolverBlowup):
+            map_jobs([(_chunk_length, (range(3),)), (_blow_up, (None,))], 2)
+        assert montecarlo._POOL[0] is pool
+        with pytest.raises(BrokenProcessPool):
+            map_jobs([(_chunk_length, (range(3),)), (_exit_worker, (None,))], 2)
+        assert montecarlo._POOL is None
+        assert map_jobs(self.JOBS, 2)[-1] == (3, 2)
+        assert montecarlo._POOL[0] is not pool
+
+
 class TestKs:
     def test_exact_quantile_samples(self):
         n = 2000
@@ -510,6 +550,25 @@ class TestEcf:
             assert abs(rep.gaps[tuple(z)] - ecf_gap(cols, z)) <= 1e-12
         assert rep.observed == max(rep.gaps.values())
 
+    def test_report_builds_one_kernel_and_keeps_the_null_bits(self, monkeypatch):
+        built = []
+
+        class Counting(montecarlo._EcfKernel):
+            def __init__(self, columns, z_list):
+                built.append(len(z_list))
+                super().__init__(columns, z_list)
+
+        cols = self.coupled_columns(300, 3, seed=41)
+        z_list = default_z_tuples(3)
+        own = ecf_permutation_null(cols, z_list, n_perm=30, seed=9)
+        direct = montecarlo._EcfKernel(cols, z_list).gaps()
+        monkeypatch.setattr(montecarlo, "_EcfKernel", Counting)
+        rep = independence_report(cols, z_list, n_perm=30, seed=9)
+        assert built == [len(z_list)]
+        assert rep.observed == float(direct.max())
+        assert rep.null_q99 == float(np.quantile(own, 0.99))
+        assert rep.null_se == float(np.std(own))
+
     def test_bad_n_perm_and_z_list_are_config_errors(self):
         cols = self.coupled_columns(100, 2, seed=50)
         z_list = default_z_tuples(2)
@@ -547,8 +606,10 @@ def independence_rhs_nested(f, t, psi, phi, N):
     """
     if t <= 0.0:
         return 0.0
-    terms_psi = montecarlo._abs_disjoint_terms(psi)
-    terms_phi = montecarlo._abs_disjoint_terms(phi)
+    check_disjoint_boxes(psi)
+    check_disjoint_boxes(phi)
+    terms_psi = [(abs(a), box) for a, box in psi.terms]
+    terms_phi = [(abs(a), box) for a, box in phi.terms]
     d = f.dimension
 
     def inner(s):
@@ -750,6 +811,9 @@ class TestIndependenceRhs:
         psi = TestFunction([(1.0, (0.0,), (2.0,)), (1.0, (1.0,), (3.0,))])
         with pytest.raises(ConfigError):
             independence_rhs(WHITE, 1.0, psi, psi, 1.0)
+        with pytest.raises(ConfigError, match="must be disjoint"):
+            check_disjoint_boxes(psi)
+        check_disjoint_boxes(TestFunction([(1.0, (0.0,), (1.0,)), (-2.0, (1.0,), (3.0,))]))
 
 
 class TestCltReport:
