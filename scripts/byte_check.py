@@ -17,6 +17,9 @@ Cases, each at ``--workers 1`` and ``2``:
 * ``clt``, ``fdd``, ``tails`` and ``independence`` on the small
   configuration of ``tests/test_cli.py`` with constant, affine(1, 0.5) and
   tabulated sigma;
+* ``independence``, ``fdd`` and ``tails`` with affine(1, 0.5) sigma and
+  g = [identity, sin], and ``fdd`` with an unsorted ``r_grid`` that repeats
+  a radius;
 * ``bounds`` for two kinds, and ``entropy --check`` sandwich, chain, bound
   and exponent.
 """
@@ -46,6 +49,14 @@ EXPERIMENTS = {
     "fdd": {"r_grid": [0.5, 1.0], "covariance_tolerance": 0.9, "n_perm": 40},
     "tails": {"ell_points": 12},
 }
+# (command, overrides) run with affine sigma: a second observable the
+# command does not report, and radii out of order with one repeated
+EXTRA = {
+    f"{command}-two-g": (command, {**EXPERIMENTS[command],
+                                   "g": [{"kind": "identity"}, {"kind": "sin"}]})
+    for command in ("independence", "fdd", "tails")
+}
+EXTRA["fdd-unsorted-r"] = ("fdd", {**EXPERIMENTS["fdd"], "r_grid": [1.0, 0.25, 0.5, 0.5]})
 # solve_batch on the same small grids, for every sigma including the table
 API_SOLVES = """
 import hashlib, sys
@@ -70,16 +81,20 @@ def cases():
             yield (f"solve-d{d}-{flag}", ["solve", "--kind", kind, "--d", str(d), "--sigma", flag,
                                           "--t", "0.25", "--dx", "0.25", "--L", "4",
                                           "--replicas", "8", "--dump-fields"], None)
-    for command, overrides in EXPERIMENTS.items():
-        for name, sigma in SIGMA_RECORDS.items():
-            config = {
-                "covariance": {"kind": "dirac", "dimension": 1, "mass": 1.0, "params": {}},
-                "sigma": sigma, "g": [{"kind": "identity"}],
-                "psi": [{"label": "unit", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]}],
-                "t": 0.25, "n_ladder": [4], "dx": 0.25, "replicas": 300,
-                "variance_tolerance": 0.5, **overrides,
-            }
-            yield f"{command}-{name}", [command, "--config"], config
+    experiments = [(f"{command}-{name}", command, sigma, overrides)
+                   for command, overrides in EXPERIMENTS.items()
+                   for name, sigma in SIGMA_RECORDS.items()]
+    experiments += [(name, command, SIGMA_RECORDS["affine"], overrides)
+                    for name, (command, overrides) in EXTRA.items()]
+    for name, command, sigma, overrides in experiments:
+        config = {
+            "covariance": {"kind": "dirac", "dimension": 1, "mass": 1.0, "params": {}},
+            "sigma": sigma, "g": [{"kind": "identity"}],
+            "psi": [{"label": "unit", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]}],
+            "t": 0.25, "n_ladder": [4], "dx": 0.25, "replicas": 300,
+            "variance_tolerance": 0.5, **overrides,
+        }
+        yield name, [command, "--config"], config
     for kind in ("dirac", "gaussian"):
         yield (f"bounds-{kind}", ["bounds", "--kind", kind, "--lambda", "0.5", "--lambda", "2",
                                   "--a", "0.3", "--ell", "1.0"], None)

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +171,15 @@ def _load_config(path) -> dict:
 
 
 def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None,
-                            psi_list=None) -> ExperimentConfig:
+                            psi_list=None, first_g=False) -> ExperimentConfig:
     """The experiment ``raw`` describes; ``psi_list``, when given, stands in
-    for the config's ``psi`` key, which is then neither required nor read."""
+    for the config's ``psi`` key, which is then neither required nor read.
+    With ``first_g`` every observable is parsed and checked, and the
+    experiment keeps the first alone, for the commands that report one."""
     for key in ("covariance", "sigma", "psi", "t", "n_ladder", "dx", "replicas"):
         if key not in raw and not (key == "psi" and psi_list is not None):
             raise ConfigError(f"config: missing key {key!r}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         covariance=CovarianceMeasure.from_config(raw["covariance"]),
         sigma=SigmaFunction.from_config(raw["sigma"]),
         g_list=_config_value(raw, "g", lambda gs: [LipFunction.from_config(g) for g in gs],
@@ -191,6 +194,20 @@ def _experiment_from_config(raw: dict, seed: int, workers: int, replicas=None,
         baseline_replicas=_config_value(raw, "baseline_replicas", int, 400),
         workers=workers,
     )
+    return replace(cfg, g_list=cfg.g_list[:1]) if first_g else cfg
+
+
+def _check_nonzero_limit(cfg: ExperimentConfig, psi=None) -> None:
+    """ConfigError, before any replica is solved, when the limit that ``fdd``
+    or ``tails`` compares with is zero: at t = 0, for a constant observable
+    (Lip(g) = 0) or, given ``psi``, for psi = 0 in L^2."""
+    g = cfg.g_list[0]
+    if cfg.t == 0.0:
+        raise ConfigError("config.t: must be positive; at t = 0 the limit is zero")
+    if g.lip == 0.0:
+        raise ConfigError(f"config.g: {g.label!r} is constant (Lip(g) = 0); its limit is zero")
+    if psi is not None and psi.l2_norm() == 0.0:
+        raise ConfigError(f"config.psi: {psi.label!r} is zero in L2; its limit is zero")
 
 
 def _run(command: str, raw: dict, cfg: ExperimentConfig) -> tuple[RunManifest, ExperimentResult]:
@@ -417,7 +434,7 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
     """The joint and pairwise ECF reports and each pair's bound at every N,
     computed as one ``map_jobs`` on the experiment's workers."""
     raw = _load_config(args.config)
-    cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
+    cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas, first_g=True)
     psis = cfg.psi_list
     if len(psis) < 2:
         raise ConfigError("independence: need at least two test functions")
@@ -465,13 +482,16 @@ def cmd_independence(args, out_dir: Path, seed: int, workers: int) -> int:
 
 
 def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
-    """Q(r) boxes and their increments inc(.,.) are the test functions; the
-    config's ``psi`` key is ignored."""
+    """The boxes Q(r), one for each distinct radius, are the test functions;
+    the increments are differences of their samples over the sorted radii.
+    The config's ``psi`` key is ignored."""
     raw = _load_config(args.config)
     n_perm = _positive_int(raw, "n_perm", 200)
     r_grid = _config_value(raw, "r_grid", lambda rs: [float(r) for r in rs], [0.25, 0.5, 1.0])
     if not all(0.0 < r < math.inf for r in r_grid):
         raise ConfigError(f"config.r_grid: entries must be positive and finite, got {r_grid}")
+    if len(set(r_grid)) < 2:
+        raise ConfigError(f"config.r_grid: the increments need two distinct radii, got {r_grid}")
     tol = _positive_float(raw, "covariance_tolerance", 0.15)
     lo, hi = _config_value(
         raw, "base_box", lambda b: [[float(v) for v in b[k]] for k in ("lo", "hi")],
@@ -483,23 +503,21 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
     for r in r_grid:
         hi_r = [lo[0] + r * (hi[0] - lo[0])] + hi[1:]
         boxes[r] = TestFunction.box(tuple(lo), tuple(hi_r), label=f"Q({r:g})")
-    inc_boxes = []
-    prev = lo[0]
-    for r in sorted(set(r_grid)):
-        edge = lo[0] + r * (hi[0] - lo[0])
-        inc_boxes.append(TestFunction.box((prev,) + tuple(lo[1:]), (edge,) + tuple(hi[1:]),
-                                          label=f"inc({prev:g},{edge:g})"))
-        prev = edge
+    vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])
+    if not 0.0 < vol < math.inf:
+        raise ConfigError(f"config.base_box: volume must be positive and finite, got {vol}")
     cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas,
-                                  psi_list=[*boxes.values(), *inc_boxes])
+                                  psi_list=list(boxes.values()), first_g=True)
+    _check_nonzero_limit(cfg)
     bt_replicas = _bt_replicas(raw)
     manifest, result = _run("fdd", raw, cfg)
     g = cfg.g_list[0]
     N = cfg.n_ladder[-1]
     ((b_t, b_src, _),) = _reference_bt(cfg, [g], bt_replicas)
     samples = {r: result.get(N, boxes[r], g).values for r in r_grid}
-    inc_cols = result.joint(N, [(b, g) for b in inc_boxes])
-    vol = float(np.prod([h - l for l, h in zip(lo[1:], hi[1:])])) * (hi[0] - lo[0])
+    # samples are linear in psi, so Q(r_k) - Q(r_{k-1}) samples the increment box
+    q_cols = np.stack([samples[r] for r in sorted(samples)], axis=1)
+    inc_cols = np.diff(q_cols, axis=1, prepend=0.0)
     rep = fdd_brownian_check(samples, inc_cols, b_t=b_t, base_volume=vol, n_perm=n_perm, seed=seed)
     rows = []
     for i, r in enumerate(rep.r_grid):
@@ -518,11 +536,9 @@ def cmd_fdd(args, out_dir: Path, seed: int, workers: int) -> int:
 
 def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     raw = _load_config(args.config)
-    cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas)
-    manifest, result = _run("tails", raw, cfg)
+    cfg = _experiment_from_config(raw, seed, workers, replicas=args.replicas, first_g=True)
     psi, g = cfg.psi_list[0], cfg.g_list[0]
-    N = cfg.n_ladder[-1]
-    values = result.get(N, psi, g).values
+    _check_nonzero_limit(cfg, psi)
     eps = _config_value(raw, "tail_eps", float, 0.5)
     delta = _config_value(raw, "tail_delta", float, 0.5)
     profile = DalangProfile(cfg.covariance)
@@ -530,6 +546,8 @@ def cmd_tails(args, out_dir: Path, seed: int, workers: int) -> int:
     big, _ = moment_constants(eps, sigma_scale, sigma_scale, cfg.covariance)
     B = big * g.lip * psi.l2_norm() * math.sqrt(cfg.t)
     n_ell = _positive_int(raw, "ell_points", 20)
+    manifest, result = _run("tails", raw, cfg)
+    values = result.get(cfg.n_ladder[-1], psi, g).values
     sd = float(np.std(values))
     ell_grid = np.geomspace(0.25 * sd, 100.0 * B, n_ell)
     rows = tail_check(

@@ -13,7 +13,7 @@ later one until the interpreter exits (``_pool``).  Every replicated solve
 replica-chunk case, ``_map_chunks``, with one job per ``DEFAULT_CHUNK``
 replicas; ``sheclt independence`` maps its per-(N, pair) ECF reports and
 bounds as one list on the same pool.  At each N one baseline solve serves
-every observable without a closed-form baseline.
+every observable other than the identity.
 
 Statistics: one-sample Kolmogorov-Smirnov distance against a reference
 normal, empirical characteristic-function gaps with a permutation null
@@ -44,13 +44,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, DegenerateVariance
 from .noise import HALO_FACTOR, Grid, spectral_weights
-from .occupation import (
-    BaselineValue,
-    PreparedTestFunction,
-    TestFunction,
-    exact_baseline,
-    occupation_values,
-)
+from .occupation import PreparedTestFunction, TestFunction, occupation_values
 from .solver import SigmaFunction, solve_batch
 from .spectral import CovarianceMeasure, DalangProfile, tail_bound
 
@@ -119,7 +113,7 @@ class SampleEnsemble:
     """Replica-paired values of the normalized samples for one (N, psi, g)."""
 
     values: np.ndarray
-    baseline: BaselineValue
+    baseline: float
 
 
 @dataclass
@@ -203,7 +197,8 @@ def _map_chunks(task, n_replicas: int, workers: int, *args) -> list:
 def _solve_chunk(grid, sigma, f, t, seed, domain, observables, replicas):
     """One chunk's fields or, given ``observables``, each replica's grid
     mean of each observable, shape (len(observables), len(replicas))."""
-    fields, _ = solve_batch(grid, sigma, f, t, seed, replicas, domain=domain)
+    fields, _ = solve_batch(grid, sigma, f, t, seed, replicas, domain=domain,
+                            weights=spectral_weights(grid, f))
     if observables is None:
         return fields
     axes = tuple(range(1, fields.ndim))
@@ -217,40 +212,36 @@ def estimate_baseline(grid, sigma, f, t, g_list, n_replicas, seed, domain, worke
     parts = _map_chunks(
         _solve_chunk, n_replicas, workers, grid, sigma, f, t, seed, domain, tuple(g_list)
     )
-    return [
-        BaselineValue(value=float(np.mean(means)), provenance="mc", n_replicas=n_replicas)
-        for means in np.concatenate(parts, axis=1)
-    ]
+    return [float(np.mean(means)) for means in np.concatenate(parts, axis=1)]
 
 
 def _resolve_baselines(config: ExperimentConfig, grid: Grid, domain: int) -> dict:
-    """Closed-form baselines where they exist; one Monte Carlo solve for the rest."""
-    exact = [exact_baseline(g) for g in config.g_list]
-    mc = [g for g, base in zip(config.g_list, exact) if base is None]
+    """Each observable's baseline E g(u(t,0)), by label.  The stochastic
+    integral has mean zero, so E u = 1 for every diffusion coefficient and
+    the identity's baseline is 1.0; the other observables share one Monte
+    Carlo solve."""
+    mc = [g for g in config.g_list if g.kind != "identity"]
     estimates = iter(estimate_baseline(
         grid, config.sigma, config.covariance, config.t, mc,
         config.baseline_replicas, config.seed, domain, workers=config.workers,
     ) if mc else ())
-    return {g.label: base or next(estimates) for g, base in zip(config.g_list, exact)}
+    return {g.label: 1.0 if g.kind == "identity" else next(estimates) for g in config.g_list}
 
 
 def _chunk_task(config, N, domain, grid, baselines, replicas):
-    weights = spectral_weights(grid, config.covariance)
+    fields = _solve_chunk(grid, config.sigma, config.covariance, config.t, config.seed,
+                          domain, None, replicas)
     halo = HALO_FACTOR * math.sqrt(max(config.t, 0.0))
     prepared = {
         psi.label: PreparedTestFunction(grid, psi.scaled(N), halo=halo)
         for psi in config.psi_list
     }
     out = {}
-    fields, _ = solve_batch(
-        grid, config.sigma, config.covariance, config.t,
-        config.seed, replicas, domain=domain, weights=weights,
-    )
     for g in config.g_list:
         gu = np.asarray(g(fields))
         for psi in config.psi_list:
             out[(psi.label, g.label)] = occupation_values(
-                prepared[psi.label], gu, baselines[g.label].value, N
+                prepared[psi.label], gu, baselines[g.label], N
             )
     return out
 

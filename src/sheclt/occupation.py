@@ -285,24 +285,6 @@ class PreparedTestFunction:
         return out
 
 
-@dataclass
-class BaselineValue:
-    value: float
-    provenance: str
-    n_replicas: int | None = None
-
-
-def exact_baseline(g: LipFunction) -> BaselineValue | None:
-    """Closed-form E[g(u(t,0))] where available.
-
-    The stochastic integral has mean zero, so E u = 1 for every diffusion
-    coefficient; the identity observable always has baseline 1.
-    """
-    if g.kind == "identity":
-        return BaselineValue(value=1.0, provenance="exact-mean-one")
-    return None
-
-
 def occupation_values(
     prepared: PreparedTestFunction, gu_batch: np.ndarray, baseline: float, N: float
 ) -> np.ndarray:

@@ -29,6 +29,8 @@ def out_files(out_dir, prefix, suffix):
 # what turns the tiny clt config into one each experiment command accepts
 _TWO_BOXES = [{"label": "a", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]},
               {"label": "b", "boxes": [{"amp": 1.0, "lo": [2.0], "hi": [3.0]}]}]
+# a tabulated observable with equal values: Lip(g) = 0
+_CONSTANT_G = {"kind": "tabulated", "xs": [0.0, 1.0], "ys": [0.5, 0.5]}
 EXPERIMENT_OVERRIDES = {
     "clt": {},
     "independence": {"psi": _TWO_BOXES, "n_ladder": [4, 8], "n_perm": 40},
@@ -411,11 +413,24 @@ class TestDispatch:
         ("clt", {"g": [{"kind": "sin"}], "bt_replicas": 50}, [], "config.bt_replicas"),
         ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "sigma": {"kind": "affine", "params": [1.0, 0.5]},
                  "bt_replicas": 99}, [], "config.bt_replicas"),
+        # a zero limit: tails would start its geometric ell grid at 0 and fdd
+        # divide by a predicted covariance of 0
+        ("tails", {"t": 0.0}, [], "config.t"),
+        ("tails", {"g": [_CONSTANT_G]}, [], "config.g"),
+        ("tails", {"psi": [{"label": "zero", "boxes": [{"amp": 0.0, "lo": [0.0], "hi": [1.0]}]}]},
+         [], "config.psi"),
+        ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "t": 0.0}, [], "config.t"),
+        ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "g": [_CONSTANT_G]}, [], "config.g"),
+        ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "base_box": {"lo": [0.0], "hi": [0.0]}}, [],
+         "config.base_box"),
+        # one distinct radius gives one increment column, and the ECF test needs two
+        ("fdd", {**EXPERIMENT_OVERRIDES["fdd"], "r_grid": [0.5, 0.5]}, [], "config.r_grid"),
     ])
     def test_statistics_minimum_checked_before_solving(self, tmp_path, capsys, monkeypatch,
                                                        cmd, override, flags, key):
-        # a replica count the KS check or estimate_Bt would reject after the
-        # whole experiment is rejected before any replica is solved
+        # a replica count the KS check or estimate_Bt would reject, or an
+        # input the statistics cannot use, after the whole experiment is
+        # rejected before any replica is solved
         from sheclt import cli
 
         def no_solve(cfg):
@@ -619,6 +634,65 @@ class TestIndependenceJobs:
         assert dispatch(["--out-dir", str(tmp_path / "o"), "independence",
                          "--config", str(cfg)]) == 2
         assert "boxes within each test function must be disjoint" in capsys.readouterr().err
+
+
+class TestOneObservable:
+    """``independence``, ``fdd`` and ``tails`` report the first observable:
+    they check every ``g`` and solve for the first alone."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        seen = []
+
+        def run(cfg):
+            seen.append(cfg)
+            return montecarlo.run_experiment(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        return seen
+
+    @pytest.mark.parametrize("cmd", ["independence", "fdd", "tails"])
+    def test_second_observable_is_checked_not_solved(self, tmp_path, monkeypatch, cmd):
+        seen = self.recording(monkeypatch)
+        outputs = []
+        for tag, g in (("one", ["identity"]), ("two", ["identity", "sin"])):
+            cfg = tiny_clt_config(tmp_path, **EXPERIMENT_OVERRIDES[cmd],
+                                  g=[{"kind": kind} for kind in g])
+            out = tmp_path / tag
+            assert dispatch(["--out-dir", str(out), "--seed", "7", "--workers", "1",
+                             cmd, "--config", str(cfg)]) in (0, 1)
+            (csv,) = [p for p in out.iterdir() if p.suffix == ".csv"]
+            summary = json.loads(out_files(out, f"{cmd}-summary", ".json")[0].read_text())
+            summary.pop("manifest_hash")  # the hash covers the config, which differs
+            outputs.append((csv.read_bytes(), summary))
+        assert [[g.label for g in cfg.g_list] for cfg in seen] == [["identity"], ["identity"]]
+        assert outputs[0] == outputs[1]
+        twice = tiny_clt_config(tmp_path, **EXPERIMENT_OVERRIDES[cmd],
+                                g=[{"kind": "identity"}, {"kind": "identity"}])
+        assert dispatch(["--out-dir", str(tmp_path / "twice"), "--workers", "1",
+                         cmd, "--config", str(twice)]) == 2
+        assert len(seen) == 2
+
+    def test_fdd_increments_are_differences_of_the_q_samples(self, tmp_path, monkeypatch):
+        seen = self.recording(monkeypatch)
+        checked = []
+
+        def check(samples, increments, **kw):
+            checked.append((samples, increments))
+            return montecarlo.fdd_brownian_check(samples, increments, **kw)
+
+        monkeypatch.setattr(cli, "fdd_brownian_check", check)
+        r_grid = [1.0, 0.25, 0.5, 0.5]
+        cfg = tiny_clt_config(tmp_path, **{**EXPERIMENT_OVERRIDES["fdd"], "r_grid": r_grid})
+        assert dispatch(["--out-dir", str(tmp_path / "o"), "--seed", "7", "--workers", "1",
+                         "fdd", "--config", str(cfg)]) in (0, 1)
+        (cfg,) = seen
+        assert [psi.label for psi in cfg.psi_list] == ["Q(1)", "Q(0.25)", "Q(0.5)"]
+        ((samples, increments),) = checked
+        assert increments.shape == (300, len(set(r_grid)))
+        assert np.array_equal(increments[:, 0], samples[0.25])
+        assert np.array_equal(increments[:, 1], samples[0.5] - samples[0.25])
+        assert np.array_equal(increments[:, 2], samples[1.0] - samples[0.5])
 
 
 # Malformed values only: letters cannot spell a number other than nan/inf,

@@ -94,19 +94,14 @@ class TestExperiment:
         psi2 = TestFunction.box(0.5, 2.0)
         cfg = tiny_config(psi_list=[psi1, psi2], replicas=6)
         res = run_experiment(cfg)
-        from sheclt.occupation import (
-            PreparedTestFunction,
-            exact_baseline,
-            occupation_values,
-        )
+        from sheclt.occupation import PreparedTestFunction, occupation_values
         from sheclt.solver import solve_batch
 
         grid = res.grids[4.0]
         fields, _ = solve_batch(grid, cfg.sigma, WHITE, cfg.t, cfg.seed, [3], domain=0)
-        base = exact_baseline(LipFunction.identity())
         for psi in (psi1, psi2):
             prep = PreparedTestFunction(grid, psi.scaled(4.0), halo=8 * math.sqrt(cfg.t))
-            val = occupation_values(prep, fields, base.value, 4.0)[0]
+            val = occupation_values(prep, fields, 1.0, 4.0)[0]  # E u = 1: the identity's baseline
             assert res.get(4.0, psi, "identity").values[3] == val
 
     def test_mean_zero_with_exact_baseline(self):
@@ -279,7 +274,7 @@ class TestChunkedSolves:
         assert created == [2]  # two baselines and two experiments, one pool
         key = (4.0, runs[0].config.psi_list[0].label, "sin")
         for run in runs[:2]:
-            assert run.ensembles[key].baseline.value == runs[2].ensembles[key].baseline.value
+            assert run.ensembles[key].baseline == runs[2].ensembles[key].baseline
             assert np.array_equal(run.ensembles[key].values, runs[2].ensembles[key].values)
 
     def test_pool_grows_and_is_replaced_for_fewer_workers(self, fresh_pool):
@@ -360,12 +355,11 @@ class TestChunkedSolves:
                               5, 10_000, workers=workers)
             for workers in (1, 2)
         )
-        assert serial.value == pooled.value
-        assert serial.provenance == "mc" and serial.n_replicas == self.REPLICAS
-        # the mean of the replicas' grid means of g(u) on the same fields
+        assert serial == pooled
+        # the mean of the replicas' grid means of g(u) on the same REPLICAS fields
         fields, _ = solve_batch(grid, self.AFFINE, f, 0.25, 5, range(self.REPLICAS), domain=10_000)
         axes = tuple(range(1, fields.ndim))
-        assert serial.value == float(np.mean(np.sin(fields).mean(axis=axes)))
+        assert serial == float(np.mean(np.sin(fields).mean(axis=axes)))
 
     def test_one_baseline_solve_serves_every_observable(self, monkeypatch):
         calls = []
@@ -383,8 +377,11 @@ class TestChunkedSolves:
         assert [len(r) for r in baseline] == [DEFAULT_CHUNK, DEFAULT_CHUNK, 3]
         assert [i for r in baseline for i in r] == list(range(self.REPLICAS))
         psi = result.config.psi_list[0]
-        provenance = [result.get(4.0, psi, g).baseline.provenance for g in g_list]
-        assert provenance == ["mc", "mc", "exact-mean-one"]
+        baselines = [result.get(4.0, psi, g).baseline for g in g_list]
+        # sin and the table from that one solve, the identity exactly 1 without one
+        assert baselines == [*estimate_baseline(
+            result.grids[4.0], self.AFFINE, WHITE, 0.25, g_list[:2], self.REPLICAS, 99,
+            montecarlo.BASELINE_DOMAIN_OFFSET), 1.0]
 
     def test_experiment_with_mc_baseline_worker_invariant(self):
         runs = [
@@ -395,7 +392,10 @@ class TestChunkedSolves:
         ]
         key = (4.0, runs[0].config.psi_list[0].label, "sin")
         a, b = (r.ensembles[key] for r in runs)
-        assert a.baseline.provenance == "mc" and a.baseline.value == b.baseline.value
+        (mc,) = estimate_baseline(runs[0].grids[4.0], self.AFFINE, WHITE, 0.25,
+                                  [LipFunction.sin()], self.REPLICAS, 99,
+                                  montecarlo.BASELINE_DOMAIN_OFFSET)
+        assert a.baseline == b.baseline == mc
         assert np.array_equal(a.values, b.values)
 
 

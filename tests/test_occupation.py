@@ -19,11 +19,11 @@ from sheclt.occupation import (
     TestFunction,
     estimate_Bt,
     exact_Bt_constant_sigma,
-    exact_baseline,
     nondegeneracy_check,
     occupation_values,
 )
-from sheclt.montecarlo import ExperimentConfig, estimate_baseline
+from sheclt import montecarlo
+from sheclt.montecarlo import ExperimentConfig, estimate_baseline, run_experiment
 from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure
 
@@ -418,12 +418,35 @@ class TestNondegeneracy:
 
 
 class TestBaseline:
-    def test_identity_baseline_exact(self):
-        base = exact_baseline(LipFunction.identity())
-        assert base.value == 1.0 and base.provenance == "exact-mean-one"
+    @staticmethod
+    def run(monkeypatch, g):
+        """One experiment with observable g, and the seed domain of each solve."""
+        domains = []
 
-    def test_general_g_needs_estimation(self):
-        assert exact_baseline(LipFunction.sin()) is None
+        def counting(grid, sigma, f, t, seed, replicas, **kw):
+            domains.append(kw["domain"])
+            return solve_batch(grid, sigma, f, t, seed, replicas, **kw)
+
+        monkeypatch.setattr(montecarlo, "solve_batch", counting)
+        result = run_experiment(ExperimentConfig(
+            covariance=WHITE, sigma=SigmaFunction.linear(1.0), g_list=[g],
+            psi_list=[TestFunction.box(0.0, 1.0)], t=0.25, n_ladder=[4.0], dx=0.25,
+            replicas=8, seed=5, baseline_replicas=32,
+        ))
+        return result, domains
+
+    def test_identity_baseline_exact(self, monkeypatch):
+        # E u = 1 for every sigma: the identity's baseline needs no solve
+        result, domains = self.run(monkeypatch, LipFunction.identity())
+        assert result.get(4.0, result.config.psi_list[0], "identity").baseline == 1.0
+        assert montecarlo.BASELINE_DOMAIN_OFFSET not in domains
+
+    def test_general_g_needs_estimation(self, monkeypatch):
+        result, domains = self.run(monkeypatch, LipFunction.sin())
+        assert montecarlo.BASELINE_DOMAIN_OFFSET in domains
+        (mc,) = estimate_baseline(result.grids[4.0], SigmaFunction.linear(1.0), WHITE, 0.25,
+                                  [LipFunction.sin()], 32, 5, montecarlo.BASELINE_DOMAIN_OFFSET)
+        assert result.get(4.0, result.config.psi_list[0], "sin").baseline == mc
 
     def test_estimated_baseline_deterministic(self):
         grid = grid_1d(L=8.0)
@@ -431,8 +454,7 @@ class TestBaseline:
                                   [LipFunction.sin()], 32, seed=5, domain=9)
         (b2,) = estimate_baseline(grid, SigmaFunction.linear(1.0), WHITE, 0.25,
                                   [LipFunction.sin()], 32, seed=5, domain=9)
-        assert b1.value == b2.value
-        assert b1.provenance == "mc" and b1.n_replicas == 32
+        assert b1 == b2 and isinstance(b1, float)
 
 
 class TestL2Continuity:
@@ -442,8 +464,6 @@ class TestL2Continuity:
         # the analytic moment-bound constant dominates (documented loose)
         grid = grid_1d(dx=1.0 / 8.0, L=32.0)
         fields, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 1.0, 48, range(400))
-        g = LipFunction.identity()
-        base = exact_baseline(g)
         rng = np.random.default_rng(10)
         from sheclt.occupation import PreparedTestFunction, occupation_values
         from sheclt.spectral import (
@@ -464,7 +484,7 @@ class TestL2Continuity:
             if dist < 1e-6:
                 continue
             prep = PreparedTestFunction(grid, diff.scaled(N), halo=8.0)
-            vals = occupation_values(prep, fields, base.value, N)
+            vals = occupation_values(prep, fields, 1.0, N)  # the identity's baseline, E u = 1
             emp = math.sqrt(float(np.mean(vals**2)))
             ratios.append(emp / dist)
             params = MomentBoundParams(eps=0.5, k=2, N=N, T=1.0, sigma0=1.0,
