@@ -13,9 +13,13 @@ pass over all subsets gives the smallest covering radius and the largest
 separation of each subset size, hence the exact N(r) and P(r) at every
 radius a caller needs.  The farthest-point centers do not depend on the
 radius either, so one traversal gives the greedy covering count at every
-radius; it asks each row only for the entries that can still lower the
-running distance to the centers (the ``below`` contract of
-``covering_number``), which the scale class uses to skip most points.
+radius.
+
+Every space, dense or sampled, gives its rows through one exact in-place
+method, ``lower(i, running)``: it sets ``running[j] = min(running[j],
+d(i, j))`` for every point j.  The covering and packing scans keep their
+running distances that way, and a sampled class may skip the points whose
+cheap lower bound on d(i, j) already reaches ``running[j]``.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
@@ -80,8 +84,8 @@ class FiniteMetricSpace:
     def n_points(self) -> int:
         return self.dist.shape[0]
 
-    def dist_row(self, i: int, below=np.inf) -> np.ndarray:
-        return self.dist[i]  # the full row; ``below`` (see covering_number) is not needed
+    def lower(self, i: int, running: np.ndarray) -> None:
+        np.minimum(running, self.dist[i], out=running)
 
     def diameter(self) -> float:
         return float(np.max(self.dist))
@@ -119,20 +123,18 @@ def covering_number(space, r):
     the largest distance to the centers is >= r), so the centers do not
     depend on r and N(r) is the first k whose covering radius is below r.  A
     scalar r gives an int; a 1-d sequence gives the counts in input order
-    from one traversal, run down to the smallest radius.
-
-    Each center's row is asked for with ``below`` set to the running
-    distance to the centers: a space may return any value >= ``below``
-    wherever the true distance is >= ``below`` (such entries cannot lower
-    the running minimum), and must be exact elsewhere.
+    from one traversal, run down to the smallest radius.  Each center costs
+    one ``space.lower`` call, and the next center's distance is the new
+    covering radius.
     """
     radii = _radii(r, "covering_number")
     min_dist = np.full(space.n_points, np.inf)
     reach = [np.max(min_dist, initial=-np.inf)]  # covering radius after k centers
+    center = 0
     while reach[-1] >= radii.min():
+        space.lower(center, min_dist)
         center = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
-        np.minimum(min_dist, space.dist_row(center, below=min_dist), out=min_dist)
-        reach.append(np.max(min_dist))
+        reach.append(min_dist[center])
     return _as_given(r, np.searchsorted(-np.asarray(reach), -radii, side="right"))
 
 
@@ -143,7 +145,7 @@ def _greedy_packing(space, r: float) -> list[int]:
     for i in range(space.n_points):
         if sep[i] > r:
             chosen.append(i)
-            sep = np.minimum(sep, space.dist_row(i))
+            space.lower(i, sep)
     return chosen
 
 
@@ -198,7 +200,15 @@ def covering_number_exact(space: FiniteMetricSpace, r):
     """
     radii = _radii(r, "covering_number_exact")
     best_rho, _ = _subset_extremes(space, "covering_number_exact")
-    return _as_given(r, np.searchsorted(-best_rho, -radii, side="right"))
+    return _as_given(r, _exact_covering(best_rho, radii))
+
+
+def _exact_covering(best_rho: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    return np.searchsorted(-best_rho, -radii, side="right")
+
+
+def _exact_packing(best_mu: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    return np.maximum(np.searchsorted(-best_mu[1:], -radii, side="left"), 1)
 
 
 def packing_number_exact(space: FiniteMetricSpace, r):
@@ -209,7 +219,7 @@ def packing_number_exact(space: FiniteMetricSpace, r):
     """
     radii = _radii(r, "packing_number_exact")
     _, best_mu = _subset_extremes(space, "packing_number_exact")
-    return _as_given(r, np.maximum(np.searchsorted(-best_mu[1:], -radii, side="left"), 1))
+    return _as_given(r, _exact_packing(best_mu, radii))
 
 
 @dataclass
@@ -224,13 +234,17 @@ class SandwichResult:
 def sandwich_check(space: FiniteMetricSpace, r: float) -> SandwichResult:
     """Evaluate N(2r) <= P(r) <= N(r/2); exact values on small spaces.
 
-    On larger spaces the greedy values are reported and flagged as bounds
-    (greedy covering overestimates, greedy packing underestimates, so a
-    greedy 'holds' is not a certificate there).
+    On small spaces one subset pass gives all three values.  On larger
+    spaces the greedy values are reported and flagged as bounds (greedy
+    covering overestimates, greedy packing underestimates, so a greedy
+    'holds' is not a certificate there).
     """
     exact = space.n_points <= EXACT_LIMIT
     if exact:
-        (n2, nh), p = covering_number_exact(space, [2 * r, r / 2]), packing_number_exact(space, r)
+        radii = _radii([2 * r, r / 2, r], "sandwich_check")
+        best_rho, best_mu = _subset_extremes(space, "sandwich_check")
+        n2, nh = _exact_covering(best_rho, radii[:2]).tolist()
+        p = int(_exact_packing(best_mu, radii[2]))
     else:
         (n2, nh), p = covering_number(space, [2 * r, r / 2]), packing_number(space, r)
     return SandwichResult(n_2r=n2, p_r=p, n_half_r=nh, holds=n2 <= p <= nh, exact=exact)
@@ -354,22 +368,16 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
 
 
 class PointCloud:
-    """Sampled class with closed-form row distances (no dense matrix).
+    """Sampled class with closed-form rows (no dense matrix).
 
-    ``dist_row_fn(i, below)`` gives row i; it may use ``below`` as the
-    contract in ``covering_number`` allows, or ignore it and stay exact.
+    ``lower(i, running)`` is the space method of the module docstring: it
+    lowers ``running`` in place to the distances from point i wherever they
+    are smaller, exactly.
     """
 
-    def __init__(self, dist_row_fn, n_points, diam):
-        self._row = dist_row_fn
+    def __init__(self, lower, n_points):
+        self.lower = lower
         self.n_points = n_points
-        self._diam = diam
-
-    def dist_row(self, i: int, below=np.inf) -> np.ndarray:
-        return self._row(i, below)
-
-    def diameter(self) -> float:
-        return self._diam
 
 
 class BoxClass:
@@ -395,12 +403,12 @@ class BoxClass:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vol = np.prod(pts, axis=1)
 
-        def row(i, below=np.inf):
+        def lower(i, running):
             mins = np.minimum(pts, pts[i])
-            return np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
+            row = np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
+            np.minimum(running, row, out=running)
 
-        diam = math.sqrt(self.m**self.d)
-        return PointCloud(row, pts.shape[0], diam)
+        return PointCloud(lower, pts.shape[0])
 
 
 class ShiftClass:
@@ -420,15 +428,13 @@ class ShiftClass:
     def sample(self, metric_resolution: float) -> PointCloud:
         delta = metric_resolution / 4.0  # metric <= 2 |a - b|
         a = np.arange(-self.n, self.n + delta / 2.0, delta)
+        sin_a = np.sin(a)
 
-        def row(i, below=np.inf):
-            return np.abs(np.sin(a) - np.sin(a[i])) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
+        def lower(i, running):
+            row = np.abs(sin_a - sin_a[i]) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
+            np.minimum(running, row, out=running)
 
-        # true diameter needs the max over all pairs; shifts are 1-parameter
-        # with an increasing metric in |a - b| up to the period, so endpoint
-        # rows realize it for n <= pi/2
-        diam = max(float(np.max(row(0))), float(np.max(row(a.size - 1))))
-        return PointCloud(row, a.size, diam)
+        return PointCloud(lower, a.size)
 
 
 class ScaleClass:
@@ -445,9 +451,9 @@ class ScaleClass:
     contaminates finite-radius counts.
 
     The limit column plus the b term, |bq - BQ| + |b - B| with q = 1/a, is
-    an exact lower bound on every distance; a row asked for ``below`` (see
-    ``covering_number``) returns that bound wherever it already reaches
-    ``below`` and the full sup only on the remaining points.
+    an exact lower bound on every distance.  ``lower`` builds that bound
+    over the whole cloud and takes the full sup only where it is below the
+    running distance: elsewhere the true distance cannot lower it.
     """
 
     expected_exponent = -2.0
@@ -463,24 +469,27 @@ class ScaleClass:
         Q, B = Q.ravel(), B.ravel()
         BQ = B * Q  # the u -> infinity limit of the slope
         u = np.geomspace(0.08, 8.0 * self.m, self.n_u)
-        v = u[:, None] * Q[None, :]
-        slopes = BQ[None, :] * (v / np.sqrt(1.0 + v * v))  # one contiguous row per u-column
+        # row 0 the limit column, then one contiguous row per u-column; v is
+        # built in those rows, so sampling holds one table-sized temporary
+        slopes = np.empty((self.n_u + 1, Q.size))
+        slopes[0] = BQ
+        v = np.multiply(u[:, None], Q, out=slopes[1:])
+        np.multiply(BQ, v / np.sqrt(1.0 + v * v), out=v)
+        bound = np.empty(Q.size)
+        bound_qb = bound.reshape(q.size, b.size)  # the cloud is q-major
 
-        def row(i, below=np.inf):
-            db = np.abs(B - B[i])
-            sup = np.abs(BQ - BQ[i])
-            out = sup + db  # the lower bound, exact where the limit column is the sup
-            near = np.flatnonzero(out < below)
-            sup = sup[near]
-            # running max over the u-columns: exact in any order
-            for col in slopes:
-                np.maximum(sup, np.abs(col[near] - col[i]), out=sup)
-            out[near] = sup + db[near]
-            return out
+        def lower(i, running):
+            np.subtract(BQ, BQ[i], out=bound)
+            np.abs(bound, out=bound)
+            np.add(bound_qb, np.abs(b - B[i]), out=bound_qb)  # the b term along the b axis
+            near = np.flatnonzero(bound < running)
+            diff = np.take(slopes, near, axis=1)
+            diff -= slopes[:, i, None]
+            np.abs(diff, out=diff)
+            # the max over the columns is exact in any order
+            running[near] = np.minimum(running[near], diff.max(axis=0) + np.abs(B[near] - B[i]))
 
-        probes = [0, len(Q) - 1, len(Q) // 2]
-        diam = max(float(np.max(row(p))) for p in probes)
-        return PointCloud(row, Q.size, diam)
+        return PointCloud(lower, Q.size)
 
 
 @dataclass

@@ -315,12 +315,14 @@ class _KeyedPhilox:
         self.generator = np.random.Generator(self._bg)
         # one fresh-generator state, built once; rekey writes only its key
         # (the state setter copies the values, so the zero counter and
-        # empty buffer stay as they are)
-        self._key = np.zeros(2, dtype=np.uint64)
+        # empty buffer stay as they are).  Python-int lists, not uint64
+        # arrays: the setter reads them element by element, and list items
+        # are the cheaper read.
+        self._key = [0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -203,8 +203,11 @@ def step_euler(
     lap = discrete_laplacian(values, grid, out=lap, work=out)
     lap *= grid.dt / 2.0
     lap += values
-    sigma(values, out=out)
-    out *= slice_values
+    if sigma.is_constant:
+        np.multiply(slice_values, sigma.a, out=out)
+    else:
+        sigma(values, out=out)
+        out *= slice_values
     out += lap
     # NaN fails both comparisons
     if not (out.max() <= BLOWUP_GUARD and out.min() >= -BLOWUP_GUARD):

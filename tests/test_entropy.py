@@ -37,6 +37,13 @@ def random_space(rng, n, dim=3):
     return FiniteMetricSpace.from_points(rng.normal(size=(n, dim)))
 
 
+def exact_row(space, i):
+    """Row i of any space, read through ``lower`` on an all-inf array."""
+    row = np.full(space.n_points, np.inf)
+    space.lower(i, row)
+    return row
+
+
 def covering_number_reference(space, r):
     """The per-radius greedy loop: a fresh farthest-point covering for r."""
     min_dist = np.full(space.n_points, np.inf)
@@ -47,7 +54,7 @@ def covering_number_reference(space, r):
             return count
         masked = np.where(uncovered, min_dist, -np.inf)
         count += 1
-        min_dist = np.minimum(min_dist, space.dist_row(int(np.argmax(masked))))
+        min_dist = np.minimum(min_dist, exact_row(space, int(np.argmax(masked))))
 
 
 def step_integral_reference(space, tail, upper, power):
@@ -172,14 +179,14 @@ def tied_space(rng, n):
 
 
 class CountingCloud:
-    """Delegates to a sampled cloud and counts ``dist_row`` calls."""
+    """Delegates to a sampled cloud and counts ``lower`` calls."""
 
     def __init__(self, cloud):
-        self.cloud, self.n_points, self.rows = cloud, cloud.n_points, 0
+        self.cloud, self.n_points, self.calls = cloud, cloud.n_points, 0
 
-    def dist_row(self, i, below=np.inf):
-        self.rows += 1
-        return self.cloud.dist_row(i, below=below)
+    def lower(self, i, running):
+        self.calls += 1
+        self.cloud.lower(i, running)
 
 
 class CountingClass:
@@ -352,6 +359,22 @@ class TestSandwich:
             r = float(rng.uniform(0.05, 1.2) * sp.diameter())
             assert sandwich_check(sp, r).holds
 
+    def test_one_pass_matches_exact_counts(self):
+        # one subset pass gives the three values the two exact counters give,
+        # also where r, 2r or r/2 equals a distance
+        rng = np.random.default_rng(25)
+        for k in range(80):
+            n = int(rng.integers(2, EXACT_LIMIT + 1))
+            sp = tied_space(rng, n) if k % 2 else random_space(rng, n)
+            pos = np.unique(sp.dist[sp.dist > 0.0])
+            d = float(rng.choice(pos)) if pos.size else 1.0
+            r = [float(rng.uniform(0.05, 1.2) * max(sp.diameter(), 1.0)), d, d / 2.0, 2.0 * d][k % 4]
+            res = sandwich_check(sp, r)
+            assert res.exact
+            assert (res.n_2r, res.p_r, res.n_half_r) == (
+                covering_number_exact(sp, 2 * r), packing_number_exact(sp, r),
+                covering_number_exact(sp, r / 2))
+
     def test_greedy_branch_matches_per_radius_loop(self):
         rng = np.random.default_rng(12)
         for k in range(20):
@@ -483,50 +506,87 @@ class TestCoveringExponents:
             covering_exponent(ShiftClass(n=1.0), r_grid)
 
     def test_one_row_per_center(self):
-        # the traversal for the smallest radius serves every larger one
+        # the traversal for the smallest radius serves every larger one,
+        # with one ``lower`` call per center
         cls = CountingClass(ShiftClass(n=1.0))
         fit = covering_exponent(cls, np.geomspace(0.05, 0.3, 7))
-        assert cls.cloud.rows == int(fit.counts.max())
-        assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
-
-    def test_scale_rows_below_keep_the_counts(self):
-        # the covering asks the scale cloud for pruned rows; the reference
-        # loop asks for full ones
-        cls = CountingClass(ScaleClass())
-        fit = covering_exponent(cls, np.geomspace(0.3, 0.75, 4))
-        assert cls.cloud.rows == int(fit.counts.max())
+        assert cls.cloud.calls == int(fit.counts.max())
         assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
 
     def test_scale_row_matches_broadcast_formula(self):
         cls = ScaleClass()
         cloud = cls.sample(0.1)
-        # the sampler's parameter grid and slope table, built row-major
-        lip = max(1.2 * cls.n, 1.0 + cls.m)
-        delta = 0.1 / lip
-        q = np.arange(1.0 / cls.m, cls.m + delta / 2.0, delta)
-        b = np.arange(cls.b_lo, cls.n + delta / 2.0, delta)
-        Q, B = (a.ravel() for a in np.meshgrid(q, b, indexing="ij"))
-        u = np.geomspace(0.08, 8.0 * cls.m, cls.n_u)
-        u = np.concatenate([-u[::-1], u])
-        v = u[None, :] * Q[:, None]
-        table = np.concatenate([(B * Q)[:, None] * (v / np.sqrt(1.0 + v * v)), (B * Q)[:, None]], axis=1)
-        assert cloud.n_points == Q.size
-        for i in (0, 1, Q.size // 3, Q.size - 1):
-            ref = np.abs(B - B[i]) + np.max(np.abs(table - table[i]), axis=1)
-            assert np.array_equal(cloud.dist_row(i), ref)
+        scale_row = scale_reference(cls, 0.1)
+        for i in (0, 1, cloud.n_points // 3, cloud.n_points - 1):
+            assert np.array_equal(exact_row(cloud, i), scale_row(i))
 
-    def test_scale_row_below_is_exact_under_the_bound(self):
-        cloud = ScaleClass().sample(0.1)
-        rng = np.random.default_rng(16)
-        for i in (0, 5, cloud.n_points // 2, cloud.n_points - 1):
-            full = cloud.dist_row(i)
-            for below in (rng.uniform(0.0, 2.0, cloud.n_points), np.full(cloud.n_points, 0.3),
-                          0.7, np.inf):
-                row = cloud.dist_row(i, below=below)
-                under = full < below
-                assert np.array_equal(row[under], full[under])
-                assert np.all(row[~under] >= np.broadcast_to(below, full.shape)[~under])
-                assert 0 < under.sum() < cloud.n_points or np.all(below == np.inf)
+
+def scale_reference(cls, resolution):
+    """Exact scale-class rows: the sampler's parameter grid (row-major) and
+    the full slope table over +-u and the limit column, maxed per row."""
+    lip = max(1.2 * cls.n, 1.0 + cls.m)
+    delta = resolution / lip
+    q = np.arange(1.0 / cls.m, cls.m + delta / 2.0, delta)
+    b = np.arange(cls.b_lo, cls.n + delta / 2.0, delta)
+    Q, B = (a.ravel() for a in np.meshgrid(q, b, indexing="ij"))
+    u = np.geomspace(0.08, 8.0 * cls.m, cls.n_u)
+    u = np.concatenate([-u[::-1], u])
+    v = u[None, :] * Q[:, None]
+    table = np.concatenate([(B * Q)[:, None] * (v / np.sqrt(1.0 + v * v)), (B * Q)[:, None]], axis=1)
+    return lambda i: np.abs(B - B[i]) + np.max(np.abs(table - table[i]), axis=1)
+
+
+def box_reference(cls, resolution):
+    """Exact box-class rows: square roots of symmetric-difference volumes."""
+    delta = resolution**2 / (cls.d * max(cls.m, 1.0) ** (cls.d - 1))
+    axis = np.arange(0.0, cls.m + delta / 2.0, delta)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * cls.d), indexing="ij")], axis=1)
+    vol = np.prod(pts, axis=1)
+    return lambda i: np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(np.minimum(pts, pts[i]), axis=1), 0.0))
+
+
+def shift_reference(cls, resolution):
+    """Exact shift-class rows: |sin a - sin a_i| + 2 |sin((a - a_i)/2)|."""
+    delta = resolution / 4.0
+    a = np.arange(-cls.n, cls.n + delta / 2.0, delta)
+    return lambda i: np.abs(np.sin(a) - np.sin(a)[i]) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
+
+
+def lower_case(kind):
+    """(space, exact row of i) for a dense space and three sampled classes."""
+    if kind == "dense":
+        sp = tied_space(np.random.default_rng(23), 40)
+        return sp, lambda i: sp.dist[i]
+    cls, resolution, reference = {
+        "box": (BoxClass(m=1.0, d=2), 0.3, box_reference),
+        "shift": (ShiftClass(n=3.0), 0.1, shift_reference),
+        "scale": (ScaleClass(), 0.1, scale_reference),
+    }[kind]
+    return cls.sample(resolution), reference(cls, resolution)
+
+
+class TestLower:
+    @pytest.mark.parametrize("start", ["random", "inf", "ties"])
+    @pytest.mark.parametrize("kind", ["dense", "box", "shift", "scale"])
+    def test_lower_is_exact_minimum(self, kind, start):
+        # lower(i, running) leaves running == min(running0, exact row i),
+        # wherever a sampled class prunes and whatever running0 holds
+        space, row_of = lower_case(kind)
+        rng = np.random.default_rng(24)
+        n = space.n_points
+        for i in (0, 1, n // 3, n - 1):
+            exact = row_of(i)
+            assert exact.shape == (n,)
+            running0 = {
+                "random": lambda: rng.uniform(0.0, 2.0 * np.median(exact), n),
+                "inf": lambda: np.full(n, np.inf),
+                "ties": lambda: np.where(rng.random(n) < 0.5, exact, rng.uniform(0.0, 2.0, n)),
+            }[start]()
+            running = running0.copy()
+            space.lower(i, running)
+            assert np.array_equal(running, np.minimum(running0, exact))
+            if start == "random" and i:
+                assert 0 < np.sum(exact < running0) < n  # both sides of the minimum occur
 
 
 class TestEntropyCommandContract:

@@ -18,6 +18,8 @@ WHITE = CovarianceMeasure("dirac", 1, 1.0)
 class ZeroSigma:
     """sigma == 0, which SigmaFunction rejects: the field stays flat at 1."""
 
+    is_constant = False  # step_euler's general path, sigma(u) dW
+
     def __call__(self, u, out=None):
         out = np.empty(np.shape(u)) if out is None else out
         out.fill(0.0)

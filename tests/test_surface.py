@@ -31,6 +31,7 @@ TEST_ONLY = {
     "load_array": "reads back the binary dumps that the commands write",
     "marginal_variance_run": "drives acceptance criterion 3",
     "nondegeneracy_check": "the B_t positivity check, kept for ROADMAP item 1",
+    "packing_number_exact": "the exact packing count alone; sandwich_check takes P(r) from its own subset pass",
 }
 UNSET = {
     "estimate_Bt(G)": "the cross-covariance of two observables, for ROADMAP item 9",
