@@ -13,7 +13,12 @@ Cases, each at ``--workers 1`` and ``2``:
 
 * ``solve`` (fields dumped) with constant(1.3), linear(0.7), affine(1, 0.5),
   affine(0, 0.8) and affine(1.2, 0), white noise in d = 1 and Gaussian
-  noise in d = 2, plus ``solve_batch`` fields for those and a table;
+  noise in d = 2, plus ``solve_batch`` fields for those and a table, and
+  for Gaussian noise in d = 3 (the circulant filter with an odd number of
+  passes);
+* ``estimate_Bt`` (value, se, boundary_cov) with g = identity and sin on
+  120 affine(1, 0.5) replicas with Gaussian noise in d = 1, 2 and 3, in
+  2, 4 and 15 blocks of 256 KiB;
 * ``clt``, ``fdd``, ``tails`` and ``independence`` on the small
   configuration of ``tests/test_cli.py`` with constant, affine(1, 0.5) and
   tabulated sigma;
@@ -61,16 +66,25 @@ EXTRA["fdd-unsorted-r"] = ("fdd", {**EXPERIMENTS["fdd"], "r_grid": [1.0, 0.25, 0
 API_SOLVES = """
 import hashlib, sys
 from sheclt.noise import Grid
+from sheclt.occupation import LipFunction, estimate_Bt
 from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure
 sigmas = [SigmaFunction.constant(1.3), SigmaFunction.linear(0.7), SigmaFunction.affine(1.0, 0.5),
           SigmaFunction.affine(0.0, 0.8), SigmaFunction.affine(1.2, 0.0),
           SigmaFunction.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 0.2])]
-for d, f in ((1, CovarianceMeasure("dirac", 1, 1.0)), (2, CovarianceMeasure("gaussian", 2, 1.0, 1.0))):
+for d, f in ((1, CovarianceMeasure("dirac", 1, 1.0)), (2, CovarianceMeasure("gaussian", 2, 1.0, 1.0)),
+             (3, CovarianceMeasure("gaussian", 3, 1.0, 1.0))):
     grid = Grid.for_length(4.0, 0.25, d)
     for i, s in enumerate(sigmas):
         fields, _ = solve_batch(grid, s, f, 0.25, 7, range(8))
         print(f"d{d}-sigma{i}", hashlib.sha256(fields.tobytes()).hexdigest())
+for d, dx in ((1, 1 / 32), (2, 0.5), (3, 1.0)):
+    grid, f = Grid.for_length(16.0, dx, d), CovarianceMeasure("gaussian", d, 1.0, 1.0)
+    fields, _ = solve_batch(grid, sigmas[2], f, 0.5, 7, range(120))
+    for g in (LipFunction.identity(), LipFunction.sin()):
+        est = estimate_Bt(fields, grid, g, t=0.5, f=f)
+        result = repr((est.value, est.se, est.boundary_cov))
+        print(f"bt-d{d}-{g.label}", hashlib.sha256(result.encode()).hexdigest())
 """
 
 

@@ -47,9 +47,9 @@ _WEIGHT_CLIP_REPORT = 1e-8
 # the diffusive halo is HALO_FACTOR sqrt(t): past it the field's covariance is below e^-16
 HALO_FACTOR = 8.0
 # largest n at which the per-axis circulant products beat rfftn/irfftn, by d
-# (one BLAS thread, blocks of about 1 MiB): in d = 2 the two tie from about
-# n = 180 to 216 and the FFT leads from 240; in d = 3 the products still cost
-# 40 against 63 ns per cell at n = 256, the largest n measured
+# (measured on one BLAS thread with 1 MiB blocks): in d = 2 the two tie from
+# about n = 180 to 216 and the FFT leads from 240; in d = 3 the products still
+# cost 40 against 63 ns per cell at n = 256, the largest n measured
 _MATMUL_MAX_N = {2: 180, 3: 256}
 
 
@@ -307,7 +307,8 @@ class _KeyedPhilox:
     """One cached Philox generator rekeyed per call by direct state writes.
 
     Produces bit-identical output to constructing a fresh keyed generator,
-    at a fraction of the setup cost; one instance per thread of control.
+    at a fraction of the setup cost; the module draws through one instance
+    (``_KEYED``), so a process must not draw from two threads at once.
     """
 
     def __init__(self):
@@ -336,7 +337,7 @@ class _KeyedPhilox:
 
 def sample_noise_batch(
     grid: Grid, weights: SpectralWeights, dt: float, streams: list[RngStream], step: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise increments for several replicas at one step, shape (B, *grid).
 
@@ -346,7 +347,9 @@ def sample_noise_batch(
     product per replica slab; otherwise it is a real FFT per replica.  Every
     replica's slabs have one shape whatever the batch, so output bits do not
     depend on batching.  ``out``, a C-contiguous float64 array of that
-    shape, receives the result.
+    shape, receives the result; ``work``, another, is the scratch the
+    circulant passes alternate with (a new one by default; the other routes
+    leave it untouched).
     """
     xi = np.empty((len(streams),) + grid.shape) if out is None else out
     if not xi.flags.c_contiguous:
@@ -362,8 +365,12 @@ def sample_noise_batch(
         return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=xi)
     circ = weights.circ
     b, n = len(streams), grid.n
-    # d passes alternate between xi and a scratch array and end in xi
-    src, dst = (xi, np.empty_like(xi)) if grid.d % 2 == 0 else (np.empty_like(xi), xi)
+    if work is None:
+        work = np.empty_like(xi)
+    elif work.shape != xi.shape or not work.flags.c_contiguous:
+        raise ValueError("sample_noise_batch: work must be C-contiguous and shaped like out")
+    # d passes alternate between xi and the scratch and end in xi
+    src, dst = (xi, work) if grid.d % 2 == 0 else (work, xi)
     _draw(streams, step, src)
     # reshapes of C-contiguous arrays are views, so every product writes in place
     np.matmul(src.reshape(b, -1, n), math.sqrt(dt * weights.mass) * circ,
@@ -375,8 +382,11 @@ def sample_noise_batch(
     return xi
 
 
+# one per process: rekey rewrites the whole state, so no draw depends on the last
+_KEYED = _KeyedPhilox()
+
+
 def _draw(streams: list[RngStream], step: int, out: np.ndarray) -> None:
     """Standard normals from each stream's (replica, step) key into out[i]."""
-    keyed = _KeyedPhilox()
     for i, stream in enumerate(streams):
-        keyed.rekey(stream.philox_key(step)).standard_normal(out=out[i])
+        _KEYED.rekey(stream.philox_key(step)).standard_normal(out=out[i])

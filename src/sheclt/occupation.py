@@ -31,6 +31,7 @@ from .errors import (
     SupportOverflow,
 )
 from .noise import HALO_FACTOR, Grid  # noqa: F401  (HALO_FACTOR is re-exported)
+from . import solver
 from .solver import PiecewiseLinear, SigmaFunction
 from .spectral import CovarianceMeasure
 
@@ -332,6 +333,13 @@ def estimate_Bt(
     within a physical cutoff along every axis; the absolute covariance at the
     cutoff lag is kept as a truncation diagnostic.  G defaults to g, which
     takes one transform instead of two.
+
+    The batch is streamed in contiguous replica blocks of ``_BLOCK_BYTES``
+    per array (:mod:`sheclt.solver`), so the temporaries stay a few blocks
+    whatever the batch.  Every transform acts replica by replica and the
+    replica sum of the cross-correlations adds one row at a time in replica
+    order, as a sum over the batch axis does, so the result is bit-identical
+    whatever the block.
     """
     n = fields.shape[0]
     if n < MIN_BT_REPLICAS:
@@ -349,16 +357,28 @@ def estimate_Bt(
     window = ax_sel
     for _ in range(grid.d - 1):
         window = np.multiply.outer(window, ax_sel)
-    gu = np.asarray(g(fields))
-    GU = gu if G is None or G is g else np.asarray(G(fields))
-    axes = tuple(range(1, gu.ndim))
-    spec = np.fft.rfftn(gu, axes=axes)
-    spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
-    cross = np.fft.irfftn(spec, s=gu.shape[1:], axes=axes) / gu[0].size
-    mean_g, mean_G = gu.mean(axis=axes), GU.mean(axis=axes)
+    axes = tuple(range(1, fields.ndim))
+    cells = math.prod(fields.shape[1:])
+    block = max(1, min(n, solver._BLOCK_BYTES // (8 * cells)))
+    mean_g, mean_G, window_sum = np.empty((3, n))
+    total = np.zeros(fields.shape[1:])  # from 0, as a sum over the batch axis starts
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        gu = np.asarray(g(fields[s:e]))
+        GU = gu if G is None or G is g else np.asarray(G(fields[s:e]))
+        spec = np.fft.rfftn(gu, axes=axes)
+        spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
+        cross = np.fft.irfftn(spec, s=fields.shape[1:], axes=axes)
+        cross /= cells
+        mean_g[s:e], mean_G[s:e] = gu.mean(axis=axes), GU.mean(axis=axes)
+        # lag after lag in mask order: numpy lays a masked batch out lag-major and
+        # sums its rows so, but would sum a one-replica block pairwise
+        window_sum[s:e] = np.cumsum(cross[:, window], axis=1)[:, -1]
+        for row in cross:
+            total += row
     window_cells = int(np.sum(window))
-    per_rep = (cross[:, window].sum(axis=1) - window_cells * mean_g * mean_G) * grid.cell_volume
-    cov = cross.sum(axis=0) / n - (float(mean_g.sum()) / n) * (float(mean_G.sum()) / n)
+    per_rep = (window_sum - window_cells * mean_g * mean_G) * grid.cell_volume
+    cov = total / n - (float(mean_g.sum()) / n) * (float(mean_G.sum()) / n)
     value = float(np.sum(cov[window])) * grid.cell_volume
     se = float(np.std(per_rep)) / math.sqrt(n)
     boundary = 0.0

@@ -22,9 +22,11 @@ from .noise import Grid, RngStream, sample_noise_batch, spectral_weights
 from .spectral import CovarianceMeasure
 
 BLOWUP_GUARD = 1e12
-# bytes per (block, *grid) array in solve_batch: a block's noise, filter
-# scratch, Laplacian and fields then stay within a core's L2 cache
-_BLOCK_BYTES = 1 << 20
+# bytes per (block, *grid) float64 array in the replica blocks of solve_batch
+# (noise, Laplacian-and-filter scratch, field in, field out) and of
+# occupation.estimate_Bt (g(u), G(u), half spectra, cross-correlations); read
+# at call time.  A block's arrays then fit a core's 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 18
 
 
 class PiecewiseLinear:
@@ -242,7 +244,8 @@ def solve_batch(
     Returns (final_fields, snapshots) where snapshots maps each requested
     time to the batch of fields there.  Each step draws, filters and
     advances the replicas in contiguous cache-sized blocks (``_BLOCK_BYTES``
-    per array); every stage acts replica by replica, so blocks never change
+    per array); the Laplacian's scratch is the filter's while the noise is
+    drawn.  Every stage acts replica by replica, so blocks never change
     output bits, which depend only on (seed, domain, replica, step).
     """
     replicas = list(replicas)
@@ -269,7 +272,8 @@ def solve_batch(
             for s in range(0, n_rep, block):
                 e = min(s + block, n_rep)
                 k = e - s
-                sample_noise_batch(grid, weights, grid.dt, streams[s:e], step, out=dW[:k])
+                sample_noise_batch(grid, weights, grid.dt, streams[s:e], step, out=dW[:k],
+                                   work=lap[:k])
                 step_euler(u[s:e], grid, sigma, dW[:k], out=nxt[s:e], lap=lap[:k])
         except SolverBlowup as exc:
             raise SolverBlowup(

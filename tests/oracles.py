@@ -4,7 +4,8 @@ None of these runs in a command: each is an independent route to a quantity
 the program computes another way (a freshly keyed Philox generator against
 the noise layer's rekeyed one, the Picard scheme against the Euler path,
 quadratures of the heat-smoothed covariance against its closed forms, the
-spectral density against the physical-space weights).
+spectral density against the physical-space weights, the one-batch B_t
+estimator against the streamed one).
 """
 
 from __future__ import annotations
@@ -32,6 +33,35 @@ def keyed_generator(stream: RngStream, step: int) -> np.random.Generator:
     # uint64 explicitly: a list of Python ints above 2**63 becomes float64
     key = np.asarray(stream.philox_key(step), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def one_batch_Bt(fields, grid, g, G, cutoff: float) -> tuple[float, float, float]:
+    """(value, se, boundary_cov) of ``estimate_Bt`` with the whole batch
+    transformed at once, which the streamed estimator must match bit for bit."""
+    n = fields.shape[0]
+    c = max(int(round(cutoff / grid.dx)), 1)
+    ax_sel = np.zeros(grid.n, dtype=bool)
+    ax_sel[: c + 1] = True
+    ax_sel[grid.n - c :] = True
+    window = ax_sel
+    for _ in range(grid.d - 1):
+        window = np.multiply.outer(window, ax_sel)
+    gu = np.asarray(g(fields))
+    GU = gu if G is None or G is g else np.asarray(G(fields))
+    axes = tuple(range(1, gu.ndim))
+    spec = np.fft.rfftn(gu, axes=axes)
+    spec *= np.conj(spec if GU is gu else np.fft.rfftn(GU, axes=axes))
+    cross = np.fft.irfftn(spec, s=gu.shape[1:], axes=axes) / gu[0].size
+    mean_g, mean_G = gu.mean(axis=axes), GU.mean(axis=axes)
+    window_cells = int(np.sum(window))
+    per_rep = (cross[:, window].sum(axis=1) - window_cells * mean_g * mean_G) * grid.cell_volume
+    cov = cross.sum(axis=0) / n - (float(mean_g.sum()) / n) * (float(mean_G.sum()) / n)
+    value = float(np.sum(cov[window])) * grid.cell_volume
+    se = float(np.std(per_rep)) / math.sqrt(n)
+    boundary = 0.0
+    for lag in (c, grid.n - c):
+        boundary += abs(float(cov[(lag,) + (0,) * (grid.d - 1)]))
+    return value, se, boundary * grid.cell_volume
 
 
 def _triangle_smoothed_density(b, h, v):

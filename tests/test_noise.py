@@ -173,6 +173,24 @@ class TestSampling:
         with pytest.raises(ValueError, match="C-contiguous"):
             sample_noise_batch(g, w, g.dt, [RngStream(seed=1)], 0, out=out)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_work_scratch_keeps_bits(self, d):
+        # an odd d starts the circulant passes in the scratch, an even d ends there
+        g = small_grid(n=16, L=4.0, d=d)
+        w = spectral_weights(g, CovarianceMeasure("gaussian", d, 1.0, 0.8))
+        streams = [RngStream(seed=2, replica=r) for r in range(3)]
+        fresh = sample_noise_batch(g, w, g.dt, streams, 1)
+        out, work = np.empty((2, 3) + g.shape)
+        batch = sample_noise_batch(g, w, g.dt, streams, 1, out=out, work=work)
+        assert batch is out and np.array_equal(batch, fresh)
+
+    def test_work_must_match_out(self):
+        g = small_grid(n=16, L=4.0, d=2)
+        w = spectral_weights(g, CovarianceMeasure("gaussian", 2, 1.0, 0.8))
+        for work in (np.empty((2, 16, 16)), np.empty((1, 16, 32))[..., ::2]):
+            with pytest.raises(ValueError, match="work"):
+                sample_noise_batch(g, w, g.dt, [RngStream(seed=1)], 0, work=work)
+
     def test_distinct_keys_differ(self):
         g = small_grid()
         f = CovarianceMeasure("dirac", 1, 1.0)

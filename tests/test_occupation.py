@@ -1,6 +1,7 @@
 """Occupation-field machinery: box algebra, exact bilinearity, covariance form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from sheclt.occupation import (
     occupation_values,
 )
 from sheclt import montecarlo
+from sheclt import solver as solver_module
 from sheclt.montecarlo import ExperimentConfig, estimate_baseline, run_experiment
 from sheclt.solver import SigmaFunction, solve_batch
 from sheclt.spectral import CovarianceMeasure
+
+from oracles import one_batch_Bt
 
 WHITE = CovarianceMeasure("dirac", 1, 1.0)
 
@@ -387,6 +391,36 @@ class TestBtEstimate:
         auto = estimate_Bt(fields, grid, g, cutoff=cutoff)
         twice = estimate_Bt(fields, grid, g, LipFunction.sin(), cutoff=cutoff)
         assert (auto.value, auto.se) == (twice.value, twice.se)
+
+
+class TestStreamedBt:
+    """estimate_Bt in forced replica blocks against the one-batch reference."""
+
+    @pytest.mark.parametrize("d, n", [(1, 40), (2, 12), (3, 8)])
+    @pytest.mark.parametrize("G", [None, LipFunction.identity()], ids=["auto", "cross"])
+    def test_blocks_match_one_batch_reference(self, monkeypatch, d, n, G):
+        grid = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2.0 * d))
+        rng = np.random.default_rng(10 + d)
+        g, cutoff = LipFunction.sin(), 1.0
+        for count in (100, 101):  # neither divides a block of 3
+            fields = 1.0 + 0.5 * rng.normal(size=(count,) + grid.shape)
+            ref = one_batch_Bt(fields, grid, g, G, cutoff)
+            for block in (1, 3, count + 5):
+                monkeypatch.setattr(solver_module, "_BLOCK_BYTES", 8 * grid.n**d * block)
+                est = estimate_Bt(fields, grid, g, G, cutoff=cutoff)
+                assert (est.value, est.se, est.boundary_cov) == ref, (count, block)
+
+    def test_temporaries_stay_below_a_quarter_of_the_batch(self):
+        grid = Grid(d=2, length=16.0, n=64, dt=0.25 * 0.25 / 4.0)
+        fields = 1.0 + np.random.default_rng(5).normal(size=(400,) + grid.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_Bt(fields, grid, LipFunction.sin(), LipFunction.identity(), cutoff=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < fields.nbytes / 4, (peak, fields.nbytes)
 
 
 class TestNondegeneracy:
