@@ -401,7 +401,8 @@ class TestStreamedBt:
     def test_blocks_match_one_batch_reference(self, monkeypatch, d, n, G):
         grid = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2.0 * d))
         rng = np.random.default_rng(10 + d)
-        g, cutoff = LipFunction.sin(), 1.0
+        # the widest window (21, 49 and 125 lags): a pairwise row sum would show
+        g, cutoff = LipFunction.sin(), grid.length / 4.0
         for count in (100, 101):  # neither divides a block of 3
             fields = 1.0 + 0.5 * rng.normal(size=(count,) + grid.shape)
             ref = one_batch_Bt(fields, grid, g, G, cutoff)
