@@ -23,10 +23,10 @@ Cases, each at ``--workers 1`` and ``2``:
   configuration of ``tests/test_cli.py`` with constant, affine(1, 0.5) and
   tabulated sigma;
 * ``independence``, ``fdd`` and ``tails`` with affine(1, 0.5) sigma and
-  g = [identity, sin], and ``fdd`` with an unsorted ``r_grid`` that repeats
-  a radius;
-* ``bounds`` for two kinds, and ``entropy --check`` sandwich, chain, bound
-  and exponent.
+  g = [identity, sin], ``fdd`` with an unsorted ``r_grid`` that repeats a
+  radius, and ``independence`` on three boxes (the joint m = 3 ECF report);
+* ``bounds`` for two kinds, ``entropy --check`` sandwich, chain, bound and
+  exponent, and the scale class's exponent on the finer radii 0.1, ..., 0.5.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ SIGMA_RECORDS = {
 }
 TWO_BOXES = [{"label": "a", "boxes": [{"amp": 1.0, "lo": [0.0], "hi": [1.0]}]},
              {"label": "b", "boxes": [{"amp": 1.0, "lo": [2.0], "hi": [3.0]}]}]
+THREE_BOXES = TWO_BOXES + [{"label": "c", "boxes": [{"amp": 1.0, "lo": [4.0], "hi": [5.0]}]}]
 EXPERIMENTS = {
     "clt": {},
     "independence": {"psi": TWO_BOXES, "n_ladder": [4, 8], "n_perm": 40},
@@ -62,6 +63,9 @@ EXTRA = {
     for command in ("independence", "fdd", "tails")
 }
 EXTRA["fdd-unsorted-r"] = ("fdd", {**EXPERIMENTS["fdd"], "r_grid": [1.0, 0.25, 0.5, 0.5]})
+# three boxes: the joint m = 3 ECF report next to the three pairwise ones
+EXTRA["independence-three-boxes"] = ("independence", {**EXPERIMENTS["independence"],
+                                                      "psi": THREE_BOXES})
 # solve_batch on the same small grids, for every sigma including the table
 API_SOLVES = """
 import hashlib, sys
@@ -114,6 +118,8 @@ def cases():
                                   "--a", "0.3", "--ell", "1.0"], None)
     for check in ("sandwich", "chain", "bound", "exponent"):
         yield f"entropy-{check}", ["entropy", "--check", check], None
+    yield ("entropy-exponent-scale-fine", ["entropy", "--check", "exponent", "--class", "scale",
+                                           "--r-grid", "0.1,0.2,0.3,0.4,0.5"], None)
 
 
 def file_hash(path: Path) -> str:

@@ -19,7 +19,11 @@ Every space, dense or sampled, gives its rows through one exact in-place
 method, ``lower(i, running)``: it sets ``running[j] = min(running[j],
 d(i, j))`` for every point j.  The covering and packing scans keep their
 running distances that way, and a sampled class may skip the points whose
-cheap lower bound on d(i, j) already reaches ``running[j]``.
+cheap lower bound on d(i, j) already reaches ``running[j]``.  The scale
+class goes further: a point can only be lowered if that bound is below
+max(running), the reach, so its ``lower`` sweeps just the grid window within
+reach of point i, in blocks through fixed buffers, and makes no cloud-sized
+temporary.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
@@ -47,6 +51,8 @@ from .errors import ConfigError, CovarianceNotPSD
 EXACT_LIMIT = 12
 # elements of the (n, k, n) triangle-inequality temporary per block of middle points
 _TRIANGLE_BLOCK = 1 << 20
+# points of the scale class's reach window swept per block in ``lower``
+_SCALE_BLOCK = 8192
 
 
 @dataclass
@@ -451,9 +457,19 @@ class ScaleClass:
     contaminates finite-radius counts.
 
     The limit column plus the b term, |bq - BQ| + |b - B| with q = 1/a, is
-    an exact lower bound on every distance.  ``lower`` builds that bound
-    over the whole cloud and takes the full sup only where it is below the
-    running distance: elsewhere the true distance cannot lower it.
+    an exact lower bound on every distance.  ``lower`` takes the full sup
+    only where that bound is below the running distance: elsewhere the true
+    distance cannot lower it.  Such a point is within reach = max(running)
+    of the center in both terms, so ``lower`` looks only at the
+    window of the q-major (q, b) grid spanning the b-columns within reach
+    of B and, over those columns, the q-rows with |bq - BQ| < reach.  The
+    window is padded by 2 cells against rounding and clipped at the grid's
+    edges (an infinite reach gives the whole cloud); it is swept in blocks
+    of at most ``_SCALE_BLOCK`` points through buffers allocated once per
+    sample.  The only cloud-sized arrays are the slope table (each u-row is
+    b q times a factor of q alone, written straight into it; a last row
+    holds b) and the grid of flat point indices: sampling and ``lower``
+    make no cloud-sized temporary.
     """
 
     expected_exponent = -2.0
@@ -465,31 +481,59 @@ class ScaleClass:
         delta = metric_resolution / lip
         q = np.arange(1.0 / self.m, self.m + delta / 2.0, delta)
         b = np.arange(self.b_lo, self.n + delta / 2.0, delta)
-        Q, B = np.meshgrid(q, b, indexing="ij")
-        Q, B = Q.ravel(), B.ravel()
-        BQ = B * Q  # the u -> infinity limit of the slope
+        nq, nb = q.size, b.size
         u = np.geomspace(0.08, 8.0 * self.m, self.n_u)
-        # row 0 the limit column, then one contiguous row per u-column; v is
-        # built in those rows, so sampling holds one table-sized temporary
-        slopes = np.empty((self.n_u + 1, Q.size))
-        slopes[0] = BQ
-        v = np.multiply(u[:, None], Q, out=slopes[1:])
-        np.multiply(BQ, v / np.sqrt(1.0 + v * v), out=v)
-        bound = np.empty(Q.size)
-        bound_qb = bound.reshape(q.size, b.size)  # the cloud is q-major
+        # rows over the q-major (q, b) grid: the limit column b q (the
+        # u -> infinity slope), one row per u-column, then b for the b term
+        slopes = np.empty((self.n_u + 2, nq, nb))
+        bq = np.multiply(q[:, None], b, out=slopes[0])
+        v = u[:, None] * q
+        np.multiply(bq, (v / np.sqrt(1.0 + v * v))[:, :, None], out=slopes[1:-1])
+        slopes[-1] = b
+        slopes = slopes.reshape(self.n_u + 2, nq * nb)
+        index = np.arange(nq * nb).reshape(nq, nb)
+        block = max(_SCALE_BLOCK, nb)  # at least one q-row per block
+        bound, below = np.empty(block), np.empty(block, dtype=bool)
+        table = np.empty((self.n_u + 2) * block)
+        q0, b0 = float(q[0]), float(b[0])
+
+        def cell(x, origin, size):
+            """Grid cell holding x, clipped to [-1, size] (x may be infinite)."""
+            return math.floor(min(max((x - origin) / delta, -1.0), size))
 
         def lower(i, running):
-            np.subtract(BQ, BQ[i], out=bound)
-            np.abs(bound, out=bound)
-            np.add(bound_qb, np.abs(b - B[i]), out=bound_qb)  # the b term along the b axis
-            near = np.flatnonzero(bound < running)
-            diff = np.take(slopes, near, axis=1)
-            diff -= slopes[:, i, None]
-            np.abs(diff, out=diff)
-            # the max over the columns is exact in any order
-            running[near] = np.minimum(running[near], diff.max(axis=0) + np.abs(B[near] - B[i]))
+            iq, ib = divmod(i, nb)
+            reach = float(running.max())
+            bi, bqi = float(b[ib]), float(bq[iq, ib])
+            c0 = max(cell(bi - reach, b0, nb) - 2, 0)
+            c1 = min(cell(bi + reach, b0, nb) + 3, nb)
+            r0 = max(cell((bqi - reach) / b[c1 - 1], q0, nq) - 2, 0)
+            r1 = min(cell((bqi + reach) / b[c0], q0, nq) + 3, nq)
+            width = c1 - c0
+            db = np.abs(b[c0:c1] - bi)  # the b term along the window's columns
+            running_qb = running.reshape(nq, nb)
+            step = block // width
+            for s in range(r0, r1, step):
+                e = min(s + step, r1)
+                size = (e - s) * width
+                bnd = bound[:size].reshape(e - s, width)
+                np.subtract(bq[s:e, c0:c1], bqi, out=bnd)
+                np.abs(bnd, out=bnd)
+                bnd += db
+                mask = below[:size].reshape(e - s, width)
+                np.less(bnd, running_qb[s:e, c0:c1], out=mask)
+                near = index[s:e, c0:c1][mask]
+                diff = table[:(self.n_u + 2) * near.size].reshape(self.n_u + 2, near.size)
+                # mode="clip" writes straight into out; every index is in range
+                np.take(slopes, near, axis=1, out=diff, mode="clip")
+                diff -= slopes[:, i, None]
+                np.abs(diff, out=diff)
+                # the max over the slope rows is exact in any order; the last row is the b term
+                d = diff[:-1].max(axis=0)
+                d += diff[-1]
+                running[near] = np.minimum(running[near], d, out=d)
 
-        return PointCloud(lower, Q.size)
+        return PointCloud(lower, nq * nb)
 
 
 @dataclass

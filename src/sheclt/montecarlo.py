@@ -26,7 +26,8 @@ The ECF gaps of all z vectors come from one kernel: each column gets a
 table exp(i v x_j) over the distinct values v its z entries take, the joint
 term of every z is a row mean of a product of table rows, and the product
 of the marginal ECFs, which shuffling a column leaves unchanged, is
-computed once rather than once per permutation.
+computed once rather than once per permutation.  Since gap(-z) is gap(z)
+bit for bit, each pair z, -z is computed once.
 """
 
 from __future__ import annotations
@@ -339,6 +340,11 @@ class _EcfKernel:
     z_j, and the joint ECF of every z is a row mean of a product of table
     rows.  A shuffled column keeps its marginal ECF, so the product of the
     marginals is computed once here and reused for every permutation.
+
+    Every operation maps -z to the complex conjugate of its value at z, so
+    gap(-z) equals gap(z) bit for bit.  The kernel therefore computes each
+    pair z, -z (and each repeated z) once, on the representative whose first
+    nonzero entry is positive, and maps the gaps back to every input z.
     """
 
     def __init__(self, columns, z_list):
@@ -349,10 +355,14 @@ class _EcfKernel:
             raise ConfigError("ecf: need paired columns matching z, at least 2")
         if not zs:
             raise ConfigError("ecf: z_list must be nonempty")
-        Z = np.stack(zs)
+        # each z as its representative: z or -z, whichever leads with a positive entry
+        keys = [tuple(-z if z[z != 0.0][:1].sum() < 0.0 else z) for z in zs]
+        rows = {}  # representative -> its row; as tuple keys, -0.0 == 0.0
+        self.fold = np.array([rows.setdefault(key, len(rows)) for key in keys])
+        Z = np.array(list(rows))
         self.n, self.m = columns.shape
         self.tables, self.index = [], []
-        self.marginal = np.ones(len(zs), dtype=complex)
+        self.marginal = np.ones(len(Z), dtype=complex)
         for j in range(m):
             vals, idx = np.unique(Z[:, j], return_inverse=True)
             table = np.exp(1j * vals[:, None] * columns[:, j])  # (values, n)
@@ -374,7 +384,7 @@ class _EcfKernel:
             # mode="clip" writes straight into out; np.unique's indices are in range
             np.take(table, self.index[j], axis=0, out=row, mode="clip")
             np.multiply(self.lead if j == 1 else joint, row, out=joint)
-        return np.abs(joint.mean(axis=1) - self.marginal)
+        return np.abs(joint.mean(axis=1) - self.marginal)[self.fold]
 
 
 def ecf_gap(columns: np.ndarray, z) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from sheclt import entropy
 from sheclt.cli import dispatch
 from sheclt.entropy import (
     EXACT_LIMIT,
@@ -566,27 +567,54 @@ def lower_case(kind):
 
 
 class TestLower:
-    @pytest.mark.parametrize("start", ["random", "inf", "ties"])
+    @pytest.mark.parametrize("start", ["random", "inf", "ties", "tight", "flat"])
     @pytest.mark.parametrize("kind", ["dense", "box", "shift", "scale"])
     def test_lower_is_exact_minimum(self, kind, start):
         # lower(i, running) leaves running == min(running0, exact row i),
-        # wherever a sampled class prunes and whatever running0 holds
+        # wherever a sampled class prunes and whatever running0 holds; a
+        # "tight" start keeps max(running0), the scale class's reach, within
+        # a few steps of the cloud, so its window is narrow and clipped at the
+        # grid's edges for the corner points 0, 1 and n - 1; a "flat" start
+        # puts every point at the reach, so points at the window's rim drop
         space, row_of = lower_case(kind)
         rng = np.random.default_rng(24)
         n = space.n_points
         for i in (0, 1, n // 3, n - 1):
             exact = row_of(i)
             assert exact.shape == (n,)
+            step = np.min(exact[exact > 0.0])
             running0 = {
                 "random": lambda: rng.uniform(0.0, 2.0 * np.median(exact), n),
                 "inf": lambda: np.full(n, np.inf),
                 "ties": lambda: np.where(rng.random(n) < 0.5, exact, rng.uniform(0.0, 2.0, n)),
+                "tight": lambda: rng.uniform(0.0, 3.0 * step, n),
+                "flat": lambda: np.full(n, 1.5 * step),
             }[start]()
             running = running0.copy()
             space.lower(i, running)
             assert np.array_equal(running, np.minimum(running0, exact))
             if start == "random" and i:
                 assert 0 < np.sum(exact < running0) < n  # both sides of the minimum occur
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_scale_traversal_matches_reference_rows(self, block, monkeypatch):
+        # a farthest-first traversal narrows the reach window center by
+        # center; after every center its running distances equal the same
+        # traversal over exact rows, bit for bit, also when every block of
+        # the sweep is a single q-row
+        if block is not None:
+            monkeypatch.setattr(entropy, "_SCALE_BLOCK", block)
+        cls = ScaleClass()
+        cloud, row_of = cls.sample(0.1), scale_reference(cls, 0.1)
+        running, expected = np.full(cloud.n_points, np.inf), np.full(cloud.n_points, np.inf)
+        center = 0
+        for _ in range(250):
+            cloud.lower(center, running)
+            np.minimum(expected, row_of(center), out=expected)
+            assert np.array_equal(running, expected)
+            center = int(np.argmax(running))
+        # the last windows hold about a quarter of the b-columns (b spans [1, 3])
+        assert 0.0 < running.max() < 0.25
 
 
 class TestEntropyCommandContract:

@@ -592,6 +592,53 @@ class TestEcf:
         flat = {tuple(z) for z in zs}
         assert (1.0, -1.0) in flat and (-2.0, 2.0) in flat
 
+    @staticmethod
+    def unfolded_gaps(columns, z_list, perms=None):
+        # the kernel's arithmetic with no +-z fold: every z gets its own row;
+        # the joint product is taken in place, as the kernel takes it (numpy's
+        # in-place complex multiply can round differently in the last bit)
+        Z = np.stack(z_list)
+        marginal = np.ones(len(z_list), dtype=complex)
+        for j in range(columns.shape[1]):
+            vals, idx = np.unique(Z[:, j], return_inverse=True)
+            table = np.exp(1j * vals[:, None] * columns[:, j])
+            marginal *= table.mean(axis=1)[idx]
+            if j == 0:
+                joint = table[idx]
+                continue
+            if perms is not None:
+                table = table[:, perms[j - 1]]
+            np.multiply(joint, table[idx], out=joint)
+        return np.abs(joint.mean(axis=1) - marginal)
+
+    FOLD_CASES = [
+        default_z_tuples(2), default_z_tuples(3),
+        [np.array(z) for z in ([0.5, -1.25, 0.0], [-0.5, 1.25, 0.0], [0.0, 0.0, 0.0],
+                               [0.0, -1.0, 2.0], [0.0, 1.0, -2.0], [3.0, 0.5, -0.75],
+                               [-0.1, 0.5, 3.0], [0.5, -1.25, 0.0], [-0.0, -0.0, 1.5])],
+    ]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_pm_z_fold_keeps_every_bit(self, case):
+        # gap(-z) == gap(z) bit for bit, so the kernel computes each pair once;
+        # its gaps and null equal the unfolded arithmetic's, bit for bit
+        z_list = self.FOLD_CASES[case]
+        cols = self.coupled_columns(300, z_list[0].size, seed=60 + case)
+        unfolded = self.unfolded_gaps(cols, z_list)
+        negated = self.unfolded_gaps(cols, [-z for z in z_list])
+        assert np.array_equal(unfolded, negated)
+        kernel = montecarlo._EcfKernel(cols, z_list)
+        assert kernel.marginal.size < len(z_list)
+        assert np.array_equal(kernel.gaps(), unfolded)
+        rng = np.random.default_rng(7)
+        ref = np.empty(20)
+        for p in range(ref.size):
+            perms = [rng.permutation(cols.shape[0]) for _ in range(1, cols.shape[1])]
+            ref[p] = self.unfolded_gaps(cols, z_list, perms).max()
+        assert np.array_equal(ecf_permutation_null(cols, z_list, n_perm=20, seed=7), ref)
+        rep = independence_report(cols, z_list, n_perm=1, seed=0)
+        assert all(rep.gaps[tuple(z)] == g for z, g in zip(z_list, unfolded))
+
 
 def independence_rhs_nested(f, t, psi, phi, N):
     """The nested-quadrature route to independence_rhs: adaptive quadrature
