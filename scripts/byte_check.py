@@ -26,7 +26,9 @@ Cases, each at ``--workers 1`` and ``2``:
   g = [identity, sin], ``fdd`` with an unsorted ``r_grid`` that repeats a
   radius, and ``independence`` on three boxes (the joint m = 3 ECF report);
 * ``bounds`` for two kinds, ``entropy --check`` sandwich, chain, bound and
-  exponent, and the scale class's exponent on the finer radii 0.1, ..., 0.5.
+  exponent, the scale class's exponent on the finer radii 0.1, ..., 0.5,
+  the box class's on 0.05, ..., 0.2 and the shift class's on 0.01, ..., 0.1,
+  and sandwich checks on spaces of up to 12 points.
 """
 
 from __future__ import annotations
@@ -120,6 +122,13 @@ def cases():
         yield f"entropy-{check}", ["entropy", "--check", check], None
     yield ("entropy-exponent-scale-fine", ["entropy", "--check", "exponent", "--class", "scale",
                                            "--r-grid", "0.1,0.2,0.3,0.4,0.5"], None)
+    # narrow reach windows of the box (d = 1) and shift classes
+    yield ("entropy-exponent-box-fine", ["entropy", "--check", "exponent", "--class", "box",
+                                         "--r-grid", "0.05,0.08,0.12,0.2"], None)
+    yield ("entropy-exponent-shift-fine", ["entropy", "--check", "exponent", "--class", "shift",
+                                           "--r-grid", "0.01,0.02,0.05,0.1"], None)
+    # spaces of up to EXACT_LIMIT = 12 points, the largest the subset pass takes
+    yield "entropy-sandwich-12", ["entropy", "--check", "sandwich", "--points", "12"], None
 
 
 def file_hash(path: Path) -> str:

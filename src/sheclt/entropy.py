@@ -16,14 +16,16 @@ radius either, so one traversal gives the greedy covering count at every
 radius.
 
 Every space, dense or sampled, gives its rows through one exact in-place
-method, ``lower(i, running)``: it sets ``running[j] = min(running[j],
-d(i, j))`` for every point j.  The covering and packing scans keep their
-running distances that way, and a sampled class may skip the points whose
-cheap lower bound on d(i, j) already reaches ``running[j]``.  The scale
-class goes further: a point can only be lowered if that bound is below
-max(running), the reach, so its ``lower`` sweeps just the grid window within
-reach of point i, in blocks through fixed buffers, and makes no cloud-sized
-temporary.
+method, ``lower(i, running, reach=None)``: it sets ``running[j] =
+min(running[j], d(i, j))`` for every point j.  The covering and packing
+scans keep their running distances that way, and a sampled class may skip
+the points whose cheap lower bound on d(i, j) already reaches
+``running[j]``.  ``reach``, when given, is at least max(running): no point
+at distance ``reach`` or more from i can be lowered, so the sampled classes
+sweep only the window of their parameter grid within reach of point i (the
+scale class always, the box class in d = 1, the shift class for n <= pi/2).
+The farthest-point covering passes its covering radius, which is exactly
+max(running); with ``None`` the space finds max(running) itself.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
@@ -38,6 +40,7 @@ identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +60,11 @@ _SCALE_BLOCK = 8192
 
 @dataclass
 class FiniteMetricSpace:
-    """A validated distance matrix; points are its row indices."""
+    """A validated distance matrix; points are its row indices.
+
+    ``symmetric`` records whether the matrix equals its transpose exactly;
+    validation accepts one symmetric only to rounding.
+    """
 
     dist: np.ndarray
 
@@ -66,14 +73,17 @@ class FiniteMetricSpace:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("metric space: distance matrix must be square")
         mt = m.T
-        with np.errstate(invalid="ignore"):  # inf - inf; equal infinities pass by ==
-            # np.allclose(m, m.T, rtol=1e-5, atol=1e-12) elementwise; NaN fails
-            close = (np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)) & np.isfinite(mt) | (m == mt)
-        if not close.all():
-            raise ConfigError("metric space: distance matrix must be symmetric")
-        if np.any(np.diag(m) != 0.0):
+        # m == m.T entry for entry, not only to rounding; the test below ORs in m == mt
+        self.symmetric = bool(np.array_equal(m, mt))
+        if not self.symmetric:
+            with np.errstate(invalid="ignore"):  # inf - inf; equal infinities pass by ==
+                # np.allclose(m, m.T, rtol=1e-5, atol=1e-12) elementwise; NaN fails
+                close = (np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)) & np.isfinite(mt) | (m == mt)
+            if not close.all():
+                raise ConfigError("metric space: distance matrix must be symmetric")
+        if (np.diag(m) != 0.0).any():
             raise ConfigError("metric space: diagonal must vanish")
-        if np.any(m < 0.0):
+        if (m < 0.0).any():
             raise ConfigError("metric space: distances must be nonnegative")
         n = m.shape[0]
         # triangle inequality m[i, j] <= m[i, k] + m[k, j] + 1e-9 (1 + m[i, j]),
@@ -82,7 +92,7 @@ class FiniteMetricSpace:
         step = max(1, _TRIANGLE_BLOCK // max(1, n * n))
         for k in range(0, n, step):
             via = m[:, k:k + step, None] + m[None, k:k + step, :]
-            if np.any(m[:, None, :] > via + bound):
+            if (m[:, None, :] > via + bound).any():
                 raise ConfigError("metric space: triangle inequality violated")
         self.dist = m
 
@@ -90,11 +100,11 @@ class FiniteMetricSpace:
     def n_points(self) -> int:
         return self.dist.shape[0]
 
-    def lower(self, i: int, running: np.ndarray) -> None:
+    def lower(self, i: int, running: np.ndarray, reach=None) -> None:
         np.minimum(running, self.dist[i], out=running)
 
     def diameter(self) -> float:
-        return float(np.max(self.dist))
+        return float(self.dist.max())
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "FiniteMetricSpace":
@@ -130,16 +140,16 @@ def covering_number(space, r):
     depend on r and N(r) is the first k whose covering radius is below r.  A
     scalar r gives an int; a 1-d sequence gives the counts in input order
     from one traversal, run down to the smallest radius.  Each center costs
-    one ``space.lower`` call, and the next center's distance is the new
-    covering radius.
+    one ``space.lower`` call, handed the covering radius max(min_dist) as
+    its reach, and the next center's distance is the new covering radius.
     """
     radii = _radii(r, "covering_number")
     min_dist = np.full(space.n_points, np.inf)
     reach = [np.max(min_dist, initial=-np.inf)]  # covering radius after k centers
     center = 0
     while reach[-1] >= radii.min():
-        space.lower(center, min_dist)
-        center = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
+        space.lower(center, min_dist, reach=float(reach[-1]))
+        center = int(min_dist.argmax())  # argmax takes the lowest index on ties
         reach.append(min_dist[center])
     return _as_given(r, np.searchsorted(-np.asarray(reach), -radii, side="right"))
 
@@ -165,6 +175,16 @@ def packing_number(space, r):
     return _as_given(r, [len(_greedy_packing(space, x)) for x in radii.ravel()])
 
 
+@functools.cache
+def _size_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets of n points ordered by size (stably), and where each size starts."""
+    size = np.bitwise_count(np.arange(1 << n))
+    starts = np.concatenate([[0], np.cumsum(np.bincount(size, minlength=n + 1))[:-1]])
+    order = np.argsort(size, kind="stable")
+    order.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return order, starts
+
+
 def _subset_extremes(space: FiniteMetricSpace, who: str) -> tuple[np.ndarray, np.ndarray]:
     """Smallest covering radius and largest separation over k-subsets, k = 0..n.
 
@@ -176,25 +196,24 @@ def _subset_extremes(space: FiniteMetricSpace, who: str) -> tuple[np.ndarray, np
         mu(S) = min(mu(S'), near[S', i], near[S', n + i])   (min pairwise distance)
 
     The separation takes each stored distance in both orders, as a pairwise
-    test does, so it stays exact on matrices symmetric only to rounding.
+    test does, so it stays exact on matrices symmetric only to rounding.  An
+    exactly symmetric matrix has no second half: there d(j, c) = d(c, j) and
+    min(x, x) = x.
     """
     n = space.n_points
     if n > EXACT_LIMIT:
         raise ConfigError(f"{who}: limited to {EXACT_LIMIT} points")
-    rows = np.hstack([space.dist, space.dist.T])
-    near = np.full((1 << n, 2 * n), np.inf)
+    rows = space.dist if space.symmetric else np.hstack([space.dist, space.dist.T])
+    near = np.full((1 << n, rows.shape[1]), np.inf)
     mu = np.full(1 << n, np.inf)
     for i in range(n):
         lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
         np.minimum(near[lo], rows[i], out=near[hi])
-        np.minimum(mu[lo], np.minimum(near[lo, i], near[lo, n + i]), out=mu[hi])
+        to_i = near[lo, i] if space.symmetric else np.minimum(near[lo, i], near[lo, n + i])
+        np.minimum(mu[lo], to_i, out=mu[hi])
     rho = np.max(near[:, :n], axis=1, initial=-np.inf)
-    size = np.bitwise_count(np.arange(1 << n))
-    best_rho = np.full(n + 1, np.inf)
-    best_mu = np.full(n + 1, -np.inf)
-    np.minimum.at(best_rho, size, rho)
-    np.maximum.at(best_mu, size, mu)
-    return best_rho, best_mu
+    order, starts = _size_order(n)
+    return np.minimum.reduceat(rho[order], starts), np.maximum.reduceat(mu[order], starts)
 
 
 def covering_number_exact(space: FiniteMetricSpace, r):
@@ -376,9 +395,10 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
 class PointCloud:
     """Sampled class with closed-form rows (no dense matrix).
 
-    ``lower(i, running)`` is the space method of the module docstring: it
-    lowers ``running`` in place to the distances from point i wherever they
-    are smaller, exactly.
+    ``lower(i, running, reach=None)`` is the space method of the module
+    docstring: it lowers ``running`` in place to the distances from point i
+    wherever they are smaller, exactly.  ``reach`` must be at least
+    max(running); ``None`` makes ``lower`` find max(running) itself.
     """
 
     def __init__(self, lower, n_points):
@@ -386,11 +406,21 @@ class PointCloud:
         self.n_points = n_points
 
 
+def _reach_window(i: int, cells: float, size: int) -> slice:
+    """The points within ``cells`` grid steps of point i on a 1-d grid of
+    ``size`` points (``cells`` may be infinite), padded by 2 steps against
+    rounding and clipped to the grid."""
+    w = math.floor(min(cells, size)) + 2
+    return slice(max(i - w, 0), min(i + w + 1, size))
+
+
 class BoxClass:
     """Indicators 1_{[0, y]} for y in [0, m]^d under the L2 metric.
 
     Distances are square roots of symmetric-difference volumes; the covering
-    number grows like r^{-2d}.
+    number grows like r^{-2d}.  In d = 1 the distance is sqrt|y - y'|, so
+    only the points with |y - y_i| < reach^2 can be lowered and ``lower``
+    sweeps that window of the grid; in d >= 2 it sweeps the whole cloud.
     """
 
     expected_exponent = -2.0  # per dimension count: -2d with the default d=1
@@ -409,10 +439,14 @@ class BoxClass:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vol = np.prod(pts, axis=1)
 
-        def lower(i, running):
-            mins = np.minimum(pts, pts[i])
-            row = np.sqrt(np.maximum(vol + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
-            np.minimum(running, row, out=running)
+        def lower(i, running, reach=None):
+            win = slice(None)
+            if self.d == 1:
+                reach = float(running.max()) if reach is None else reach
+                win = _reach_window(i, reach * reach / delta, axis.size)
+            mins = np.minimum(pts[win], pts[i])
+            row = np.sqrt(np.maximum(vol[win] + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
+            np.minimum(running[win], row, out=running[win])
 
         return PointCloud(lower, pts.shape[0])
 
@@ -421,7 +455,10 @@ class ShiftClass:
     """Shifts u -> sin(u - a) for a in [-n, n] under the Lipschitz norm.
 
     |g_a - g_b|_Lip = |sin a - sin b| + 2 |sin((a-b)/2)| in closed form;
-    covering numbers grow like 1/r.
+    covering numbers grow like 1/r.  For n <= pi/2 every |a - b| <= pi, where
+    the distance is at least (2/pi)|a - b|, so only the points with
+    |a - a_i| < (pi/2) reach can be lowered and ``lower`` sweeps that window
+    of the grid; for larger n it sweeps the whole cloud.
     """
 
     expected_exponent = -1.0
@@ -436,9 +473,13 @@ class ShiftClass:
         a = np.arange(-self.n, self.n + delta / 2.0, delta)
         sin_a = np.sin(a)
 
-        def lower(i, running):
-            row = np.abs(sin_a - sin_a[i]) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
-            np.minimum(running, row, out=running)
+        def lower(i, running, reach=None):
+            win = slice(None)
+            if self.n <= 0.5 * math.pi:
+                reach = float(running.max()) if reach is None else reach
+                win = _reach_window(i, 0.5 * math.pi * reach / delta, a.size)
+            row = np.abs(sin_a[win] - sin_a[i]) + 2.0 * np.abs(np.sin(0.5 * (a[win] - a[i])))
+            np.minimum(running[win], row, out=running[win])
 
         return PointCloud(lower, a.size)
 
@@ -459,8 +500,8 @@ class ScaleClass:
     The limit column plus the b term, |bq - BQ| + |b - B| with q = 1/a, is
     an exact lower bound on every distance.  ``lower`` takes the full sup
     only where that bound is below the running distance: elsewhere the true
-    distance cannot lower it.  Such a point is within reach = max(running)
-    of the center in both terms, so ``lower`` looks only at the
+    distance cannot lower it.  Such a point is within the reach (at least
+    max(running)) of the center in both terms, so ``lower`` looks only at the
     window of the q-major (q, b) grid spanning the b-columns within reach
     of B and, over those columns, the q-rows with |bq - BQ| < reach.  The
     window is padded by 2 cells against rounding and clipped at the grid's
@@ -501,9 +542,9 @@ class ScaleClass:
             """Grid cell holding x, clipped to [-1, size] (x may be infinite)."""
             return math.floor(min(max((x - origin) / delta, -1.0), size))
 
-        def lower(i, running):
+        def lower(i, running, reach=None):
             iq, ib = divmod(i, nb)
-            reach = float(running.max())
+            reach = float(running.max()) if reach is None else reach
             bi, bqi = float(b[ib]), float(bq[iq, ib])
             c0 = max(cell(bi - reach, b0, nb) - 2, 0)
             c1 = min(cell(bi + reach, b0, nb) + 3, nb)
@@ -525,7 +566,7 @@ class ScaleClass:
                 near = index[s:e, c0:c1][mask]
                 diff = table[:(self.n_u + 2) * near.size].reshape(self.n_u + 2, near.size)
                 # mode="clip" writes straight into out; every index is in range
-                np.take(slopes, near, axis=1, out=diff, mode="clip")
+                slopes.take(near, axis=1, out=diff, mode="clip")
                 diff -= slopes[:, i, None]
                 np.abs(diff, out=diff)
                 # the max over the slope rows is exact in any order; the last row is the b term

@@ -170,18 +170,28 @@ def discrete_laplacian(
     """Periodic 2d+1-point Laplacian over the trailing grid axes.
 
     ``out`` receives the result and ``work`` holds each axis's neighbour
-    pair; both must be float arrays of the shape of ``values`` and default
-    to new ones.  Per cell the arithmetic is -2d u, plus each axis's
-    (left + right) pair in axis order, then / dx^2.
+    pair; both must be C-contiguous float arrays of the shape of ``values``
+    and default to new ones.  Per cell the arithmetic is -2d u, plus each
+    axis's (left + right) pair in axis order, then / dx^2.  An axis with
+    flat stride s pairs its interior cells as one add over the flattened
+    block, u[k - s] + u[k + s]; its two edge planes, which that add fills
+    with neighbours from across the axis, are then written from the
+    periodic ones.
     """
     out = np.empty(values.shape) if out is None else out
     work = np.empty(values.shape) if work is None else work
+    if not (out.flags.c_contiguous and work.flags.c_contiguous):
+        raise ValueError("discrete_laplacian: out and work must be C-contiguous")
     np.multiply(values, -2.0 * grid.d, out=out)
+    flat, pairs = np.ravel(values), work.reshape(-1)
     for ax in range(values.ndim - grid.d, values.ndim):
-        v, w = np.moveaxis(values, ax, 0), np.moveaxis(work, ax, 0)
-        np.add(v[:-2], v[2:], out=w[1:-1])
-        np.add(v[-1:], v[1:2], out=w[:1])
-        np.add(v[-2:-1], v[:1], out=w[-1:])
+        s = math.prod(values.shape[ax + 1:])
+        np.add(flat[:-2 * s], flat[2 * s:], out=pairs[s:-s])
+        lead = (slice(None),) * ax
+        first, second = lead + (slice(0, 1),), lead + (slice(1, 2),)
+        last, before_last = lead + (slice(-1, None),), lead + (slice(-2, -1),)
+        np.add(values[last], values[second], out=work[first])
+        np.add(values[before_last], values[first], out=work[last])
         out += work
     out /= grid.dx * grid.dx
     return out

@@ -180,14 +180,16 @@ def tied_space(rng, n):
 
 
 class CountingCloud:
-    """Delegates to a sampled cloud and counts ``lower`` calls."""
+    """Delegates to a sampled cloud and counts ``lower`` calls; a reach
+    handed to ``lower`` must be the covering radius max(running)."""
 
     def __init__(self, cloud):
         self.cloud, self.n_points, self.calls = cloud, cloud.n_points, 0
 
-    def lower(self, i, running):
+    def lower(self, i, running, reach=None):
+        assert reach is None or reach == running.max()
         self.calls += 1
-        self.cloud.lower(i, running)
+        self.cloud.lower(i, running, reach=reach)
 
 
 class CountingClass:
@@ -337,6 +339,39 @@ class TestCoveringPacking:
             ps = [packing_number_exact(sp, r) for r in radii]
             assert all(a >= b for a, b in zip(ns, ns[1:]))
             assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+def subset_extremes_reference(dist):
+    """Per-subset loop: best covering radius and separation of each size."""
+    n = dist.shape[0]
+    best_rho, best_mu = np.full(n + 1, np.inf), np.full(n + 1, -np.inf)
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            rho = np.max(np.min(dist[list(subset)], axis=0, initial=np.inf), initial=-np.inf)
+            mu = min((min(dist[a, b], dist[b, a]) for a, b in combinations(subset, 2)),
+                     default=np.inf)
+            best_rho[k], best_mu[k] = min(best_rho[k], rho), max(best_mu[k], mu)
+    return best_rho, best_mu
+
+
+class TestSubsetExtremes:
+    @pytest.mark.parametrize("n", range(1, EXACT_LIMIT + 1))
+    def test_both_paths_match_subset_loop(self, n):
+        # an exactly symmetric matrix takes the n-column pass, the same
+        # matrix symmetric only to rounding (still accepted) the 2n-column one
+        rng = np.random.default_rng(40 + n)
+        exact = (tied_space if n % 2 else random_space)(rng, n).dist
+        rounded = exact.copy()
+        i, j = np.triu_indices(n, k=1)
+        rel = rng.choice([-1e-12, 0.0, 1e-12], i.size)
+        rel[:1] = 1e-12
+        rounded[i, j] *= 1.0 + rel
+        spaces = [FiniteMetricSpace(dist=exact), FiniteMetricSpace(dist=rounded)]
+        assert spaces[0].symmetric and spaces[1].symmetric == (n == 1)
+        for sp in spaces:
+            best_rho, best_mu = entropy._subset_extremes(sp, "test")
+            ref_rho, ref_mu = subset_extremes_reference(sp.dist)
+            assert np.array_equal(best_rho, ref_rho) and np.array_equal(best_mu, ref_mu)
 
 
 class TestSandwich:
@@ -508,11 +543,15 @@ class TestCoveringExponents:
 
     def test_one_row_per_center(self):
         # the traversal for the smallest radius serves every larger one,
-        # with one ``lower`` call per center
-        cls = CountingClass(ShiftClass(n=1.0))
-        fit = covering_exponent(cls, np.geomspace(0.05, 0.3, 7))
-        assert cls.cloud.calls == int(fit.counts.max())
-        assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
+        # with one ``lower`` call per center, each handed the covering radius
+        for sampled, radii in ((ShiftClass(n=1.0), np.geomspace(0.05, 0.3, 7)),
+                               (ShiftClass(n=0.5 * math.pi), np.geomspace(0.05, 0.3, 5)),
+                               (BoxClass(m=1.0, d=1), np.geomspace(0.1, 0.4, 5)),
+                               (ScaleClass(), np.geomspace(0.3, 0.6, 4))):
+            cls = CountingClass(sampled)
+            fit = covering_exponent(cls, radii)
+            assert cls.cloud.calls == int(fit.counts.max())
+            assert list(fit.counts) == [covering_number_reference(cls.cloud.cloud, r) for r in fit.radii]
 
     def test_scale_row_matches_broadcast_formula(self):
         cls = ScaleClass()
@@ -553,29 +592,59 @@ def shift_reference(cls, resolution):
     return lambda i: np.abs(np.sin(a) - np.sin(a)[i]) + 2.0 * np.abs(np.sin(0.5 * (a - a[i])))
 
 
+# (class, metric resolution, exact rows) of the sampled classes: the box
+# class in d = 1 and the shift class for n <= pi/2 sweep a reach window, in
+# d = 2 and for n = 3 the whole cloud
+SAMPLED = {
+    "box": (BoxClass(m=1.0, d=2), 0.3, box_reference),
+    "box-1d": (BoxClass(m=1.0, d=1), 0.05, box_reference),
+    "shift": (ShiftClass(n=3.0), 0.1, shift_reference),
+    "shift-narrow": (ShiftClass(n=1.0), 0.02, shift_reference),
+    "shift-edge": (ShiftClass(n=0.5 * math.pi), 0.02, shift_reference),  # the widest windowed n
+    "shift-wide": (ShiftClass(n=2.0), 0.05, shift_reference),
+    "scale": (ScaleClass(), 0.1, scale_reference),
+}
+
+
 def lower_case(kind):
-    """(space, exact row of i) for a dense space and three sampled classes."""
+    """(space, exact row of i) for a dense space and the sampled classes."""
     if kind == "dense":
         sp = tied_space(np.random.default_rng(23), 40)
         return sp, lambda i: sp.dist[i]
-    cls, resolution, reference = {
-        "box": (BoxClass(m=1.0, d=2), 0.3, box_reference),
-        "shift": (ShiftClass(n=3.0), 0.1, shift_reference),
-        "scale": (ScaleClass(), 0.1, scale_reference),
-    }[kind]
+    cls, resolution, reference = SAMPLED[kind]
     return cls.sample(resolution), reference(cls, resolution)
 
 
+def traverse_against_reference(cloud, row_of, centers, given_reach):
+    """A farthest-first traversal over ``cloud``; after every center its
+    running distances equal the same traversal over exact rows, bit for bit.
+    With ``given_reach`` each ``lower`` call is handed the covering radius
+    max(running), as ``covering_number`` does; else it finds the reach
+    itself.  Returns the final running array."""
+    running, expected = np.full(cloud.n_points, np.inf), np.full(cloud.n_points, np.inf)
+    center = 0
+    for _ in range(centers):
+        cloud.lower(center, running, reach=float(running.max()) if given_reach else None)
+        np.minimum(expected, row_of(center), out=expected)
+        assert np.array_equal(running, expected)
+        center = int(np.argmax(running))
+    return running
+
+
 class TestLower:
-    @pytest.mark.parametrize("start", ["random", "inf", "ties", "tight", "flat"])
-    @pytest.mark.parametrize("kind", ["dense", "box", "shift", "scale"])
+    @pytest.mark.parametrize("start", ["random", "inf", "ties", "tight", "flat", "far"])
+    @pytest.mark.parametrize("kind", ["dense", "box", "shift", "scale", "box-1d", "shift-narrow",
+                                      "shift-edge"])
     def test_lower_is_exact_minimum(self, kind, start):
-        # lower(i, running) leaves running == min(running0, exact row i),
-        # wherever a sampled class prunes and whatever running0 holds; a
-        # "tight" start keeps max(running0), the scale class's reach, within
-        # a few steps of the cloud, so its window is narrow and clipped at the
-        # grid's edges for the corner points 0, 1 and n - 1; a "flat" start
-        # puts every point at the reach, so points at the window's rim drop
+        # lower(i, running) and lower(i, running, reach=max(running)) leave
+        # running == min(running0, exact row i), wherever a sampled class
+        # prunes and whatever running0 holds; a "tight" start keeps
+        # max(running0), the reach, within a few steps of the cloud, so a
+        # window is narrow and clipped at the grid's edges for the corner
+        # points 0, 1 and n - 1; a "flat" start puts every point at the
+        # reach, so points at the window's rim drop, and a "far" start does
+        # so 40 steps out, where the padding no longer covers a window that
+        # the distance bound makes too narrow
         space, row_of = lower_case(kind)
         rng = np.random.default_rng(24)
         n = space.n_points
@@ -589,32 +658,44 @@ class TestLower:
                 "ties": lambda: np.where(rng.random(n) < 0.5, exact, rng.uniform(0.0, 2.0, n)),
                 "tight": lambda: rng.uniform(0.0, 3.0 * step, n),
                 "flat": lambda: np.full(n, 1.5 * step),
+                "far": lambda: np.full(n, 40.0 * step),
             }[start]()
-            running = running0.copy()
-            space.lower(i, running)
-            assert np.array_equal(running, np.minimum(running0, exact))
+            for reach in (None, float(running0.max())):
+                running = running0.copy()
+                space.lower(i, running, reach=reach)
+                assert np.array_equal(running, np.minimum(running0, exact))
             if start == "random" and i:
                 assert 0 < np.sum(exact < running0) < n  # both sides of the minimum occur
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_scale_traversal_matches_reference_rows(self, block, monkeypatch):
         # a farthest-first traversal narrows the reach window center by
-        # center; after every center its running distances equal the same
-        # traversal over exact rows, bit for bit, also when every block of
-        # the sweep is a single q-row
+        # center, also when every block of the sweep is a single q-row
         if block is not None:
             monkeypatch.setattr(entropy, "_SCALE_BLOCK", block)
         cls = ScaleClass()
-        cloud, row_of = cls.sample(0.1), scale_reference(cls, 0.1)
-        running, expected = np.full(cloud.n_points, np.inf), np.full(cloud.n_points, np.inf)
-        center = 0
-        for _ in range(250):
-            cloud.lower(center, running)
-            np.minimum(expected, row_of(center), out=expected)
-            assert np.array_equal(running, expected)
-            center = int(np.argmax(running))
-        # the last windows hold about a quarter of the b-columns (b spans [1, 3])
-        assert 0.0 < running.max() < 0.25
+        for given_reach in (False, True):
+            running = traverse_against_reference(cls.sample(0.1), scale_reference(cls, 0.1), 250,
+                                                  given_reach)
+            # the last windows hold about a quarter of the b-columns (b spans [1, 3])
+            assert 0.0 < running.max() < 0.25
+
+    @pytest.mark.parametrize("kind", ["box-1d", "shift-narrow", "shift-edge", "box", "shift-wide"])
+    def test_traversal_matches_reference_rows(self, kind):
+        # the box class in d = 1 and the shift class with n = 1 and pi/2
+        # narrow their windows center by center; in d = 2 and with n = 2 >
+        # pi/2 the whole cloud is swept
+        cls, resolution, reference = SAMPLED[kind]
+        cloud, row_of = cls.sample(resolution), reference(cls, resolution)
+        for given_reach in (False, True):
+            running = traverse_against_reference(cloud, row_of, 250, given_reach)
+        reach = running.max()
+        # the grid steps the last windows span either side: a few of the cloud's
+        steps = {"box-1d": reach * reach / resolution**2,
+                 "shift-narrow": 2.0 * math.pi * reach / resolution,
+                 "shift-edge": 2.0 * math.pi * reach / resolution}
+        if kind in steps:
+            assert 0.0 < steps[kind] < 5.0 and cloud.n_points >= 401
 
 
 class TestEntropyCommandContract:

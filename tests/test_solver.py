@@ -143,7 +143,7 @@ class TestEuler:
         assert np.array_equal(out, 1.0 + dW)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("n", [2, 3, 8])
     def test_laplacian_matches_roll_reference(self, d, n):
         g = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2 * d))
         v = np.random.default_rng(d * n).normal(size=(3,) + g.shape)
@@ -154,8 +154,16 @@ class TestEuler:
         assert np.array_equal(out, ref)
         assert np.array_equal(discrete_laplacian(v[0], g), laplacian_reference(v[0], g))
 
+    @pytest.mark.parametrize("arg", ["out", "work"])
+    def test_laplacian_needs_contiguous_buffers(self, arg):
+        g = Grid(d=2, length=4.0, n=8, dt=0.25 / 4)
+        v = np.ones((3,) + g.shape)
+        strided = np.empty((3, 8, 16))[..., ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            discrete_laplacian(v, g, **{arg: strided})
+
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("kind", sorted(SIGMAS))
     def test_step_matches_roll_reference(self, d, n, kind):
         g = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2 * d))
