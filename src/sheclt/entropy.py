@@ -16,26 +16,26 @@ radius either, so one traversal gives the greedy covering count at every
 radius.
 
 Every space, dense or sampled, gives its rows through one exact in-place
-method, ``lower(i, running, reach=None)``: it sets ``running[j] =
+method, ``lower(i, running, reach)``: it sets ``running[j] =
 min(running[j], d(i, j))`` for every point j.  The covering and packing
 scans keep their running distances that way, and a sampled class may skip
 the points whose cheap lower bound on d(i, j) already reaches
-``running[j]``.  ``reach``, when given, is at least max(running): no point
-at distance ``reach`` or more from i can be lowered, so the sampled classes
-sweep only the window of their parameter grid within reach of point i (the
-scale class always, the box class in d = 1, the shift class for n <= pi/2).
-The farthest-point covering passes its covering radius, which is exactly
-max(running); with ``None`` the space finds max(running) itself.
+``running[j]``.  ``reach`` is at least max(running): no point at distance
+``reach`` or more from i can be lowered, so the sampled classes sweep only
+the window of their parameter grid within reach of point i (the scale
+class always, the box class in d = 1, the shift class for n <= pi/2).  The
+farthest-point covering passes its covering radius, which is exactly
+max(running); the packing scan passes infinity and sweeps the whole cloud.
 
 The chaining machinery bounds the expected maximal increment of a process
 X over pairs at distance <= delta by
 
     32 * int_0^{delta/4} tau(N(r)^2) dr,
 
-with tau(lambda) = int_0^inf (lambda Psi(u) ^ 1) du built from the tail
-function Psi of the normalized increments.  The explicit chain of nested
-nets behind the bound is built separately and checked by its telescoping
-identity.
+with tau(lambda) = int_0^inf (lambda Psi(u) ^ 1) du built from the Gaussian
+tail Psi(u) = 2(1 - Phi(u)) of the normalized increments.  The explicit
+chain of nested nets behind the bound is built separately and checked by
+its telescoping identity.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .errors import ConfigError, CovarianceNotPSD
@@ -100,7 +98,7 @@ class FiniteMetricSpace:
     def n_points(self) -> int:
         return self.dist.shape[0]
 
-    def lower(self, i: int, running: np.ndarray, reach=None) -> None:
+    def lower(self, i: int, running: np.ndarray, reach: float) -> None:
         np.minimum(running, self.dist[i], out=running)
 
     def diameter(self) -> float:
@@ -161,7 +159,7 @@ def _greedy_packing(space, r: float) -> list[int]:
     for i in range(space.n_points):
         if sep[i] > r:
             chosen.append(i)
-            space.lower(i, sep)
+            space.lower(i, sep, math.inf)
     return chosen
 
 
@@ -275,49 +273,22 @@ def sandwich_check(space: FiniteMetricSpace, r: float) -> SandwichResult:
     return SandwichResult(n_2r=n2, p_r=p, n_half_r=nh, holds=n2 <= p <= nh, exact=exact)
 
 
-# -- tail functionals --
+# -- the chaining bound --
 
 
-class TailFunctional:
-    """Tail function Psi with its truncation integral tau.
-
-    tau(lambda) = int_0^inf (lambda Psi(u) ^ 1) du; Psi must be
-    non-increasing with Psi(0) <= 1.  The Gaussian instance
-    Psi(u) = 2(1 - Phi(u)) has the closed form tau(lambda) = 2 lambda
-    phi(u*) with u* = Phi^{-1}(1 - 1/(2 lambda)) above lambda = 1 and
-    tau(lambda) = lambda sqrt(2/pi) below.
-    """
-
-    def __init__(self, psi=None, gaussian=False):
-        if gaussian == (psi is not None):
-            raise ConfigError("tail functional: pass exactly one of psi or gaussian")
-        self.gaussian = gaussian
-        self.psi = psi
-
-    @classmethod
-    def gaussian_increments(cls) -> "TailFunctional":
-        return cls(gaussian=True)
-
-    def tau(self, lam: float) -> float:
-        if lam < 0.0:
-            raise ConfigError("tau: lambda must be nonnegative")
-        if lam == 0.0:
-            return 0.0
-        if self.gaussian:
-            if lam <= 1.0:
-                return lam * math.sqrt(2.0 / math.pi)
-            u_star = ndtri(1.0 - 1.0 / (2.0 * lam))
-            return 2.0 * lam * math.exp(-0.5 * u_star * u_star) / math.sqrt(2.0 * math.pi)
-        # generic: split at the kink lambda Psi(u) = 1
-        if lam * self.psi(0.0) <= 1.0:
-            u_star = 0.0
-        else:
-            u_star = brentq(lambda u: lam * self.psi(u) - 1.0, 0.0, 1e3)
-        tail, _ = integrate.quad(self.psi, u_star, np.inf, limit=200)
-        return u_star + lam * tail
+def gaussian_tau(lam: float) -> float:
+    """tau(lambda) = int_0^inf (lambda Psi(u) ^ 1) du for the Gaussian tail
+    Psi(u) = 2(1 - Phi(u)): lambda sqrt(2/pi) up to lambda = 1, and above it
+    2 lambda phi(u*) with u* = Phi^{-1}(1 - 1/(2 lambda))."""
+    if lam < 0.0:
+        raise ConfigError("tau: lambda must be nonnegative")
+    if lam <= 1.0:
+        return lam * math.sqrt(2.0 / math.pi)
+    u_star = ndtri(1.0 - 1.0 / (2.0 * lam))
+    return 2.0 * lam * math.exp(-0.5 * u_star * u_star) / math.sqrt(2.0 * math.pi)
 
 
-def chaining_bound(space: FiniteMetricSpace, tail: TailFunctional, delta: float) -> float:
+def chaining_bound(space: FiniteMetricSpace, delta: float) -> float:
     """32 * int_0^{delta/4} tau(N(r)^2) dr, exact for the piecewise-constant N.
 
     N is constant between sorted pairwise distances, so the integral is a
@@ -332,7 +303,7 @@ def chaining_bound(space: FiniteMetricSpace, tail: TailFunctional, delta: float)
     count = covering_number_exact if space.n_points <= EXACT_LIMIT else covering_number
     total = 0.0
     for a, b, nb in zip(edges[:-1], edges[1:], count(space, edges[1:])):
-        total += (b - a) * tail.tau(float(nb) ** 2)
+        total += (b - a) * gaussian_tau(float(nb) ** 2)
     return 32.0 * total
 
 
@@ -395,10 +366,10 @@ def chain_construct(space: FiniteMetricSpace) -> Chain:
 class PointCloud:
     """Sampled class with closed-form rows (no dense matrix).
 
-    ``lower(i, running, reach=None)`` is the space method of the module
+    ``lower(i, running, reach)`` is the space method of the module
     docstring: it lowers ``running`` in place to the distances from point i
     wherever they are smaller, exactly.  ``reach`` must be at least
-    max(running); ``None`` makes ``lower`` find max(running) itself.
+    max(running).
     """
 
     def __init__(self, lower, n_points):
@@ -439,10 +410,9 @@ class BoxClass:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vol = np.prod(pts, axis=1)
 
-        def lower(i, running, reach=None):
+        def lower(i, running, reach):
             win = slice(None)
             if self.d == 1:
-                reach = float(running.max()) if reach is None else reach
                 win = _reach_window(i, reach * reach / delta, axis.size)
             mins = np.minimum(pts[win], pts[i])
             row = np.sqrt(np.maximum(vol[win] + vol[i] - 2.0 * np.prod(mins, axis=1), 0.0))
@@ -473,10 +443,9 @@ class ShiftClass:
         a = np.arange(-self.n, self.n + delta / 2.0, delta)
         sin_a = np.sin(a)
 
-        def lower(i, running, reach=None):
+        def lower(i, running, reach):
             win = slice(None)
             if self.n <= 0.5 * math.pi:
-                reach = float(running.max()) if reach is None else reach
                 win = _reach_window(i, 0.5 * math.pi * reach / delta, a.size)
             row = np.abs(sin_a[win] - sin_a[i]) + 2.0 * np.abs(np.sin(0.5 * (a[win] - a[i])))
             np.minimum(running[win], row, out=running[win])
@@ -542,9 +511,8 @@ class ScaleClass:
             """Grid cell holding x, clipped to [-1, size] (x may be infinite)."""
             return math.floor(min(max((x - origin) / delta, -1.0), size))
 
-        def lower(i, running, reach=None):
+        def lower(i, running, reach):
             iq, ib = divmod(i, nb)
-            reach = float(running.max()) if reach is None else reach
             bi, bqi = float(b[ib]), float(bq[iq, ib])
             c0 = max(cell(bi - reach, b0, nb) - 2, 0)
             c1 = min(cell(bi + reach, b0, nb) + 3, nb)
@@ -638,7 +606,7 @@ def chaining_empirical_check(
         z = rng.standard_normal((n_replicas, n))
         x = z @ transform.T
         empirical = float(np.mean(np.max(np.abs(x[:, pairs[:, 0]] - x[:, pairs[:, 1]]), axis=1)))
-    bound = chaining_bound(space, TailFunctional.gaussian_increments(), delta)
+    bound = chaining_bound(space, delta)
     return ChainingCheckResult(
         empirical=empirical, bound=bound, violated=empirical > bound,
         psd_corrected=psd_corrected, n_replicas=n_replicas,

@@ -25,10 +25,6 @@ class CutoffTooSmall(ShecltError):
     """Covariance truncation cutoff leaves a non-negligible boundary contribution."""
 
 
-class ConditionNotApplicable(ShecltError):
-    """The diffusion coefficient does not satisfy a structural precondition."""
-
-
 class DegenerateVariance(ShecltError):
     """A reference variance is zero or negative."""
 

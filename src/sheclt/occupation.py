@@ -12,8 +12,7 @@ psi and in g hold identically, not just approximately.
 
 The module also estimates the integrated spatial covariance of g(u(t)),
 the quantity whose product with <psi, Psi> is the limiting covariance of
-the normalized samples, and checks the structural non-degeneracy bound for
-diffusion coefficients of one sign.
+the normalized samples.
 """
 
 from __future__ import annotations
@@ -24,15 +23,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import (
-    ConditionNotApplicable,
-    ConfigError,
-    CutoffTooSmall,
-    SupportOverflow,
-)
-from .noise import HALO_FACTOR, Grid  # noqa: F401  (HALO_FACTOR is re-exported)
+from .errors import ConfigError, CutoffTooSmall, SupportOverflow
+from .noise import HALO_FACTOR, Grid, _outer_power  # noqa: F401  (HALO_FACTOR is re-exported)
 from . import solver
-from .solver import PiecewiseLinear, SigmaFunction
+from .solver import PiecewiseLinear
 from .spectral import CovarianceMeasure
 
 MIN_BT_REPLICAS = 100
@@ -323,16 +317,17 @@ def estimate_Bt(
     grid: Grid,
     g: LipFunction,
     G: LipFunction | None = None,
-    cutoff: float | None = None,
-    t: float | None = None,
-    f: CovarianceMeasure | None = None,
+    *,
+    t: float,
+    f: CovarianceMeasure,
 ) -> BtEstimate:
     """Integrated spatial covariance of g(u(t,.)) against G(u(t,.)).
 
     Circular cross-correlations of the replica batch are summed over the lags
-    within a physical cutoff along every axis; the absolute covariance at the
-    cutoff lag is kept as a truncation diagnostic.  G defaults to g, which
-    takes one transform instead of two.
+    within a physical cutoff along every axis, ``default_bt_cutoff(t, f)``
+    clamped to L/4; the absolute covariance at the cutoff lag is kept as a
+    truncation diagnostic.  G defaults to g, which takes one transform
+    instead of two.
 
     The batch is streamed in contiguous replica blocks of ``_BLOCK_BYTES``
     per array (:mod:`sheclt.solver`), so the temporaries stay a few blocks
@@ -344,22 +339,15 @@ def estimate_Bt(
     n = fields.shape[0]
     if n < MIN_BT_REPLICAS:
         raise ConfigError(f"estimate_Bt: need at least {MIN_BT_REPLICAS} replicas")
-    if cutoff is None:
-        if t is None or f is None:
-            raise ConfigError("estimate_Bt: pass cutoff or (t, f) for the default")
-        cutoff = min(default_bt_cutoff(t, f), grid.length / 4.0)
-    if cutoff > grid.length / 4.0:
-        raise ConfigError("estimate_Bt: cutoff must not exceed L/4")
+    cutoff = min(default_bt_cutoff(t, f), grid.length / 4.0)
     c = max(int(round(cutoff / grid.dx)), 1)
     ax_sel = np.zeros(grid.n, dtype=bool)  # lags within c cells along one axis
     ax_sel[: c + 1] = True
     ax_sel[grid.n - c :] = True
-    window = ax_sel
-    for _ in range(grid.d - 1):
-        window = np.multiply.outer(window, ax_sel)
+    window = _outer_power(ax_sel, grid.d)
     axes = tuple(range(1, fields.ndim))
     cells = math.prod(fields.shape[1:])
-    block = max(1, min(n, solver._BLOCK_BYTES // (8 * cells)))
+    block = solver._block_rows(n, cells)
     mean_g, mean_G, window_sum = np.empty((3, n))
     total = np.zeros(fields.shape[1:])  # from 0, as a sum over the batch axis starts
     for s in range(0, n, block):
@@ -391,48 +379,4 @@ def estimate_Bt(
         )
     return BtEstimate(
         value=value, se=se, cutoff=cutoff, boundary_cov=boundary, n_replicas=n
-    )
-
-
-@dataclass
-class NondegeneracyResult:
-    b_hat: float
-    lower_bound: float
-    tolerance: float
-    passed: bool
-    condition: int
-    skipped: bool = False
-
-
-def nondegeneracy_check(
-    fields: np.ndarray,
-    grid: Grid,
-    f: CovarianceMeasure,
-    sigma: SigmaFunction,
-    t: float,
-    cutoff: float | None = None,
-) -> NondegeneracyResult:
-    """Verify the positivity bound B_t >= c^2 t f(R^d) for one-signed sigma.
-
-    The structural conditions are checked on the coefficient kind; outside
-    them the check is not applicable.  The identity observable realizes the
-    bound.  Tolerance combines 3 standard errors with a 5% discretization
-    allowance; at t = 0 the field is flat and the check is skipped.
-    """
-    cond = sigma.nondegeneracy_condition()
-    if cond is None:
-        raise ConditionNotApplicable(
-            f"sigma {sigma.describe()} fits neither one-signed condition"
-        )
-    idx, const = cond
-    if t == 0.0:
-        return NondegeneracyResult(
-            b_hat=0.0, lower_bound=0.0, tolerance=0.0, passed=True, condition=idx, skipped=True
-        )
-    est = estimate_Bt(fields, grid, LipFunction.identity(), cutoff=cutoff, t=t, f=f)
-    bound = const * const * t * f.mass
-    tol = 3.0 * est.se + 0.05 * bound
-    return NondegeneracyResult(
-        b_hat=est.value, lower_bound=bound, tolerance=tol,
-        passed=est.value >= bound - tol, condition=idx,
     )

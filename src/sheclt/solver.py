@@ -29,6 +29,12 @@ BLOWUP_GUARD = 1e12
 _BLOCK_BYTES = 1 << 18
 
 
+def _block_rows(n: int, cells: int) -> int:
+    """Replicas per block: as many arrays of ``cells`` floats as fit
+    ``_BLOCK_BYTES``, at least one and at most n."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * cells)))
+
+
 class PiecewiseLinear:
     """Interpolant through strictly increasing knots, end-segment slopes
     extended, so the function is globally Lipschitz with constant ``lip``."""
@@ -64,7 +70,6 @@ class SigmaFunction:
         if kind not in _SIGMA_KINDS:
             raise ConfigError(f"sigma.kind: unknown kind {kind!r}")
         self.kind = kind
-        self.params = params
         to_ab = _SIGMA_KINDS[kind][2]
         if to_ab is None:
             self._eval_tab = PiecewiseLinear(*params, "sigma.tabulated")
@@ -132,27 +137,6 @@ class SigmaFunction:
     @property
     def is_constant(self) -> bool:
         return self._eval_tab is None and self.b == 0.0
-
-    def nondegeneracy_condition(self):
-        """(condition index, constant) for the positivity conditions, or None.
-
-        Condition 1: sigma bounded away from 0 on (0, inf) with one sign, here
-        a != 0 with b = 0 or of a's sign; condition 2: sigma(0) = 0 and
-        |sigma(w)| >= c1 w there, here a = 0.  The signs are compared, not
-        multiplied: a*b can underflow to 0.
-        """
-        if self._eval_tab is not None:
-            return None
-        if self.a == 0.0:
-            return (2, abs(self.b))
-        if self.b == 0.0 or (self.a > 0.0) == (self.b > 0.0):
-            return (1, abs(self.a))
-        return None
-
-    def describe(self) -> str:
-        if self._eval_tab is not None:
-            return f"tabulated({self._eval_tab.xs.size} knots)"
-        return f"{self.kind}({','.join(format(p, 'g') for p in self.params)})"
 
 
 # kind -> (parameter count, constructor, (a, b) of the parameters; None for a table)
@@ -270,7 +254,7 @@ def solve_batch(
         snap_steps[_steps_for(grid, t_snap)] = t_snap
 
     n_rep = len(replicas)
-    block = max(1, min(n_rep, _BLOCK_BYTES // (8 * grid.n**grid.d)))
+    block = _block_rows(n_rep, grid.n**grid.d)
     u = np.ones((n_rep,) + grid.shape)
     nxt = np.empty_like(u)
     lap, dW = np.empty((2, block) + grid.shape)

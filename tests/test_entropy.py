@@ -15,13 +15,13 @@ from sheclt.entropy import (
     FiniteMetricSpace,
     ScaleClass,
     ShiftClass,
-    TailFunctional,
     chain_construct,
     chaining_bound,
     chaining_empirical_check,
     covering_exponent,
     covering_number,
     covering_number_exact,
+    gaussian_tau,
     packing_number,
     packing_number_exact,
     sandwich_check,
@@ -41,7 +41,7 @@ def random_space(rng, n, dim=3):
 def exact_row(space, i):
     """Row i of any space, read through ``lower`` on an all-inf array."""
     row = np.full(space.n_points, np.inf)
-    space.lower(i, row)
+    space.lower(i, row, math.inf)
     return row
 
 
@@ -58,11 +58,11 @@ def covering_number_reference(space, r):
         min_dist = np.minimum(min_dist, exact_row(space, int(np.argmax(masked))))
 
 
-def step_integral_reference(space, tail, upper, power):
+def step_integral_reference(space, upper, power):
     """int_0^upper tau(N(r)^power) dr with one greedy covering per breakpoint."""
     dists = np.unique(space.dist)
     edges = np.concatenate([[0.0], dists[(dists > 0.0) & (dists < upper)], [upper]])
-    return sum((b - a) * tail.tau(float(covering_number_reference(space, b)) ** power)
+    return sum((b - a) * gaussian_tau(float(covering_number_reference(space, b)) ** power)
                for a, b in zip(edges[:-1], edges[1:]))
 
 
@@ -186,8 +186,8 @@ class CountingCloud:
     def __init__(self, cloud):
         self.cloud, self.n_points, self.calls = cloud, cloud.n_points, 0
 
-    def lower(self, i, running, reach=None):
-        assert reach is None or reach == running.max()
+    def lower(self, i, running, reach):
+        assert reach == running.max()
         self.calls += 1
         self.cloud.lower(i, running, reach=reach)
 
@@ -426,26 +426,33 @@ class TestSandwich:
 
 class TestTailFunctional:
     def test_gaussian_closed_form_matches_quadrature(self):
-        gauss = TailFunctional.gaussian_increments()
+        # tau(lambda) = int_0^inf min(lambda Psi(u), 1) du for Psi(u) = 2(1 - Phi(u)),
+        # split at the kink lambda Psi(u) = 1 so that quad sees smooth pieces
+        from scipy.optimize import brentq
         from scipy.special import ndtr
 
-        generic = TailFunctional(psi=lambda u: 2.0 * (1.0 - ndtr(u)))
         for lam in (0.3, 1.0, 4.0, 100.0):
-            assert gauss.tau(lam) == pytest.approx(generic.tau(lam), rel=1e-9)
+            excess = lambda u: lam * 2.0 * (1.0 - ndtr(u)) - 1.0
+            kink = brentq(excess, 0.0, 40.0) if lam > 1.0 else 0.0
+            ref = sum(integrate.quad(lambda u: min(excess(u) + 1.0, 1.0), lo, hi, limit=200)[0]
+                      for lo, hi in ((0.0, kink), (kink, np.inf)))
+            assert gaussian_tau(lam) == pytest.approx(ref, rel=1e-9)
 
     def test_monotone_and_zero(self):
-        gauss = TailFunctional.gaussian_increments()
-        assert gauss.tau(0.0) == 0.0
+        assert gaussian_tau(0.0) == 0.0
         lams = [0.1, 0.5, 1.0, 2.0, 10.0, 1e4]
-        taus = [gauss.tau(l) for l in lams]
+        taus = [gaussian_tau(l) for l in lams]
         assert all(a < b for a, b in zip(taus, taus[1:]))
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ConfigError):
+            gaussian_tau(-0.5)
 
 
 class TestChainingBound:
     def test_vanishes_with_delta(self):
         sp = line_space(6)
-        tail = TailFunctional.gaussian_increments()
-        bounds = [chaining_bound(sp, tail, d) for d in (2.0, 1.0, 0.5, 0.1)]
+        bounds = [chaining_bound(sp, d) for d in (2.0, 1.0, 0.5, 0.1)]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
         assert bounds[-1] < 0.2 * bounds[0]
 
@@ -456,26 +463,24 @@ class TestChainingBound:
     def test_step_integration_matches_adaptive_quadrature(self):
         # same covering function, independent integrators of tau(N^2)
         sp = line_space(8)
-        tail = TailFunctional.gaussian_increments()
         delta = sp.diameter()
         ref, _ = integrate.quad(
-            lambda r: tail.tau(float(covering_number_exact(sp, r)) ** 2),
+            lambda r: gaussian_tau(float(covering_number_exact(sp, r)) ** 2),
             0.0,
             delta / 4.0,
             points=list(np.unique(sp.dist)[1:]),
             limit=400,
         )
-        assert chaining_bound(sp, tail, delta) == pytest.approx(32.0 * ref, rel=1e-8)
+        assert chaining_bound(sp, delta) == pytest.approx(32.0 * ref, rel=1e-8)
 
     def test_greedy_step_integral_matches_per_breakpoint_loop(self):
         rng = np.random.default_rng(13)
-        tail = TailFunctional.gaussian_increments()
         for k in range(10):
             sp = random_space(rng, int(rng.integers(EXACT_LIMIT + 1, 30)))
             for frac in (1.0, 0.4):
                 delta = frac * sp.diameter()
-                ref = 32.0 * step_integral_reference(sp, tail, delta / 4.0, 2)
-                assert chaining_bound(sp, tail, delta) == ref
+                ref = 32.0 * step_integral_reference(sp, delta / 4.0, 2)
+                assert chaining_bound(sp, delta) == ref
 
 
 class TestChainConstruct:
@@ -615,16 +620,15 @@ def lower_case(kind):
     return cls.sample(resolution), reference(cls, resolution)
 
 
-def traverse_against_reference(cloud, row_of, centers, given_reach):
+def traverse_against_reference(cloud, row_of, centers):
     """A farthest-first traversal over ``cloud``; after every center its
     running distances equal the same traversal over exact rows, bit for bit.
-    With ``given_reach`` each ``lower`` call is handed the covering radius
-    max(running), as ``covering_number`` does; else it finds the reach
-    itself.  Returns the final running array."""
+    Each ``lower`` call is handed the covering radius max(running), as
+    ``covering_number`` does.  Returns the final running array."""
     running, expected = np.full(cloud.n_points, np.inf), np.full(cloud.n_points, np.inf)
     center = 0
     for _ in range(centers):
-        cloud.lower(center, running, reach=float(running.max()) if given_reach else None)
+        cloud.lower(center, running, reach=float(running.max()))
         np.minimum(expected, row_of(center), out=expected)
         assert np.array_equal(running, expected)
         center = int(np.argmax(running))
@@ -636,8 +640,8 @@ class TestLower:
     @pytest.mark.parametrize("kind", ["dense", "box", "shift", "scale", "box-1d", "shift-narrow",
                                       "shift-edge"])
     def test_lower_is_exact_minimum(self, kind, start):
-        # lower(i, running) and lower(i, running, reach=max(running)) leave
-        # running == min(running0, exact row i), wherever a sampled class
+        # lower(i, running, reach=max(running)) leaves running ==
+        # min(running0, exact row i), wherever a sampled class
         # prunes and whatever running0 holds; a "tight" start keeps
         # max(running0), the reach, within a few steps of the cloud, so a
         # window is narrow and clipped at the grid's edges for the corner
@@ -660,10 +664,9 @@ class TestLower:
                 "flat": lambda: np.full(n, 1.5 * step),
                 "far": lambda: np.full(n, 40.0 * step),
             }[start]()
-            for reach in (None, float(running0.max())):
-                running = running0.copy()
-                space.lower(i, running, reach=reach)
-                assert np.array_equal(running, np.minimum(running0, exact))
+            running = running0.copy()
+            space.lower(i, running, reach=float(running0.max()))
+            assert np.array_equal(running, np.minimum(running0, exact))
             if start == "random" and i:
                 assert 0 < np.sum(exact < running0) < n  # both sides of the minimum occur
 
@@ -674,11 +677,9 @@ class TestLower:
         if block is not None:
             monkeypatch.setattr(entropy, "_SCALE_BLOCK", block)
         cls = ScaleClass()
-        for given_reach in (False, True):
-            running = traverse_against_reference(cls.sample(0.1), scale_reference(cls, 0.1), 250,
-                                                  given_reach)
-            # the last windows hold about a quarter of the b-columns (b spans [1, 3])
-            assert 0.0 < running.max() < 0.25
+        running = traverse_against_reference(cls.sample(0.1), scale_reference(cls, 0.1), 250)
+        # the last windows hold about a quarter of the b-columns (b spans [1, 3])
+        assert 0.0 < running.max() < 0.25
 
     @pytest.mark.parametrize("kind", ["box-1d", "shift-narrow", "shift-edge", "box", "shift-wide"])
     def test_traversal_matches_reference_rows(self, kind):
@@ -687,15 +688,26 @@ class TestLower:
         # pi/2 the whole cloud is swept
         cls, resolution, reference = SAMPLED[kind]
         cloud, row_of = cls.sample(resolution), reference(cls, resolution)
-        for given_reach in (False, True):
-            running = traverse_against_reference(cloud, row_of, 250, given_reach)
-        reach = running.max()
+        reach = traverse_against_reference(cloud, row_of, 250).max()
         # the grid steps the last windows span either side: a few of the cloud's
         steps = {"box-1d": reach * reach / resolution**2,
                  "shift-narrow": 2.0 * math.pi * reach / resolution,
                  "shift-edge": 2.0 * math.pi * reach / resolution}
         if kind in steps:
             assert 0.0 < steps[kind] < 5.0 and cloud.n_points >= 401
+
+    @pytest.mark.parametrize("kind, resolution", [("box-1d", 0.1), ("shift-narrow", 0.1),
+                                                  ("scale", 0.5)])
+    def test_packing_matches_dense_rows(self, kind, resolution):
+        # the packing scan hands lower an infinite reach, so a sampled class
+        # sweeps its whole cloud and packs as the matrix of its exact rows does
+        cls, _, reference = SAMPLED[kind]
+        cloud, row_of = cls.sample(resolution), reference(cls, resolution)
+        dense = FiniteMetricSpace(dist=np.array([row_of(i) for i in range(cloud.n_points)]))
+        radii = np.quantile(dense.dist[dense.dist > 0.0], [0.02, 0.1, 0.3])
+        counts = packing_number(cloud, radii)
+        assert counts == packing_number(dense, radii)
+        assert counts[0] > counts[-1] > 1
 
 
 class TestEntropyCommandContract:

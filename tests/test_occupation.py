@@ -6,12 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sheclt.errors import (
-    ConditionNotApplicable,
-    ConfigError,
-    CutoffTooSmall,
-    SupportOverflow,
-)
+from sheclt.errors import ConfigError, CutoffTooSmall, SupportOverflow
 from sheclt.noise import Grid, periodized_covariance, spectral_weights
 from sheclt.occupation import (
     HALO_FACTOR,
@@ -20,7 +15,6 @@ from sheclt.occupation import (
     TestFunction,
     estimate_Bt,
     exact_Bt_constant_sigma,
-    nondegeneracy_check,
     occupation_values,
 )
 from sheclt import montecarlo
@@ -32,6 +26,11 @@ from sheclt.spectral import CovarianceMeasure
 from oracles import one_batch_Bt
 
 WHITE = CovarianceMeasure("dirac", 1, 1.0)
+
+
+def window_t(cutoff):
+    """The t whose white-noise B_t window, 6 sqrt(2t), is ``cutoff``."""
+    return (cutoff / 6.0) ** 2 / 2.0
 
 
 def grid_1d(dx=1.0 / 8.0, L=16.0):
@@ -347,19 +346,19 @@ class TestBtEstimate:
         )
         g = LipFunction.identity()
         G = LipFunction.tabulated([-10.0, 10.0], [1.0, 1.0], label="const")
-        est = estimate_Bt(fields, grid, g, G=G, cutoff=2.0)
+        est = estimate_Bt(fields, grid, g, G=G, t=window_t(2.0), f=WHITE)
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_fields_zero(self):
         grid = grid_1d()
         fields = np.ones((150,) + grid.shape)
-        est = estimate_Bt(fields, grid, LipFunction.identity(), cutoff=2.0)
+        est = estimate_Bt(fields, grid, LipFunction.identity(), t=window_t(2.0), f=WHITE)
         assert est.value == 0.0
 
     def test_requires_replicas(self):
         grid = grid_1d()
         with pytest.raises(ConfigError):
-            estimate_Bt(np.ones((10,) + grid.shape), grid, LipFunction.identity(), cutoff=2.0)
+            estimate_Bt(np.ones((10,) + grid.shape), grid, LipFunction.identity(), t=1.0, f=WHITE)
 
     def test_cutoff_too_small_on_long_range_input(self):
         grid = grid_1d()
@@ -367,7 +366,7 @@ class TestBtEstimate:
         common = rng.normal(size=(400, 1))
         fields = 1.0 + common + 0.01 * rng.normal(size=(400,) + grid.shape)
         with pytest.raises(CutoffTooSmall):
-            estimate_Bt(fields, grid, LipFunction.identity(), cutoff=1.0)
+            estimate_Bt(fields, grid, LipFunction.identity(), t=window_t(1.0), f=WHITE)
 
     @pytest.mark.slow
     def test_benchmark_value_constant_sigma(self):
@@ -381,15 +380,16 @@ class TestBtEstimate:
         grid = grid_1d(dx=0.25, L=16.0)
         fields, _ = solve_batch(grid, SigmaFunction.affine(1.0, 0.5), WHITE, 0.5, 46, range(120))
         g, G = LipFunction.sin(), LipFunction.identity()
-        cutoff = 2.0
-        est = estimate_Bt(fields, grid, g, G, cutoff=cutoff)
+        t = window_t(2.0)
+        est = estimate_Bt(fields, grid, g, G, t=t, f=WHITE)
         gu, GU = np.sin(fields), fields
-        c = int(round(cutoff / grid.dx))
+        c = int(round(est.cutoff / grid.dx))
+        assert c == 8
         cov = [np.mean(np.roll(gu, -h, axis=1) * GU) - gu.mean() * GU.mean() for h in range(-c, c + 1)]
         assert est.value == pytest.approx(float(np.sum(cov)) * grid.dx, rel=1e-10)
         # the autocovariance shortcut (one g evaluation, one transform) is exact
-        auto = estimate_Bt(fields, grid, g, cutoff=cutoff)
-        twice = estimate_Bt(fields, grid, g, LipFunction.sin(), cutoff=cutoff)
+        auto = estimate_Bt(fields, grid, g, t=t, f=WHITE)
+        twice = estimate_Bt(fields, grid, g, LipFunction.sin(), t=t, f=WHITE)
         assert (auto.value, auto.se) == (twice.value, twice.se)
 
 
@@ -401,14 +401,16 @@ class TestStreamedBt:
     def test_blocks_match_one_batch_reference(self, monkeypatch, d, n, G):
         grid = Grid(d=d, length=0.5 * n, n=n, dt=0.25 / (2.0 * d))
         rng = np.random.default_rng(10 + d)
-        # the widest window (21, 49 and 125 lags): a pairwise row sum would show
+        # the widest window (21, 49 and 125 lags): a pairwise row sum would show;
+        # a large t clamps the window to L/4
         g, cutoff = LipFunction.sin(), grid.length / 4.0
         for count in (100, 101):  # neither divides a block of 3
             fields = 1.0 + 0.5 * rng.normal(size=(count,) + grid.shape)
             ref = one_batch_Bt(fields, grid, g, G, cutoff)
             for block in (1, 3, count + 5):
                 monkeypatch.setattr(solver_module, "_BLOCK_BYTES", 8 * grid.n**d * block)
-                est = estimate_Bt(fields, grid, g, G, cutoff=cutoff)
+                est = estimate_Bt(fields, grid, g, G, t=100.0, f=WHITE)
+                assert est.cutoff == cutoff
                 assert (est.value, est.se, est.boundary_cov) == ref, (count, block)
 
     def test_temporaries_stay_below_a_quarter_of_the_batch(self):
@@ -417,39 +419,12 @@ class TestStreamedBt:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            estimate_Bt(fields, grid, LipFunction.sin(), LipFunction.identity(), cutoff=1.0)
+            estimate_Bt(fields, grid, LipFunction.sin(), LipFunction.identity(), t=window_t(1.0),
+                        f=WHITE)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < fields.nbytes / 4, (peak, fields.nbytes)
-
-
-class TestNondegeneracy:
-    def test_inapplicable_sigma(self):
-        grid = grid_1d()
-        fields = np.ones((150,) + grid.shape)
-        with pytest.raises(ConditionNotApplicable):
-            nondegeneracy_check(fields, grid, WHITE, SigmaFunction.affine(1.0, -2.0), 0.5)
-
-    def test_t_zero_skipped(self):
-        grid = grid_1d()
-        fields = np.ones((150,) + grid.shape)
-        res = nondegeneracy_check(fields, grid, WHITE, SigmaFunction.constant(1.0), 0.0)
-        assert res.skipped and res.passed
-
-    @pytest.mark.slow
-    def test_condition_one_equality_case(self):
-        grid = grid_1d(dx=1.0 / 8.0, L=16.0)
-        fields, _ = solve_batch(grid, SigmaFunction.constant(1.0), WHITE, 1.0, 46, range(400))
-        res = nondegeneracy_check(fields, grid, WHITE, SigmaFunction.constant(1.0), 1.0)
-        assert res.condition == 1 and res.passed
-
-    @pytest.mark.slow
-    def test_condition_two_linear_sigma(self):
-        grid = grid_1d(dx=1.0 / 8.0, L=16.0)
-        fields, _ = solve_batch(grid, SigmaFunction.linear(1.0), WHITE, 0.5, 47, range(400))
-        res = nondegeneracy_check(fields, grid, WHITE, SigmaFunction.linear(1.0), 0.5)
-        assert res.condition == 2 and res.passed
 
 
 class TestBaseline:

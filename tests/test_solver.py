@@ -100,20 +100,6 @@ class TestSigmaFunction:
         assert np.all(lhs <= s.lip * np.abs(u - v) + 1e-12)
         assert s(np.array(0.0)) == pytest.approx(1.0)
 
-    def test_nondegeneracy_classification(self):
-        assert SigmaFunction.constant(2.0).nondegeneracy_condition() == (1, 2.0)
-        assert SigmaFunction.linear(-1.5).nondegeneracy_condition() == (2, 1.5)
-        assert SigmaFunction.affine(0.5, 1.0).nondegeneracy_condition() == (1, 0.5)
-        assert SigmaFunction.affine(1.0, -2.0).nondegeneracy_condition() is None
-        assert SigmaFunction.affine(0.0, -0.8).nondegeneracy_condition() == (2, 0.8)
-        assert SigmaFunction.affine(1.2, 0.0).nondegeneracy_condition() == (1, 1.2)
-        assert SigmaFunction.affine(-1.2, 0.0).nondegeneracy_condition() == (1, 1.2)
-        assert SigmaFunction.affine(-1.0, -0.5).nondegeneracy_condition() == (1, 1.0)
-        # opposite signs whose product underflows to 0 are still opposite
-        assert SigmaFunction.affine(1e-200, -1e-180).nondegeneracy_condition() is None
-        assert SigmaFunction.affine(-1e-200, 1e-180).nondegeneracy_condition() is None
-        assert SIGMAS["tabulated"].nondegeneracy_condition() is None
-
     @pytest.mark.parametrize("d, kind", [(1, "dirac"), (2, "gaussian")])
     @pytest.mark.parametrize("c", [1.3, -0.7])
     def test_kinds_of_one_affine_family_solve_alike(self, d, kind, c):

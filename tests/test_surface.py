@@ -1,20 +1,22 @@
-"""Every public definition in ``src/sheclt`` is reached, and every default is set.
+"""Every definition in ``src/sheclt`` is reached, and every default is set.
 
 Two audits read the syntax trees of ``src/`` and ``bench/*.py``.
 
-* **Names.**  A public module-level function or class, or a public method of
-  a public class, must be referenced outside its own body and outside the
-  bodies of definitions that are themselves unreached.  A reference is an
-  ``ast.Name``, an ``ast.Attribute`` or an import alias with that
-  identifier, or a ``"sheclt.module:name"`` path string in ``bench/spans.py``;
-  words in strings and comments do not count.  ``TEST_ONLY`` lists the
-  definitions that only tests use, on purpose; their bodies count as reached.
-* **Parameters.**  Every defaulted parameter of a public function, a public
-  method or an ``__init__``, and every defaulted dataclass field, must be
-  supplied, by keyword or by position, by some call of that name.  ``cls(...)``
-  inside a classmethod calls its own class, a starred argument supplies every
-  position and ``**`` every keyword.  Parameters of ``TEST_ONLY`` definitions
-  are exempt; ``UNSET`` lists the parameters kept without a caller, on purpose.
+* **Names.**  A module-level function or class, public or private, or a
+  public method of a public class, must be referenced outside its own body
+  and outside the bodies of definitions that are themselves unreached.  A
+  reference is an ``ast.Name``, an ``ast.Attribute`` or an import alias
+  with that identifier, or a ``"sheclt.module:name"`` path string in
+  ``bench/spans.py``; words in strings and comments do not count.
+  ``TEST_ONLY`` lists the definitions that only tests use, on purpose; their
+  bodies count as reached.
+* **Parameters.**  Every defaulted parameter of a module-level function, a
+  public method or an ``__init__``, and every defaulted dataclass field,
+  must be supplied, by keyword or by position, by some call of that name.
+  ``cls(...)`` inside a classmethod calls its own class, a starred argument
+  supplies every position and ``**`` every keyword.  Parameters of
+  ``TEST_ONLY`` definitions are exempt; ``UNSET`` lists the parameters kept
+  without a caller, on purpose.
 
 Names resolve by identifier only, so two definitions of one name share their
 references and their calls.  Both allowlists must stay current: each entry
@@ -30,13 +32,11 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "load_array": "reads back the binary dumps that the commands write",
     "marginal_variance_run": "drives acceptance criterion 3",
-    "nondegeneracy_check": "the B_t positivity check, kept for ROADMAP item 1",
     "packing_number_exact": "the exact packing count alone; sandwich_check takes P(r) from its own subset pass",
 }
 UNSET = {
     "estimate_Bt(G)": "the cross-covariance of two observables, for ROADMAP item 9",
     "solve_batch(snapshot_times)": "fields at intermediate times, for ROADMAP item 10",
-    "TailFunctional(psi)": "a tail function other than the Gaussian one, for ROADMAP item 13",
 }
 SPAN_PATH = re.compile(r"sheclt\.\w+:([\w.]+)")
 
@@ -53,17 +53,22 @@ def program():
     return defining, referring
 
 
+def _defined(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef))
+
+
 def _public(node) -> bool:
-    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    return _defined(node) and not node.name.startswith("_")
 
 
 def definitions(modules) -> dict:
-    """qualname -> (path, node) of every public function, class and public method."""
+    """qualname -> (path, node) of every module-level function and class, public
+    or private, and every public method of a public class."""
     out = {}
     for path, tree in modules.items():
-        for node in filter(_public, tree.body):
+        for node in filter(_defined, tree.body):
             out[f"{path.stem}.{node.name}"] = (path, node)
-            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+            for sub in node.body if isinstance(node, ast.ClassDef) and _public(node) else ():
                 if isinstance(sub, ast.FunctionDef) and _public(sub):
                     out[f"{path.stem}.{node.name}.{sub.name}"] = (path, sub)
     return out
@@ -143,8 +148,9 @@ def calls(modules) -> dict:
 
 def defaulted(defs) -> dict:
     """'Owner(param)' -> (callee identifier, param, position or None if
-    keyword-only) for every defaulted parameter of a public function, method
-    or __init__ and every defaulted dataclass field; positions skip self and cls."""
+    keyword-only) for every defaulted parameter of a function, method or
+    __init__ in ``defs`` and every defaulted dataclass field; positions skip
+    self and cls."""
     out = {}
     for qualname, (_, node) in defs.items():
         if isinstance(node, ast.ClassDef):
@@ -265,3 +271,29 @@ def test_unsupplied_defaults_are_flagged():
     defs, _, call_map = _planted()
     missing = unsupplied(defs, call_map, exempt={}, test_only={})
     assert missing == {"Shape.area(scale)", "Shape.area(units)"}
+
+
+PLANTED_PRIVATE = '''
+def _helper(x, scale=2, offset=0):
+    return scale * x + offset
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+class _Cache:
+    def get(self):
+        return _helper(1)
+
+RESULT = _helper(3, 4)
+'''
+
+
+def test_private_helpers_are_audited():
+    # a private helper is reached only from outside its own body and the
+    # bodies of unreached definitions, and its defaults must be supplied
+    path = Path("planted.py")
+    modules = {path: ast.parse(PLANTED_PRIVATE)}
+    defs = definitions(modules)
+    assert unreached(defs, references(modules), exempt=()) == {"planted._recursive",
+                                                               "planted._Cache"}
+    assert unsupplied(defs, calls(modules), exempt={}, test_only={}) == {"_helper(offset)"}
